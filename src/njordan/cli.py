@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cstar_num, derivation, models
@@ -25,18 +24,6 @@ def _write_json(path: str, payload) -> None:
             fh.write(payload)
         else:
             fh.write(json.dumps(payload, **JSON_KW) + "\n")
-
-
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("NJORDAN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise GuardError(f"NJORDAN_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -62,7 +49,6 @@ def _cmd_consequence(args: argparse.Namespace) -> int:
         field=args.field,
         mode=args.mode,
         override=args.unsafe_override,
-        threads=_threads(args),
     )
     if isinstance(result, derivation.InSpan):
         verified = derivation.verify_certificate(result.certificate)
@@ -210,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cons.add_argument("--mode", choices=("nc", "c"), default=NONCOMMUTATIVE)
     p_cons.add_argument("--cert", metavar="PATH")
     p_cons.add_argument("--json", metavar="PATH")
-    p_cons.add_argument("--threads", type=int, default=None)
     p_cons.add_argument("--unsafe-override", action="store_true", dest="unsafe_override")
     p_cons.set_defaults(func=_cmd_consequence)
 
@@ -227,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=_cmd_search)
 
     p_ex = sub.add_parser("examples", help="reproduce the motivating finite examples")
-    p_ex.add_argument("--all", action="store_true", help="accepted for compatibility")
     p_ex.add_argument("--json", metavar="PATH")
     p_ex.set_defaults(func=_cmd_examples)
 

@@ -17,6 +17,7 @@ the coordinate characters of the codomain.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,15 +163,8 @@ def check_corollary_2_6(
     max_norm = 0.0
     all_jordan = True
     all_contractive = True
-    index = [0] * k
-    total = len(functionals) ** k
-    for flat in range(total):
-        rem = flat
-        for pos in range(k):
-            index[pos] = rem % len(functionals)
-            rem //= len(functionals)
-        matrix = np.vstack([functionals[i].matrix for i in index])
-        h = LinearMapC(matrix)
+    for components in itertools.product(functionals, repeat=k):
+        h = LinearMapC(np.vstack([f.matrix for f in components]))
         ok, _ = is_power_jordan(h, 3, batch, tol)
         norm = op_norm_sup(h)
         maps_checked += 1
@@ -242,35 +236,24 @@ def check_theorem_2_7(
     cod = DiagAlgebra(h.codomain_dim)
     batch = dom.samples(samples, seed)
 
+    def rejected(by: str, witness: int | None) -> dict:
+        return {
+            "rejected_by": by,
+            "witness_sample": witness,
+            "power": power,
+            "samples": samples,
+            "seed": seed,
+            "ok": False,
+        }
+
     ok, witness = is_power_jordan(h, power, batch, tol)
     if not ok:
-        return {
-            "rejected_by": "power_preservation",
-            "witness_sample": witness,
-            "power": power,
-            "samples": samples,
-            "seed": seed,
-            "ok": False,
-        }
+        return rejected("power_preservation", witness)
     if not is_involution_preserving(h, tol):
-        return {
-            "rejected_by": "involution_preservation",
-            "witness_sample": None,
-            "power": power,
-            "samples": samples,
-            "seed": seed,
-            "ok": False,
-        }
+        return rejected("involution_preservation", None)
     ok, witness = preserves_star_product(h, batch, tol)
     if not ok:
-        return {
-            "rejected_by": "star_product",
-            "witness_sample": witness,
-            "power": power,
-            "samples": samples,
-            "seed": seed,
-            "ok": False,
-        }
+        return rejected("star_product", witness)
 
     norm = op_norm_sup(h)
     exponent = 4 * power + 2

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GuardError
+from .exact import eliminate, prime_factors
 from .freealg import (
     COMMUTATIVE,
     NONCOMMUTATIVE,
@@ -127,7 +126,6 @@ class Trace:
     assertions_passed: int
     assertions_failed: int
     failed: bool
-    wall_time: float
 
     def final_identity(self) -> str:
         return self.records[-1].identity if self.records else "h(0) = 0"
@@ -160,7 +158,6 @@ def _subst_detail(spec: Mapping[str, str], ref: int) -> str:
 
 def replay(script: DerivationScript) -> Trace:
     """Execute every step; assertion failures are recorded, never raised."""
-    start = time.perf_counter()
     results: list[HIdentity] = []
     records: list[StepRecord] = []
     labels: set[str] = set()
@@ -231,12 +228,11 @@ def replay(script: DerivationScript) -> Trace:
         assertions_passed=passed,
         assertions_failed=failed,
         failed=failed > 0,
-        wall_time=time.perf_counter() - start,
     )
 
 
 def trace_to_dict(trace: Trace) -> dict:
-    """JSON-ready form; wall time is excluded to keep the bytes stable."""
+    """JSON-ready form; its bytes depend only on the script."""
     return {
         "script": trace.script,
         "mode": trace.mode,
@@ -571,7 +567,6 @@ def generate_instances(
     coeff_range: int = 1,
     mode: str = NONCOMMUTATIVE,
     override: bool = False,
-    threads: int = 1,
 ) -> list[Instance]:
     """Seed instances for every coefficient vector in {-c..c}^|vars|.
 
@@ -600,14 +595,11 @@ def generate_instances(
         seen.add(rep)
         kept.append(rep)
 
-    def expand(eps: tuple[int, ...]) -> Instance:
+    out = []
+    for eps in kept:
         form = linear_form({v: e for v, e in zip(ids, eps) if e}, mode)
-        return Instance(to_string(form), substitute(base, {SEED_VAR: form}))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(expand, kept))
-    return [expand(eps) for eps in kept]
+        out.append(Instance(to_string(form), substitute(base, {SEED_VAR: form})))
+    return out
 
 
 Coord = tuple[str, tuple[int, ...]]
@@ -645,7 +637,7 @@ def _parse_field(field_spec) -> int | None:
         p = int(field_spec[3:-1])
     else:
         raise ValueError(f"unrecognized field {field_spec!r}; use 'Q' or 'GF(p)'")
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if prime_factors(p) != {p}:
         raise ValueError(f"{p} is not prime")
     return p
 
@@ -659,65 +651,6 @@ def _to_gf(vec: dict[Coord, Fraction], p: int) -> dict[Coord, int]:
         if val:
             out[k] = val
     return out
-
-
-def _eliminate(vectors, target, col_pos, p):
-    """Row reduction with combination tracking over Q (p=None) or GF(p).
-
-    Returns (rank, combo or None, residual).  combo maps instance index to
-    coefficient when the target lies in the span; residual is the reduced
-    remainder otherwise.
-    """
-    zero = 0 if p else Fraction(0)
-    one = 1 if p else Fraction(1)
-
-    def sub_scaled(vec, factor, basis):
-        for k, val in basis.items():
-            nv = vec.get(k, zero) - factor * val
-            if p:
-                nv %= p
-            if nv:
-                vec[k] = nv
-            elif k in vec:
-                del vec[k]
-
-    def inv(x):
-        return pow(x, -1, p) if p else 1 / x
-
-    rows: list[tuple[Coord, dict, dict]] = []
-    for idx, vec in enumerate(vectors):
-        v = dict(vec)
-        combo = {idx: one}
-        for pivot_coord, basis, bc in rows:
-            if pivot_coord in v:
-                f = v[pivot_coord]
-                sub_scaled(v, f, basis)
-                sub_scaled(combo, f, bc)
-        if v:
-            pivot_coord = min(v, key=col_pos.__getitem__)
-            f_inv = inv(v[pivot_coord])
-            v = {k: (val * f_inv % p if p else val * f_inv) for k, val in v.items()}
-            combo = {k: (val * f_inv % p if p else val * f_inv) for k, val in combo.items()}
-            rows.append((pivot_coord, v, combo))
-    rank = len(rows)
-
-    t = dict(target)
-    tc: dict[int, Fraction | int] = {}
-    for pivot_coord, basis, bc in rows:
-        if pivot_coord in t:
-            f = t[pivot_coord]
-            sub_scaled(t, f, basis)
-            for k, val in bc.items():
-                nv = tc.get(k, zero) + f * val
-                if p:
-                    nv %= p
-                if nv:
-                    tc[k] = nv
-                elif k in tc:
-                    del tc[k]
-    if t:
-        return rank, None, t
-    return rank, tc, {}
 
 
 # --- certificates ---------------------------------------------------------------
@@ -812,7 +745,6 @@ def consequence_check(
     field="Q",
     mode: str = NONCOMMUTATIVE,
     override: bool = False,
-    threads: int = 1,
 ) -> InSpan | NotInSpan:
     """Decide whether target is a linear combination of seed instances.
 
@@ -829,16 +761,15 @@ def consequence_check(
         raise ValueError(f"target must be degree-homogeneous of degree {n}")
     p = _parse_field(field)
     field_tag = "Q" if p is None else f"GF({p})"
-    instances = generate_instances(
-        n, variables, coeff_range, target.mode, override=override, threads=threads
-    )
+    instances = generate_instances(n, variables, coeff_range, target.mode, override=override)
     vectors = [_identity_vector(inst.identity) for inst in instances]
     tvec = _identity_vector(target)
     if p is not None:
         vectors = [_to_gf(v, p) for v in vectors]
         tvec = _to_gf(tvec, p)
     col_pos = _column_positions(vectors + [tvec])
-    rank, combo, residual = _eliminate(vectors, tvec, col_pos, p)
+    independent, combo, residual = eliminate(vectors, tvec, col_pos, p)
+    rank = len(independent)
     if combo is None:
         return NotInSpan(rank, len(instances), _residual_string(residual, target.mode))
     used = tuple(
@@ -917,7 +848,7 @@ STOCK_TARGETS: tuple[tuple[str, int, str, int], ...] = (
 )
 
 
-def stock_experiments(threads: int = 1) -> list[dict]:
+def stock_experiments() -> list[dict]:
     """Span probes for the noteworthy targets; outcomes reported, not assumed.
 
     Includes the open probes: whether the transcribed collapsed statements
@@ -928,9 +859,7 @@ def stock_experiments(threads: int = 1) -> list[dict]:
     out = []
     for name, n, text, coeff_range in STOCK_TARGETS:
         target = parse_identity(text, NONCOMMUTATIVE)
-        result = consequence_check(
-            n, target, ("x", "y", "z"), coeff_range, threads=threads
-        )
+        result = consequence_check(n, target, ("x", "y", "z"), coeff_range)
         entry = {
             "name": name,
             "n": n,

@@ -41,27 +41,12 @@ from .freealg import (
     var_id,
     var_name,
 )
-from .errors import GuardError
+from .exact import prime_factors
 
 if TYPE_CHECKING:
     from .models import AdditiveMap, FiniteRing
 
 SEED_VAR = var_id("a")
-
-
-def prime_factors(n: int) -> frozenset[int]:
-    """Set of prime factors of |n|; empty for 0 and 1."""
-    n = abs(n)
-    out = set()
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.add(p)
-            n //= p
-        p += 1
-    if n > 1:
-        out.add(n)
-    return frozenset(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,23 +205,10 @@ def evaluate(
             raise ValueError(f"denominator prime {p} is not invertible modulo {m}")
 
     variables = sorted(set(ident.lhs.variables()) | set(ident.rhs.variables()))
-    k = len(variables)
-    size = ring_a.size
-    space = size ** k if k else 1
-    if space <= max_assignments:
-        grids = np.meshgrid(*(np.arange(size) for _ in range(k)), indexing="ij")
-        idx = np.stack([g.reshape(-1) for g in grids], axis=1) if k else np.zeros((1, 0), dtype=np.int64)
-        assign = {v: ring_a.element_vectors()[idx[:, j]] for j, v in enumerate(variables)}
-        exhaustive = True
-    else:
-        if sample_seed is None:
-            raise GuardError(
-                f"assignment space {space} exceeds cap {max_assignments}; pass sample_seed to sample"
-            )
-        rng = np.random.default_rng(sample_seed)
-        assign = {v: rng.integers(0, m, size=(max_assignments, ring_a.dim)) for v in variables}
-        exhaustive = False
-    count = next(iter(assign.values())).shape[0] if k else 1
+    space = ring_a.size ** len(variables)
+    cols, exhaustive = ring_a.assignments(len(variables), max_assignments, sample_seed, max_assignments)
+    assign = dict(zip(variables, cols))
+    count = cols[0].shape[0] if cols else 1
 
     himg = {v: h.apply_batch(vecs) for v, vecs in assign.items()}
     lhs_val = np.zeros((count, ring_b.dim), dtype=np.int64)

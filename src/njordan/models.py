@@ -17,11 +17,13 @@ real or complex algebras that motivate the example constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import GuardError
+from .exact import eliminate, prime_factors
 
 ENUM_CAP = 10 ** 7
 TUPLE_CAP = 10 ** 7
@@ -30,48 +32,47 @@ CONSTRUCTOR_MODULI = (2, 3, 5, 7)
 MAX_MATRIX_SIZE = 4
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+def _digits(idx, m: int, width: int) -> np.ndarray:
+    """Base-m digits of each index, most significant first, as an (N, width) array.
+
+    The one decoding of an index into coordinates: ring elements and
+    additive-map matrices (flattened row-major) both use it.
+    """
+    rest = np.asarray(idx)
+    out = np.empty((rest.shape[0], width), dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        out[:, j] = rest % m
+        rest = rest // m
+    return out
 
 
-def _rref_mod_p(rows: np.ndarray, p: int) -> np.ndarray:
-    """Row-reduced basis of the row space over GF(p)."""
-    mat = [list(int(x) % p for x in r) for r in rows]
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in mat:
-        for b, piv in zip(basis, pivots):
-            f = row[piv]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, b)]
-        nz = next((i for i, x in enumerate(row) if x), None)
-        if nz is None:
-            continue
-        inv = pow(row[nz], -1, p)
-        row = [(x * inv) % p for x in row]
-        basis.append(row)
-        pivots.append(nz)
-    if not basis:
-        return np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0), dtype=np.int64)
-    return np.array(basis, dtype=np.int64)
+def _eliminate_rows(rows: np.ndarray, target: np.ndarray, p: int):
+    """exact.eliminate over GF(p) on the rows of a reduced integer array.
+
+    Coordinates are column positions, so pivots follow column order.
+    """
+
+    def sparse(vec: np.ndarray) -> dict[int, int]:
+        return {int(i): int(vec[i]) for i in np.flatnonzero(vec)}
+
+    return eliminate([sparse(r) for r in rows], sparse(target), range(rows.shape[1]), p)
 
 
 class FiniteRing:
     """Ring on (Z_m)^d defined by a structure constant table."""
 
     def __init__(self, name: str, modulus: int, struct: np.ndarray):
-        struct = np.asarray(struct, dtype=np.int64) % modulus
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
+        struct = np.asarray(struct, dtype=object) % modulus
         if struct.ndim != 3 or struct.shape[0] != struct.shape[1] or struct.shape[1] != struct.shape[2]:
             raise ValueError("structure table must have shape (d, d, d)")
+        # mul_batch sums c_ijk * u_i * v_j over i, j and apply_batch sums d
+        # products of residues, all in int64
+        bound = max(struct.sum(axis=(0, 1)).max(initial=0), struct.shape[0]) * (modulus - 1) ** 2
+        if bound >= 2 ** 63:
+            raise GuardError(f"modulus {modulus} overflows int64 arithmetic in this ring")
+        struct = struct.astype(np.int64)
         self.name = name
         self.modulus = modulus
         self.struct = struct
@@ -92,36 +93,19 @@ class FiniteRing:
             raise ValueError(f"structure table is not associative at basis triple {tuple(int(x) for x in bad)}")
 
     def _find_unit(self) -> np.ndarray | None:
-        if not _is_prime(self.modulus):
-            return None
+        """The unit over a prime modulus, solving u*e_j = e_j and e_i*u = e_i for u."""
         d, p = self.dim, self.modulus
-        # stack the linear conditions u*e_j = e_j and e_i*u = e_i
-        rows = []
-        rhs = []
-        for j in range(d):
-            for k in range(d):
-                rows.append(self.struct[:, j, k])
-                rhs.append(1 if j == k else 0)
-        for i in range(d):
-            for k in range(d):
-                rows.append(self.struct[i, :, k])
-                rhs.append(1 if i == k else 0)
-        aug = np.concatenate([np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64)[:, None]], axis=1)
-        red = _rref_mod_p(aug, p)
-        sol = np.zeros(d, dtype=np.int64)
-        for row in red:
-            nz = next((i for i, x in enumerate(row) if x), None)
-            if nz is None:
-                continue
-            if nz == d:
-                return None  # inconsistent: no unit
-            sol[nz] = row[d] % p
-        # verify (handles underdetermined reductions conservatively)
-        e = np.eye(d, dtype=np.int64)
-        if (self.mul_batch(np.tile(sol, (d, 1)), e) == e).all() and \
-           (self.mul_batch(e, np.tile(sol, (d, 1))) == e).all():
-            return sol
-        return None
+        if prime_factors(p) != {p}:
+            return None
+        # row i holds the coefficient of u_i in every condition
+        conditions = np.concatenate(
+            [self.struct.reshape(d, d * d), self.struct.transpose(1, 0, 2).reshape(d, d * d)], axis=1
+        )
+        target = np.tile(np.eye(d, dtype=np.int64).reshape(-1), 2)
+        _, combo, _ = _eliminate_rows(conditions, target, p)
+        if combo is None:
+            return None
+        return np.array([combo.get(i, 0) for i in range(d)], dtype=np.int64)
 
     def mul_batch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Componentwise ring product of two (N, d) batches."""
@@ -135,9 +119,7 @@ class FiniteRing:
         if self.size > ELEMENT_CAP:
             raise GuardError(f"{self.size} elements exceed the materialization cap {ELEMENT_CAP}")
         if self._elements is None:
-            idx = np.arange(self.size, dtype=np.int64)
-            cols = [(idx // self.modulus ** (self.dim - 1 - j)) % self.modulus for j in range(self.dim)]
-            self._elements = np.stack(cols, axis=1)
+            self._elements = _digits(np.arange(self.size, dtype=np.int64), self.modulus, self.dim)
         return self._elements
 
     def index_of(self, vec: np.ndarray) -> int:
@@ -145,10 +127,27 @@ class FiniteRing:
         return int((np.asarray(vec, dtype=np.int64) % self.modulus) @ place)
 
     def element(self, idx: int) -> np.ndarray:
-        return np.array(
-            [(idx // self.modulus ** (self.dim - 1 - j)) % self.modulus for j in range(self.dim)],
-            dtype=np.int64,
-        )
+        return _digits([idx], self.modulus, self.dim)[0]
+
+    def assignments(
+        self, k: int, cap: int, sample_seed: int | None, sample_count: int
+    ) -> tuple[list[np.ndarray], bool]:
+        """Columns of elements to assign to k variables, and whether they are exhaustive.
+
+        Every k-tuple in index order when the size**k tuples fit under cap;
+        otherwise sample_count seeded uniform draws per column, which needs
+        sample_seed.  The map predicates and identity evaluation all draw
+        their assignments here.
+        """
+        space = self.size ** k
+        if space <= cap:
+            elems = self.element_vectors()
+            grids = np.meshgrid(*(np.arange(self.size) for _ in range(k)), indexing="ij")
+            return [elems[g.reshape(-1)] for g in grids], True
+        if sample_seed is None:
+            raise GuardError(f"{space} assignments exceed cap {cap}; pass sample_seed to sample")
+        rng = np.random.default_rng(sample_seed)
+        return [rng.integers(0, self.modulus, size=(sample_count, self.dim)) for _ in range(k)], False
 
     def power_batch(self, vecs: np.ndarray, n: int) -> np.ndarray:
         out = vecs.copy()
@@ -167,22 +166,20 @@ class FiniteRing:
 
 
 def nilpotency_index(ring: FiniteRing, max_k: int = 16) -> int | None:
-    """Smallest k with every k-fold product zero, via span growth; None if none."""
-    if not _is_prime(ring.modulus):
+    """Smallest k with every k-fold product zero, via the ranks of A^k; None if none."""
+    p = ring.modulus
+    if prime_factors(p) != {p}:
         raise GuardError("nilpotency index needs a prime modulus")
     basis = np.eye(ring.dim, dtype=np.int64)
-    span = basis
+    span = basis  # independent rows spanning A^(k-1)
     for k in range(2, max_k + 1):
-        prods = []
-        for i in range(ring.dim):
-            e = np.tile(basis[i], (span.shape[0], 1))
-            prods.append(ring.mul_batch(e, span))
-        new_span = _rref_mod_p(np.concatenate(prods, axis=0), ring.modulus)
-        if new_span.shape[0] == 0:
+        prods = np.concatenate([ring.mul_batch(np.tile(e, (span.shape[0], 1)), span) for e in basis])
+        independent, _, _ = _eliminate_rows(prods, np.zeros(ring.dim, dtype=np.int64), p)
+        if not independent:
             return k
-        if new_span.shape[0] == span.shape[0] and (new_span == _rref_mod_p(span, ring.modulus)).all():
-            return None
-        span = new_span
+        if len(independent) == span.shape[0]:
+            return None  # A^k = A^(k-1), since A^k lies inside A^(k-1)
+        span = prods[independent]
     return None
 
 
@@ -377,10 +374,8 @@ class AdditiveMap:
 
     @staticmethod
     def from_index(domain: FiniteRing, codomain: FiniteRing, index: int) -> AdditiveMap:
-        m = domain.modulus
-        total = codomain.dim * domain.dim
-        digits = [(index // m ** (total - 1 - j)) % m for j in range(total)]
-        return AdditiveMap(domain, codomain, np.array(digits, dtype=np.int64).reshape(codomain.dim, domain.dim))
+        digits = _digits([index], domain.modulus, codomain.dim * domain.dim)
+        return AdditiveMap(domain, codomain, digits.reshape(codomain.dim, domain.dim))
 
     @property
     def index(self) -> int:
@@ -426,19 +421,44 @@ def transpose_map(k: int, m: int, override: bool = False) -> tuple[FiniteRing, A
     return ring, AdditiveMap(ring, ring, mat)
 
 
+def _candidates(
+    domain: FiniteRing,
+    codomain: FiniteRing,
+    sample_count: int | None = None,
+    seed: int = 0,
+    override: bool = False,
+) -> Iterator[np.ndarray]:
+    """Candidate map matrices in chunks of shape (take, d_codomain, d_domain).
+
+    Every matrix in index order, guarded by the enumeration cap, or
+    ``sample_count`` seeded uniform draws when a count is given.
+    """
+    chunk = 4096
+    rows, cols, m = codomain.dim, domain.dim, domain.modulus
+    if sample_count is not None:
+        rng = np.random.default_rng(seed)
+        for start in range(0, sample_count, chunk):
+            yield rng.integers(0, m, size=(min(chunk, sample_count - start), rows, cols))
+        return
+    total = m ** (rows * cols)
+    if total > ENUM_CAP and not override:
+        raise GuardError(
+            f"{total} additive maps exceed the enumeration cap {ENUM_CAP}; sample instead or pass override"
+        )
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield _digits(idx, m, rows * cols).reshape(-1, rows, cols)
+
+
 def enumerate_additive_maps(
     domain: FiniteRing,
     codomain: FiniteRing,
     override: bool = False,
 ) -> Iterator[AdditiveMap]:
     """All additive maps in row-major index order; guarded by total count."""
-    total = domain.modulus ** (domain.dim * codomain.dim)
-    if total > ENUM_CAP and not override:
-        raise GuardError(
-            f"{total} additive maps exceed the enumeration cap {ENUM_CAP}; sample instead or pass override"
-        )
-    for index in range(total):
-        yield AdditiveMap.from_index(domain, codomain, index)
+    for mats in _candidates(domain, codomain, override=override):
+        for mat in mats:
+            yield AdditiveMap(domain, codomain, mat)
 
 
 def sample_additive_maps(
@@ -448,10 +468,9 @@ def sample_additive_maps(
     seed: int = 0,
 ) -> Iterator[AdditiveMap]:
     """Reproducible uniform sample of additive maps."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        mat = rng.integers(0, domain.modulus, size=(codomain.dim, domain.dim))
-        yield AdditiveMap(domain, codomain, mat)
+    for mats in _candidates(domain, codomain, sample_count=count, seed=seed):
+        for mat in mats:
+            yield AdditiveMap(domain, codomain, mat)
 
 
 @dataclass(frozen=True)
@@ -483,17 +502,8 @@ def is_n_jordan(
     if n < 1:
         raise ValueError("n must be positive")
     ring_a, ring_b = h.domain, h.codomain
-    if ring_a.size <= max_elements:
-        elems = ring_a.element_vectors()
-        powers = ring_a.all_powers(n)
-        exhaustive = True
-    else:
-        if sample_seed is None:
-            raise GuardError(f"{ring_a.size} elements exceed cap {max_elements}; pass sample_seed")
-        rng = np.random.default_rng(sample_seed)
-        elems = rng.integers(0, ring_a.modulus, size=(sample_count, ring_a.dim))
-        powers = ring_a.power_batch(elems, n)
-        exhaustive = False
+    (elems,), exhaustive = ring_a.assignments(1, max_elements, sample_seed, sample_count)
+    powers = ring_a.all_powers(n) if exhaustive else ring_a.power_batch(elems, n)
     lhs = h.apply_batch(powers)
     rhs = ring_b.power_batch(h.apply_batch(elems), n)
     bad = (lhs != rhs).any(axis=1)
@@ -514,19 +524,7 @@ def is_n_ring(
     if n < 2:
         raise ValueError("n must be at least 2")
     ring_a, ring_b = h.domain, h.codomain
-    space = ring_a.size ** n
-    if space <= max_tuples:
-        elems = ring_a.element_vectors()
-        grids = np.meshgrid(*(np.arange(ring_a.size) for _ in range(n)), indexing="ij")
-        idx = np.stack([g.reshape(-1) for g in grids], axis=1)
-        cols = [elems[idx[:, j]] for j in range(n)]
-        exhaustive = True
-    else:
-        if sample_seed is None:
-            raise GuardError(f"{space} tuples exceed cap {max_tuples}; pass sample_seed")
-        rng = np.random.default_rng(sample_seed)
-        cols = [rng.integers(0, ring_a.modulus, size=(sample_count, ring_a.dim)) for _ in range(n)]
-        exhaustive = False
+    cols, exhaustive = ring_a.assignments(n, max_tuples, sample_seed, sample_count)
     prod = cols[0]
     for c in cols[1:]:
         prod = ring_a.mul_batch(prod, c)
@@ -612,6 +610,39 @@ def _predicate(name: str, h: AdditiveMap, n: int) -> tuple[bool, dict]:
     raise ValueError(f"unknown predicate {name!r}; choose from {PREDICATES}")
 
 
+def _scan(
+    domain: FiniteRing,
+    codomain: FiniteRing,
+    power: int | None,
+    sample_count: int | None = None,
+    seed: int = 0,
+    override: bool = False,
+) -> Iterator[AdditiveMap]:
+    """Candidate maps in scan order, keeping those with h(a^power) = h(a)^power.
+
+    The power condition is checked on every domain element at once for a
+    whole chunk of candidate matrices; power None keeps every candidate.
+    Domains over 4096 elements are refused.
+    """
+    if domain.size > 4096:
+        raise GuardError("search domain too large to precompute element powers")
+    m = domain.modulus
+    elems = domain.element_vectors()
+    powers = None if power is None else domain.all_powers(power)
+    for mats in _candidates(domain, codomain, sample_count, seed, override):
+        if power is None:
+            passing = range(mats.shape[0])
+        else:
+            him = np.einsum("cij,ej->cei", mats, elems) % m
+            lhs = np.einsum("cij,ej->cei", mats, powers) % m
+            flat = hflat = him.reshape(-1, codomain.dim)
+            for _ in range(power - 1):
+                flat = codomain.mul_batch(flat, hflat)
+            passing = np.flatnonzero((lhs == flat.reshape(him.shape)).all(axis=(1, 2)))
+        for c in passing:
+            yield AdditiveMap(domain, codomain, mats[c])
+
+
 def search(
     domain: FiniteRing,
     codomain: FiniteRing,
@@ -625,69 +656,20 @@ def search(
     """Scan additive maps in deterministic order and collect predicate hits.
 
     Exhaustive enumeration under the cap; otherwise a seeded sample of
-    ``sample_count`` maps.  The first Jordan filter is vectorized across
-    chunks of candidate matrices, the survivors get the full predicate.
+    ``sample_count`` maps.  A named predicate first filters whole chunks of
+    candidates by its power condition; the survivors get the full predicate.
     """
-    total = domain.modulus ** (domain.dim * codomain.dim)
-    use_sample = sample_count is not None
+    power = None if callable(predicate) else 2 if predicate == "jordan_not_ring" else n
     hits: list[SearchHit] = []
-
-    jordan_power = 2 if predicate == "jordan_not_ring" else n
-
-    def candidates() -> Iterator[tuple[int, np.ndarray]]:
-        chunk = 4096
-        if use_sample:
-            rng = np.random.default_rng(seed)
-            done = 0
-            while done < sample_count:
-                take = min(chunk, sample_count - done)
-                mats = rng.integers(0, domain.modulus, size=(take, codomain.dim, domain.dim))
-                yield done, mats
-                done += take
-        else:
-            if total > ENUM_CAP and not override:
-                raise GuardError(f"{total} maps exceed cap {ENUM_CAP}")
-            m = domain.modulus
-            dtot = codomain.dim * domain.dim
-            start = 0
-            while start < total:
-                take = min(chunk, total - start)
-                idx = np.arange(start, start + take, dtype=np.int64)
-                digits = np.stack(
-                    [(idx // m ** (dtot - 1 - j)) % m for j in range(dtot)], axis=1
-                )
-                yield start, digits.reshape(take, codomain.dim, domain.dim)
-                start += take
-
-    if domain.size > 4096:
-        raise GuardError("search domain too large to precompute element powers")
-    elems = domain.element_vectors()
-    powers = domain.all_powers(jordan_power)
-
-    for base, mats in candidates():
+    for hmap in _scan(domain, codomain, power, sample_count, seed, override):
         if callable(predicate):
-            passing = np.arange(mats.shape[0])
+            ok, details = bool(predicate(hmap)), {}
         else:
-            # vectorized first filter: h(a^p) == h(a)^p for all elements
-            him = np.einsum("cij,ej->cei", mats, elems) % domain.modulus
-            lhs = np.einsum("cij,ej->cei", mats, powers) % domain.modulus
-            flat = him.reshape(-1, codomain.dim)
-            hflat = him.reshape(-1, codomain.dim)
-            for _ in range(jordan_power - 1):
-                flat = codomain.mul_batch(flat, hflat)
-            rhs = flat.reshape(him.shape)
-            passing = np.flatnonzero(((lhs == rhs).all(axis=2)).all(axis=1))
-        for c in passing:
-            hmap = AdditiveMap(domain, codomain, mats[c])
-            if callable(predicate):
-                ok, details = bool(predicate(hmap)), {}
-            else:
-                ok, details = _predicate(predicate, hmap, n)
-            if ok:
-                hits.append(SearchHit(base + int(c) if not use_sample else hmap.index,
-                                      hmap.matrix.tolist(), details))
-                if len(hits) >= limit:
-                    return hits
+            ok, details = _predicate(predicate, hmap, n)
+        if ok:
+            hits.append(SearchHit(hmap.index, hmap.matrix.tolist(), details))
+            if len(hits) >= limit:
+                return hits
     return hits
 
 
@@ -698,17 +680,11 @@ def find_njordan_maps(
     limit: int = 64,
     override: bool = False,
 ) -> list[AdditiveMap]:
-    """All (or the first ``limit``) n-Jordan additive maps, exhaustively."""
-    total = domain.modulus ** (domain.dim * codomain.dim)
-    if total > ENUM_CAP and not override:
-        raise GuardError(f"{total} maps exceed cap {ENUM_CAP}")
-    out = []
-    for h in enumerate_additive_maps(domain, codomain, override=override):
-        if is_n_jordan(h, n).ok:
-            out.append(h)
-            if len(out) >= limit:
-                break
-    return out
+    """All (or the first ``limit``) n-Jordan additive maps, exhaustively.
+
+    Runs on search's chunked scan, so domains over 4096 elements are refused.
+    """
+    return list(islice(_scan(domain, codomain, n, override=override), limit))
 
 
 def paper_examples() -> dict:
@@ -731,7 +707,7 @@ def paper_examples() -> dict:
         "is_2_ring": is_n_ring(neg, 2).to_json(),
     }
 
-    jordan_maps = [h for h in enumerate_additive_maps(z5, z5) if is_n_jordan(h, 2).ok]
+    jordan_maps = find_njordan_maps(z5, z5, 2)
     report["jordan_functionals_on_z5"] = {
         "jordan_map_count": len(jordan_maps),
         "all_multiplicative": all(is_n_ring(h, 2).ok for h in jordan_maps),

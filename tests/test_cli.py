@@ -101,18 +101,6 @@ class TestConsequenceCommand:
         run(args + ["--json", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_env_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv("NJORDAN_THREADS", "2")
-        code, out, _ = run(
-            ["consequence", "--n", "3", "--target", self.MEMBER], capsys
-        )
-        assert code == 0
-        monkeypatch.setenv("NJORDAN_THREADS", "banana")
-        code, _, err = run(
-            ["consequence", "--n", "3", "--target", self.MEMBER], capsys
-        )
-        assert code == 2
-
 
 class TestVerifyCertCommand:
     def fresh_cert(self, tmp_path, capsys) -> str:
@@ -180,6 +168,21 @@ class TestSearchCommand:
             ["search", "--domain", "nope:1", "--codomain", "zm:5"], capsys
         )
         assert code == 2
+
+    def test_overflowing_override_modulus_exits_two(self, capsys):
+        spec = f"zm:{2 ** 40 + 15}"
+        code, _, err = run(
+            ["search", "--domain", spec, "--codomain", spec, "--unsafe-override"], capsys
+        )
+        assert code == 2
+        assert "overflows" in err
+
+    def test_zero_modulus_exits_two(self, capsys):
+        code, _, err = run(
+            ["search", "--domain", "zm:0", "--codomain", "zm:0", "--unsafe-override"], capsys
+        )
+        assert code == 2
+        assert "at least 2" in err
 
     def test_oversized_enumeration_exits_two(self, capsys):
         code, _, err = run(

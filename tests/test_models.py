@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,13 @@ class TestRingConstruction:
         assert m2.mul(e12, e21).tolist() == [1, 0, 0, 0]
         assert m2.mul(e21, e12).tolist() == [0, 0, 0, 1]
 
+    def test_unit_found_in_a_non_standard_basis(self):
+        # Z_5 x Z_5 on the basis e1 = (1, 0), e2 = (1, 1); the unit is e2
+        struct = np.zeros((2, 2, 2), dtype=np.int64)
+        struct[0, 0] = struct[0, 1] = struct[1, 0] = [1, 0]
+        struct[1, 1] = [0, 1]
+        assert models.FiniteRing("skew", 5, struct).unit.tolist() == [0, 1]
+
     def test_strict_upper_has_no_unit_and_is_nilpotent(self):
         u3 = strict_upper(3, 2)
         assert u3.unit is None
@@ -89,6 +98,26 @@ class TestRingConstruction:
         with pytest.raises(GuardError):
             make_zm(11)
         assert make_zm(11, override=True).size == 11
+
+    def test_modulus_is_checked_before_reduction(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least 2"):
+                models.FiniteRing("z0", 0, np.ones((1, 1, 1), dtype=np.int64))
+
+    def test_override_modulus_that_overflows_int64_is_refused(self):
+        with pytest.raises(GuardError, match="overflows"):
+            make_zm(2 ** 40 + 15, override=True)
+        m = 3037000500  # the largest m with (m - 1)^2 < 2^63
+        with pytest.raises(GuardError, match="overflows"):
+            make_zm(m + 1, override=True)
+        assert make_zm(m, override=True).mul([m - 1], [m - 2]).tolist() == [2]
+
+    def test_structure_constants_count_toward_the_overflow_bound(self):
+        m = 2 ** 21 + 1  # (m - 1)^2 fits, (m - 1)^3 = 2^63 does not
+        assert models.FiniteRing("plain", m, np.ones((1, 1, 1), dtype=np.int64)).dim == 1
+        with pytest.raises(GuardError, match="overflows"):
+            models.FiniteRing("scaled", m, np.full((1, 1, 1), m - 1, dtype=np.int64))
 
 
 class TestRingSpecs:

@@ -1,0 +1,133 @@
+"""Differential tests: the shared scanners and decoders against plain oracles.
+
+find_njordan_maps runs on search's chunked, vectorized power filter; its
+oracle is one is_n_jordan call per enumerated map.  Index decoding and the
+seeded map sample are compared with plain Python digit arithmetic and
+per-map draws.  The unit and the nilpotency index come from the one exact
+eliminator and are compared with their known values on every constructor.
+Sampled predicate and evaluation runs must return the witnesses recorded
+before their assignment source was shared.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from njordan.freealg import NONCOMMUTATIVE
+from njordan.identities import evaluate, parse_identity
+from njordan.models import (
+    AdditiveMap,
+    enumerate_additive_maps,
+    find_njordan_maps,
+    gap_witness_model,
+    is_n_jordan,
+    is_n_ring,
+    matrix_ring,
+    negation_map,
+    nilpotency_index,
+    ring_from_spec,
+    sample_additive_maps,
+    transpose_map,
+)
+
+
+@pytest.mark.parametrize("dom,cod", [("zm:5", "zm:5"), ("zm:5^2", "zm:5^2"), ("mat:2x2@2", "zm:2")])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_find_njordan_maps_matches_per_map_predicate(dom, cod, n):
+    domain, codomain = ring_from_spec(dom), ring_from_spec(cod)
+    oracle = [h for h in enumerate_additive_maps(domain, codomain) if is_n_jordan(h, n).ok]
+    assert find_njordan_maps(domain, codomain, n, limit=10 ** 6) == oracle
+    assert find_njordan_maps(domain, codomain, n, limit=3) == oracle[:3]
+
+
+def _python_digits(index: int, m: int, width: int) -> list[int]:
+    digits = []
+    for _ in range(width):
+        index, d = divmod(index, m)
+        digits.append(d)
+    return digits[::-1]
+
+
+def test_index_decoding_matches_python_digits():
+    pair = ring_from_spec("zm:5^2")
+    maps = list(enumerate_additive_maps(pair, pair))
+    assert len(maps) == 625
+    for index, h in enumerate(maps):
+        assert h.matrix.reshape(-1).tolist() == _python_digits(index, 5, 4)
+        assert AdditiveMap.from_index(pair, pair, index) == h
+    m23 = matrix_ring(2, 3)
+    for index in range(m23.size):
+        assert m23.element(index).tolist() == _python_digits(index, 3, 4)
+        assert m23.element_vectors()[index].tolist() == _python_digits(index, 3, 4)
+    free = ring_from_spec("freetrunc:2d3@5")
+    big = 5 ** 100 + 7  # beyond int64, decoding stays exact
+    assert AdditiveMap.from_index(free, free, big).index == big
+
+
+@pytest.mark.parametrize("dom,cod", [("mat:2x2@2", "zm:2"), ("zm:5^2", "zm:5")])
+def test_sampled_maps_match_per_map_draws(dom, cod):
+    domain, codomain = ring_from_spec(dom), ring_from_spec(cod)
+    count = 5000  # crosses a chunk boundary
+    rng = np.random.default_rng(11)
+    expected = [rng.integers(0, domain.modulus, size=(codomain.dim, domain.dim)) for _ in range(count)]
+    got = list(sample_additive_maps(domain, codomain, count, seed=11))
+    assert len(got) == count
+    assert all((h.matrix == mat).all() for h, mat in zip(got, expected))
+
+
+UNIT_AND_NILPOTENCY = [
+    ("zm:5", [1], None),
+    ("zm:7^2", [1, 1], None),
+    ("mat:2x2@5", [1, 0, 0, 1], None),
+    ("mat:3x3@2", [1, 0, 0, 0, 1, 0, 0, 0, 1], None),
+    ("upper:3@2", None, 3),
+    ("upper:4@2", None, 4),
+    ("fun:zm:3,pts:2", [1, 1], None),
+    ("fun:mat:2x2@3,pts:2", [1, 0, 0, 1, 1, 0, 0, 1], None),
+    ("fun:upper:4@2,pts:3", None, 4),
+    ("freetrunc:1d2@2", None, 3),
+    ("freetrunc:2d3@5", None, 4),
+    ("nilpoly:2@5", [1, 0, 0], None),
+]
+
+
+@pytest.mark.parametrize("spec,unit,index", UNIT_AND_NILPOTENCY)
+def test_unit_and_nilpotency_on_constructor_rings(spec, unit, index):
+    ring = ring_from_spec(spec)
+    assert (None if ring.unit is None else ring.unit.tolist()) == unit
+    assert nilpotency_index(ring) == index
+
+
+def test_sampled_predicates_keep_their_witnesses():
+    dom, cod, h = gap_witness_model()
+    rep = is_n_jordan(h, 2, sample_seed=0)
+    assert (rep.ok, rep.checked, rep.exhaustive) == (False, 10 ** 4, False)
+    assert rep.witness == ([4, 3, 2, 1, 1, 0, 0, 0, 0, 4, 3, 4, 2, 3],)
+    neg = negation_map(matrix_ring(2, 5))
+    rep = is_n_jordan(neg, 2, max_elements=100, sample_seed=3, sample_count=50)
+    assert (rep.ok, rep.checked, rep.exhaustive) == (False, 50, False)
+    assert rep.witness == ([4, 0, 0, 1],)
+    rep = is_n_ring(h, 3, sample_seed=0)
+    assert (rep.ok, rep.checked, rep.exhaustive) == (False, 10 ** 4, False)
+    assert rep.witness == (
+        [4, 3, 3, 2, 2, 4, 1, 4, 3, 0, 1, 4, 2, 0],
+        [1, 0, 1, 4, 0, 3, 4, 1, 1, 0, 2, 1, 3, 3],
+        [4, 2, 0, 4, 0, 4, 3, 0, 3, 2, 1, 4, 2, 2],
+    )
+    _, transpose = transpose_map(2, 5)
+    rep = is_n_ring(transpose, 2, max_tuples=1000, sample_seed=1, sample_count=200)
+    assert (rep.ok, rep.checked, rep.exhaustive) == (False, 200, False)
+    assert rep.witness == ([2, 2, 3, 4], [0, 4, 3, 4])
+
+
+def test_sampled_evaluation_keeps_its_witness():
+    dom, cod, h = gap_witness_model()
+    single = parse_identity("h(x*y*z) = H(x)*H(y)*H(z)", NONCOMMUTATIVE)
+    rep = evaluate(single, dom, cod, h, max_assignments=2000, sample_seed=0)
+    assert (rep.ok, rep.checked, rep.space, rep.exhaustive) == (False, 2000, 5 ** 42, False)
+    assert rep.witness == {
+        "x": [4, 3, 2, 1, 1, 0, 0, 0, 0, 4, 3, 4, 2, 3],
+        "y": [3, 4, 2, 1, 1, 0, 0, 3, 1, 3, 1, 1, 2, 3],
+        "z": [0, 2, 0, 4, 1, 0, 4, 0, 0, 2, 4, 0, 0, 4],
+    }
