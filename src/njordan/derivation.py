@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -121,14 +121,14 @@ class StepRecord:
 class Trace:
     script: str
     mode: str
-    records: tuple[StepRecord, ...]
+    steps: tuple[StepRecord, ...]
     denominators: tuple[int, ...]
     assertions_passed: int
     assertions_failed: int
     failed: bool
 
     def final_identity(self) -> str:
-        return self.records[-1].identity if self.records else "h(0) = 0"
+        return self.steps[-1].identity if self.steps else "h(0) = 0"
 
 
 def _term_str(word: tuple[int, ...], mode: str, h_heads: bool = False) -> str:
@@ -223,7 +223,7 @@ def replay(script: DerivationScript) -> Trace:
     return Trace(
         script=script.name,
         mode=script.mode,
-        records=tuple(records),
+        steps=tuple(records),
         denominators=tuple(sorted(denominators)),
         assertions_passed=passed,
         assertions_failed=failed,
@@ -231,40 +231,14 @@ def replay(script: DerivationScript) -> Trace:
     )
 
 
-def trace_to_dict(trace: Trace) -> dict:
-    """JSON-ready form; its bytes depend only on the script."""
-    return {
-        "script": trace.script,
-        "mode": trace.mode,
-        "denominators": list(trace.denominators),
-        "assertions_passed": trace.assertions_passed,
-        "assertions_failed": trace.assertions_failed,
-        "failed": trace.failed,
-        "steps": [
-            {
-                "index": r.index,
-                "kind": r.kind,
-                "detail": r.detail,
-                "identity": r.identity,
-                "denominators": list(r.denominators),
-                "label": r.label,
-                "expected": r.expected,
-                "passed": r.passed,
-                "divergence": r.divergence,
-                "note": r.note,
-            }
-            for r in trace.records
-        ],
-    }
-
-
 def trace_to_json(trace: Trace) -> str:
-    return json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n"
+    """JSON form; its bytes depend only on the script."""
+    return json.dumps(asdict(trace), indent=2, sort_keys=True) + "\n"
 
 
 def trace_to_text(trace: Trace) -> str:
     lines = [f"script {trace.script} (mode {trace.mode})"]
-    for r in trace.records:
+    for r in trace.steps:
         lines.append(f"  {r.index:>3}. {r.detail}")
         lines.append(f"       {r.identity}")
         if r.kind == "assertequals":
@@ -571,9 +545,10 @@ def generate_instances(
     """Seed instances for every coefficient vector in {-c..c}^|vars|.
 
     The zero vector is dropped and each {eps, -eps} pair is represented by
-    its lexicographically smallest member (the negation of an instance is a
-    scalar multiple, so nothing is lost).  Enumeration order is the
-    lexicographic order of the kept vectors.
+    its member whose first nonzero entry is negative, its lexicographically
+    smaller one (the negation of an instance is a scalar multiple, so nothing
+    is lost).  Enumeration order is the lexicographic order of the kept
+    vectors.
     """
     if (len(variables) > MAX_VARS or coeff_range > MAX_COEFF) and not override:
         raise GuardError(
@@ -584,21 +559,11 @@ def generate_instances(
         raise ValueError("coefficient range must be at least 1")
     ids = [var_id(v) for v in variables]
     base = seed(n, mode)
-    kept: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for eps in itertools.product(range(-coeff_range, coeff_range + 1), repeat=len(ids)):
-        if all(e == 0 for e in eps):
-            continue
-        rep = min(eps, tuple(-e for e in eps))
-        if rep in seen:
-            continue
-        seen.add(rep)
-        kept.append(rep)
-
     out = []
-    for eps in kept:
-        form = linear_form({v: e for v, e in zip(ids, eps) if e}, mode)
-        out.append(Instance(to_string(form), substitute(base, {SEED_VAR: form})))
+    for eps in itertools.product(range(-coeff_range, coeff_range + 1), repeat=len(ids)):
+        if next((e for e in eps if e), 0) < 0:
+            form = linear_form({v: e for v, e in zip(ids, eps) if e}, mode)
+            out.append(Instance(to_string(form), substitute(base, {SEED_VAR: form})))
     return out
 
 
@@ -629,14 +594,9 @@ def _parse_field(field_spec) -> int | None:
     """None for exact rationals, or the prime p for GF(p)."""
     if field_spec in (None, "Q", "q"):
         return None
-    if isinstance(field_spec, int):
-        p = field_spec
-    elif isinstance(field_spec, tuple) and len(field_spec) == 2 and field_spec[0] == "GF":
-        p = int(field_spec[1])
-    elif isinstance(field_spec, str) and field_spec.startswith("GF(") and field_spec.endswith(")"):
-        p = int(field_spec[3:-1])
-    else:
+    if not (isinstance(field_spec, str) and field_spec.startswith("GF(") and field_spec.endswith(")")):
         raise ValueError(f"unrecognized field {field_spec!r}; use 'Q' or 'GF(p)'")
+    p = int(field_spec[3:-1])
     if prime_factors(p) != {p}:
         raise ValueError(f"{p} is not prime")
     return p

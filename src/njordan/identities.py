@@ -213,16 +213,12 @@ def evaluate(
     himg = {v: h.apply_batch(vecs) for v, vecs in assign.items()}
     lhs_val = np.zeros((count, ring_b.dim), dtype=np.int64)
     for word, coeff in ident.lhs.terms:
-        wv = assign[word[0]]
-        for vid in word[1:]:
-            wv = ring_a.mul_batch(wv, assign[vid])
-        lhs_val = (lhs_val + _scaled(h.apply_batch(wv), coeff, m)) % m
+        lhs_val += _scaled(h.apply_batch(ring_a.product_batch(assign[v] for v in word)), coeff, m)
+        lhs_val %= m
     rhs_val = np.zeros((count, ring_b.dim), dtype=np.int64)
     for word, coeff in ident.rhs.terms:
-        wv = himg[word[0]]
-        for vid in word[1:]:
-            wv = ring_b.mul_batch(wv, himg[vid])
-        rhs_val = (rhs_val + _scaled(wv, coeff, m)) % m
+        rhs_val += _scaled(ring_b.product_batch(himg[v] for v in word), coeff, m)
+        rhs_val %= m
 
     mismatch = (lhs_val != rhs_val).any(axis=1)
     if not mismatch.any():

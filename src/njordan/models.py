@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -44,6 +44,18 @@ def _digits(idx, m: int, width: int) -> np.ndarray:
         out[:, j] = rest % m
         rest = rest // m
     return out
+
+
+def _index(digits, m: int) -> int:
+    """The index with the given base-m digits, most significant first; inverse of _digits.
+
+    The one encoding of coordinates into an index, in Python ints so that it
+    stays exact past int64.
+    """
+    index = 0
+    for d in digits:
+        index = index * m + int(d) % m
+    return index
 
 
 def _eliminate_rows(rows: np.ndarray, target: np.ndarray, p: int):
@@ -123,8 +135,7 @@ class FiniteRing:
         return self._elements
 
     def index_of(self, vec: np.ndarray) -> int:
-        place = self.modulus ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
-        return int((np.asarray(vec, dtype=np.int64) % self.modulus) @ place)
+        return _index(vec, self.modulus)
 
     def element(self, idx: int) -> np.ndarray:
         return _digits([idx], self.modulus, self.dim)[0]
@@ -149,11 +160,19 @@ class FiniteRing:
         rng = np.random.default_rng(sample_seed)
         return [rng.integers(0, self.modulus, size=(sample_count, self.dim)) for _ in range(k)], False
 
-    def power_batch(self, vecs: np.ndarray, n: int) -> np.ndarray:
-        out = vecs.copy()
-        for _ in range(n - 1):
-            out = self.mul_batch(out, vecs)
+    def product_batch(self, factors: Iterable[np.ndarray]) -> np.ndarray:
+        """Left-to-right ring product of a nonempty sequence of (N, d) batches.
+
+        Factors from a generator are made one at a time, as the product needs them.
+        """
+        factors = iter(factors)
+        out = next(factors)
+        for f in factors:
+            out = self.mul_batch(out, f)
         return out
+
+    def power_batch(self, vecs: np.ndarray, n: int) -> np.ndarray:
+        return self.product_batch([vecs] * n)
 
     def all_powers(self, n: int) -> np.ndarray:
         """n-th powers of every element, cached."""
@@ -374,15 +393,15 @@ class AdditiveMap:
 
     @staticmethod
     def from_index(domain: FiniteRing, codomain: FiniteRing, index: int) -> AdditiveMap:
-        digits = _digits([index], domain.modulus, codomain.dim * domain.dim)
+        width = codomain.dim * domain.dim
+        if not 0 <= index < domain.modulus ** width:
+            raise ValueError(f"map index {index} outside [0, {domain.modulus}^{width})")
+        digits = _digits([index], domain.modulus, width)
         return AdditiveMap(domain, codomain, digits.reshape(codomain.dim, domain.dim))
 
     @property
     def index(self) -> int:
-        m = self.domain.modulus
-        flat = self.matrix.reshape(-1)
-        place = m ** np.arange(len(flat) - 1, -1, -1, dtype=object)
-        return int(sum(int(x) * int(p) for x, p in zip(flat, place)))
+        return _index(self.matrix.reshape(-1), self.domain.modulus)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return (self.matrix @ (np.asarray(vec, dtype=np.int64) % self.domain.modulus)) % self.domain.modulus
@@ -491,6 +510,33 @@ class PredicateResult:
         }
 
 
+def _result(bad: np.ndarray, cols: list[np.ndarray], exhaustive: bool) -> PredicateResult:
+    """A predicate's result from its mismatch mask over the assignment columns.
+
+    The witness is the first mismatching assignment, one element per column.
+    """
+    if not bad.any():
+        return PredicateResult(True, len(bad), exhaustive)
+    first = int(np.flatnonzero(bad)[0])
+    return PredicateResult(False, len(bad), exhaustive, tuple(c[first].tolist() for c in cols))
+
+
+def _power_mismatch(
+    mats: np.ndarray, elems: np.ndarray, powers: np.ndarray, codomain: FiniteRing, n: int
+) -> np.ndarray:
+    """(C, N) mask of h(a^n) != h(a)^n for C map matrices h and N elements a.
+
+    ``powers`` holds the n-th powers of ``elems`` in the domain.  This is the
+    one computation of the power condition, for a single map and for a
+    chunk of search candidates alike.
+    """
+    m = codomain.modulus
+    images = np.einsum("cij,ej->cei", mats, elems) % m
+    lhs = np.einsum("cij,ej->cei", mats, powers) % m
+    rhs = codomain.power_batch(images.reshape(-1, codomain.dim), n).reshape(images.shape)
+    return (lhs != rhs).any(axis=2)
+
+
 def is_n_jordan(
     h: AdditiveMap,
     n: int,
@@ -501,16 +547,10 @@ def is_n_jordan(
     """Does h(a^n) = h(a)^n hold for every element a."""
     if n < 1:
         raise ValueError("n must be positive")
-    ring_a, ring_b = h.domain, h.codomain
+    ring_a = h.domain
     (elems,), exhaustive = ring_a.assignments(1, max_elements, sample_seed, sample_count)
     powers = ring_a.all_powers(n) if exhaustive else ring_a.power_batch(elems, n)
-    lhs = h.apply_batch(powers)
-    rhs = ring_b.power_batch(h.apply_batch(elems), n)
-    bad = (lhs != rhs).any(axis=1)
-    if not bad.any():
-        return PredicateResult(True, elems.shape[0], exhaustive)
-    first = int(np.flatnonzero(bad)[0])
-    return PredicateResult(False, elems.shape[0], exhaustive, (elems[first].tolist(),))
+    return _result(_power_mismatch(h.matrix[None], elems, powers, h.codomain, n)[0], [elems], exhaustive)
 
 
 def is_n_ring(
@@ -523,20 +563,10 @@ def is_n_ring(
     """Does h(a_1 ... a_n) = h(a_1) ... h(a_n) hold for all tuples."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    ring_a, ring_b = h.domain, h.codomain
-    cols, exhaustive = ring_a.assignments(n, max_tuples, sample_seed, sample_count)
-    prod = cols[0]
-    for c in cols[1:]:
-        prod = ring_a.mul_batch(prod, c)
-    lhs = h.apply_batch(prod)
-    rhs = h.apply_batch(cols[0])
-    for c in cols[1:]:
-        rhs = ring_b.mul_batch(rhs, h.apply_batch(c))
-    bad = (lhs != rhs).any(axis=1)
-    if not bad.any():
-        return PredicateResult(True, cols[0].shape[0], exhaustive)
-    first = int(np.flatnonzero(bad)[0])
-    return PredicateResult(False, cols[0].shape[0], exhaustive, tuple(c[first].tolist() for c in cols))
+    cols, exhaustive = h.domain.assignments(n, max_tuples, sample_seed, sample_count)
+    lhs = h.apply_batch(h.domain.product_batch(cols))
+    rhs = h.codomain.product_batch(h.apply_batch(c) for c in cols)
+    return _result((lhs != rhs).any(axis=1), cols, exhaustive)
 
 
 def recheck_jordan_witness(h: AdditiveMap, n: int, element: list[int]) -> bool:
@@ -585,29 +615,31 @@ class SearchHit:
         return {"index": self.index, "matrix": self.matrix, "details": self.details}
 
 
-PREDICATES = ("jordan_not_ring", "njordan_not_jordan", "njordan_not_nring")
+# name: (filter power, None meaning n; detail key of the filter's condition;
+# detail key of the second check; the second check).  A map is a hit when it
+# passes the filter and fails the second check.  The checks look up
+# is_n_jordan and is_n_ring at call time, so a wrapper installed on the
+# module attribute sees every call.
+_PREDICATES: dict[str, tuple[int | None, str, str, Callable[[AdditiveMap, int], PredicateResult]]] = {
+    "jordan_not_ring": (2, "jordan", "ring", lambda h, n: is_n_ring(h, 2)),
+    "njordan_not_jordan": (None, "njordan", "jordan", lambda h, n: is_n_jordan(h, 2)),
+    "njordan_not_nring": (None, "njordan", "nring", lambda h, n: is_n_ring(h, n)),
+}
+PREDICATES = tuple(_PREDICATES)
 
 
 def _predicate(name: str, h: AdditiveMap, n: int) -> tuple[bool, dict]:
-    if name == "jordan_not_ring":
-        jordan = is_n_jordan(h, 2)
-        if not jordan.ok:
-            return False, {}
-        ring = is_n_ring(h, 2)
-        return not ring.ok, {"jordan": jordan.to_json(), "ring": ring.to_json()}
-    if name == "njordan_not_jordan":
-        nj = is_n_jordan(h, n)
-        if not nj.ok:
-            return False, {}
-        j2 = is_n_jordan(h, 2)
-        return not j2.ok, {"njordan": nj.to_json(), "jordan": j2.to_json()}
-    if name == "njordan_not_nring":
-        nj = is_n_jordan(h, n)
-        if not nj.ok:
-            return False, {}
-        nr = is_n_ring(h, n)
-        return not nr.ok, {"njordan": nj.to_json(), "nring": nr.to_json()}
-    raise ValueError(f"unknown predicate {name!r}; choose from {PREDICATES}")
+    """The second check of a named predicate, for a map that passed search's filter.
+
+    The filter has already checked the first condition, h(a^p) = h(a)^p, on
+    every element of a domain of at most 4096 elements.  An exhaustive
+    is_n_jordan would check exactly the same thing, so its report is
+    PredicateResult(True, domain.size, True) and is not computed again.
+    """
+    _, first_key, second_key, second = _PREDICATES[name]
+    result = second(h, n)
+    first = PredicateResult(True, h.domain.size, True)
+    return not result.ok, {first_key: first.to_json(), second_key: result.to_json()}
 
 
 def _scan(
@@ -626,19 +658,15 @@ def _scan(
     """
     if domain.size > 4096:
         raise GuardError("search domain too large to precompute element powers")
-    m = domain.modulus
+    if power is not None and power < 1:
+        raise ValueError("n must be positive")
     elems = domain.element_vectors()
     powers = None if power is None else domain.all_powers(power)
     for mats in _candidates(domain, codomain, sample_count, seed, override):
         if power is None:
             passing = range(mats.shape[0])
         else:
-            him = np.einsum("cij,ej->cei", mats, elems) % m
-            lhs = np.einsum("cij,ej->cei", mats, powers) % m
-            flat = hflat = him.reshape(-1, codomain.dim)
-            for _ in range(power - 1):
-                flat = codomain.mul_batch(flat, hflat)
-            passing = np.flatnonzero((lhs == flat.reshape(him.shape)).all(axis=(1, 2)))
+            passing = np.flatnonzero(~_power_mismatch(mats, elems, powers, codomain, power).any(axis=1))
         for c in passing:
             yield AdditiveMap(domain, codomain, mats[c])
 
@@ -657,9 +685,15 @@ def search(
 
     Exhaustive enumeration under the cap; otherwise a seeded sample of
     ``sample_count`` maps.  A named predicate first filters whole chunks of
-    candidates by its power condition; the survivors get the full predicate.
+    candidates by its power condition; the survivors get only its second
+    check.
     """
-    power = None if callable(predicate) else 2 if predicate == "jordan_not_ring" else n
+    if callable(predicate):
+        power = None
+    elif predicate in _PREDICATES:
+        power = _PREDICATES[predicate][0] or n
+    else:
+        raise ValueError(f"unknown predicate {predicate!r}; choose from {PREDICATES}")
     hits: list[SearchHit] = []
     for hmap in _scan(domain, codomain, power, sample_count, seed, override):
         if callable(predicate):

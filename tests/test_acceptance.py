@@ -56,7 +56,7 @@ def test_criterion_1_cube_replay(acceptance_log):
         tr = derivation.replay(BUILTIN_SCRIPTS["thm2_2_n3"])
         assert time.perf_counter() - t0 < 1.0
         assert not tr.failed
-        labels = [r.label for r in tr.records if r.kind == "assertequals"]
+        labels = [r.label for r in tr.steps if r.kind == "assertequals"]
         assert labels == ["(1)", "final"]
         assert parse_identity(tr.final_identity(), COMMUTATIVE) == parse_identity(
             SINGLE, COMMUTATIVE
@@ -72,7 +72,7 @@ def test_criterion_2_fourth_power_replay(acceptance_log):
         tr = derivation.replay(BUILTIN_SCRIPTS["thm2_2_n4"])
         assert time.perf_counter() - t0 < 1.0
         assert not tr.failed
-        labels = [r.label for r in tr.records if r.kind == "assertequals"]
+        labels = [r.label for r in tr.steps if r.kind == "assertequals"]
         assert labels == ["(2)", "(3)", "(4)", "(5)", "(6)", "final"]
         assert parse_identity(tr.final_identity(), COMMUTATIVE) == parse_identity(
             "h(x*t*y*w) = H(x)*H(t)*H(y)*H(w)", COMMUTATIVE
@@ -94,14 +94,14 @@ def test_criterion_3_noncommutative_replay(acceptance_log):
         t0 = time.perf_counter()
         tr = derivation.replay(BUILTIN_SCRIPTS["thm2_5_step1"])
         assert time.perf_counter() - t0 < 1.0
-        labels = [r.label for r in tr.records if r.kind == "assertequals"]
+        labels = [r.label for r in tr.steps if r.kind == "assertequals"]
         assert labels == [
             "(7)", "(8)", "(9)", "(10)", "(11)", "(12)", "(13)", "(14)",
             "(15)", "(17)", "(18)", "final",
         ]
-        noted = {r.label for r in tr.records if r.kind == "assertequals" and r.note}
+        noted = {r.label for r in tr.steps if r.kind == "assertequals" and r.note}
         assert {"(10)", "(11)"} <= noted  # transcription mismatches are flagged
-        final = [r for r in tr.records if r.label == "final"][0]
+        final = [r for r in tr.steps if r.label == "final"][0]
         assert final.expected == "h(y*x*z) = H(y)*H(x)*H(z)"
         assert tr.assertions_failed == 0  # refuted: 8 assertions fail
         assert not tr.failed

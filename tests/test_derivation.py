@@ -45,7 +45,7 @@ class TestReplayBuiltins:
         tr = replay(BUILTIN_SCRIPTS["thm2_2_n4"])
         assert not tr.failed
         assert tr.assertions_passed == 6
-        labels = [r.label for r in tr.records if r.kind == "assertequals"]
+        labels = [r.label for r in tr.steps if r.kind == "assertequals"]
         assert labels == ["(2)", "(3)", "(4)", "(5)", "(6)", "final"]
         # commutative canonical form sorts the word by variable id
         assert tr.final_identity() == "h(x*y*w*t) = H(x)*H(y)*H(w)*H(t)"
@@ -62,7 +62,7 @@ class TestReplayBuiltins:
         assert tr.assertions_passed == 4
         assert tr.assertions_failed == 8
         outcomes = {
-            r.label: r.passed for r in tr.records if r.kind == "assertequals"
+            r.label: r.passed for r in tr.steps if r.kind == "assertequals"
         }
         assert outcomes == {
             "(7)": True,
@@ -83,7 +83,7 @@ class TestReplayBuiltins:
         tr = replay(BUILTIN_SCRIPTS["thm2_5_step1"])
         div = {
             r.label: r.divergence
-            for r in tr.records
+            for r in tr.steps
             if r.kind == "assertequals" and not r.passed
         }
         assert div["(11)"] == "lhs term x*y*z: 1 vs 2"
@@ -91,7 +91,7 @@ class TestReplayBuiltins:
 
     def test_noncommutative_chain_flags_transcription_mismatches(self):
         tr = replay(BUILTIN_SCRIPTS["thm2_5_step1"])
-        noted = [r.label for r in tr.records if r.kind == "assertequals" and r.note]
+        noted = [r.label for r in tr.steps if r.kind == "assertequals" and r.note]
         assert "(10)" in noted and "(11)" in noted
 
     def test_symmetrized_noncommutative_chain_passes(self):
@@ -140,7 +140,7 @@ class TestScriptValidation:
         )
         tr = replay(script)
         assert tr.failed and tr.assertions_failed == 1
-        assert tr.records[1].divergence == "rhs term H(a)^3: 1 vs 2"
+        assert tr.steps[1].divergence == "rhs term H(a)^3: 1 vs 2"
 
 
 class TestInstanceGeneration:

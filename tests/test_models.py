@@ -94,6 +94,12 @@ class TestRingConstruction:
         for idx in (0, 1, 40, 80):
             assert m2.index_of(m2.element(idx)) == idx
 
+    def test_index_of_stays_exact_past_int64(self):
+        ring = ring_from_spec("freetrunc:3d3@5", override=True)
+        assert ring.dim == 39
+        assert ring.index_of(np.full(ring.dim, 4)) == 5 ** 39 - 1
+        assert ring.index_of(np.full(ring.dim, -1)) == 5 ** 39 - 1
+
     def test_modulus_guard(self):
         with pytest.raises(GuardError):
             make_zm(11)
@@ -149,6 +155,12 @@ class TestAdditiveMaps:
         p = product(z5, z5)
         for idx in (0, 13, 624):
             assert AdditiveMap.from_index(p, p, idx).index == idx
+
+    def test_from_index_rejects_indices_outside_the_map_count(self):
+        z5 = make_zm(5)
+        for idx in (-1, 5, 7):
+            with pytest.raises(ValueError, match="outside"):
+                AdditiveMap.from_index(z5, z5, idx)
 
     def test_enumeration_count(self):
         z5 = make_zm(5)
@@ -226,6 +238,26 @@ class TestSearch:
             z5, z5, 3, predicate=lambda h: h.matrix[0, 0] == 2, limit=10
         )
         assert [h.index for h in hits] == [2]
+
+    def test_unknown_predicate_is_rejected_before_scanning(self):
+        # no sampled map survives the power filter, so a late check never runs
+        with pytest.raises(ValueError, match="unknown predicate"):
+            search(matrix_ring(2, 5), make_zm(5), 3, "njordan_not_nrnig", sample_count=100)
+
+    def test_survivors_get_only_the_second_check_by_module_name(self, monkeypatch):
+        calls = []
+        for name in ("is_n_jordan", "is_n_ring"):
+            def counting(*args, _name=name, _check=getattr(models, name), **kwargs):
+                calls.append(_name)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(models, name, counting)
+        z5 = make_zm(5)
+        # 3-Jordan maps on Z_5 are x -> c*x with c^3 = c (three of them), 2-Jordan ones c^2 = c (two)
+        search(z5, z5, 3, predicate="njordan_not_jordan")
+        search(z5, z5, 3, predicate="njordan_not_nring")
+        search(z5, z5, 3, predicate="jordan_not_ring")
+        assert calls == ["is_n_jordan"] * 3 + ["is_n_ring"] * 3 + ["is_n_ring"] * 2
 
     def test_sampled_search_requires_enumeration_guard(self):
         m2 = matrix_ring(2, 5)

@@ -1,7 +1,8 @@
 """Differential tests: the shared scanners and decoders against plain oracles.
 
-find_njordan_maps runs on search's chunked, vectorized power filter; its
-oracle is one is_n_jordan call per enumerated map.  Index decoding and the
+find_njordan_maps and search run on one chunked, vectorized power filter;
+their oracle is one is_n_jordan call per enumerated map, followed for
+search by the named predicate's second check.  Index decoding and the
 seeded map sample are compared with plain Python digit arithmetic and
 per-map draws.  The unit and the nilpotency index come from the one exact
 eliminator and are compared with their known values on every constructor.
@@ -17,6 +18,7 @@ import pytest
 from njordan.freealg import NONCOMMUTATIVE
 from njordan.identities import evaluate, parse_identity
 from njordan.models import (
+    PREDICATES,
     AdditiveMap,
     enumerate_additive_maps,
     find_njordan_maps,
@@ -28,6 +30,7 @@ from njordan.models import (
     nilpotency_index,
     ring_from_spec,
     sample_additive_maps,
+    search,
     transpose_map,
 )
 
@@ -39,6 +42,40 @@ def test_find_njordan_maps_matches_per_map_predicate(dom, cod, n):
     oracle = [h for h in enumerate_additive_maps(domain, codomain) if is_n_jordan(h, n).ok]
     assert find_njordan_maps(domain, codomain, n, limit=10 ** 6) == oracle
     assert find_njordan_maps(domain, codomain, n, limit=3) == oracle[:3]
+
+
+# name: (filter power, None meaning n; first key; second key; second check)
+SEARCH_ORACLE = {
+    "jordan_not_ring": (2, "jordan", "ring", lambda h, n: is_n_ring(h, 2)),
+    "njordan_not_jordan": (None, "njordan", "jordan", lambda h, n: is_n_jordan(h, 2)),
+    "njordan_not_nring": (None, "njordan", "nring", lambda h, n: is_n_ring(h, n)),
+}
+SEARCH_CASES = [
+    (dom, cod, name, n)
+    for dom, cod, powers in [
+        ("zm:5", "zm:5", (2, 3, 4, 5)),
+        ("zm:5^2", "zm:5^2", (2, 3, 4, 5)),
+        ("mat:2x2@2", "zm:2", (2, 3)),
+        ("upper:3@2", "upper:3@2", (2, 3)),
+    ]
+    for name in PREDICATES
+    for n in powers
+    # the second check walks 25^n tuples per survivor; criterion 7 covers n = 4
+    if not (dom == "zm:5^2" and name == "njordan_not_nring" and n > 3)
+]
+
+
+@pytest.mark.parametrize("dom,cod,name,n", SEARCH_CASES)
+def test_search_matches_per_map_predicates(dom, cod, name, n):
+    domain, codomain = ring_from_spec(dom), ring_from_spec(cod)
+    power, first_key, second_key, second = SEARCH_ORACLE[name]
+    oracle = []
+    for h in enumerate_additive_maps(domain, codomain):
+        first = is_n_jordan(h, power or n)
+        if first.ok and not (res := second(h, n)).ok:
+            oracle.append((h.index, h.matrix.tolist(), {first_key: first.to_json(), second_key: res.to_json()}))
+    got = search(domain, codomain, n, name, limit=10 ** 6)
+    assert [(hit.index, hit.matrix, hit.details) for hit in got] == oracle
 
 
 def _python_digits(index: int, m: int, width: int) -> list[int]:
