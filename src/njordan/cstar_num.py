@@ -43,7 +43,9 @@ class DiagAlgebra:
         return a * b
 
     def samples(self, count: int, seed: int = 0) -> np.ndarray:
-        """(count, k) array with entries uniform over the square [-1,1]^2."""
+        """(count, k) array with entries uniform over the square [-1,1]^2; count is at least 1."""
+        if count < 1:
+            raise ValueError(f"sample count must be at least 1, got {count}")
         rng = np.random.default_rng(seed)
         return rng.uniform(-1.0, 1.0, (count, self.k)) + 1j * rng.uniform(
             -1.0, 1.0, (count, self.k)
@@ -254,7 +256,7 @@ def check_theorem_2_7(
     image_norms = np.abs(h.apply(batch)).max(axis=1, initial=0.0).astype(object)
     sample_norms = np.abs(batch).max(axis=1, initial=0.0).astype(object)
     slack = norm ** 4 * sample_norms ** exponent - image_norms ** exponent
-    min_slack, max_slack = float(slack.min(initial=np.inf)), float(slack.max(initial=-np.inf))
+    min_slack, max_slack = float(slack.min()), float(slack.max())
     return {
         "rejected_by": None,
         "power": power,

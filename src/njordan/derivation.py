@@ -29,7 +29,7 @@ import itertools
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import GuardError
 from .exact import eliminate, prime_factors
@@ -567,27 +567,15 @@ def generate_instances(
     return out
 
 
-Coord = tuple[str, tuple[int, ...]]
+# (side, word length, word): side 0 holds the left words and side 1 the right
+# monomials, so tuple order is graded-lex order within each side.
+Coord = tuple[int, int, tuple[int, ...]]
 
 
 def _identity_vector(ident: HIdentity) -> dict[Coord, Fraction]:
-    vec: dict[Coord, Fraction] = {}
-    for word, coeff in ident.lhs.terms:
-        vec[("L", word)] = coeff
-    for word, coeff in ident.rhs.terms:
-        vec[("R", word)] = vec.get(("R", word), Fraction(0)) + coeff
-    return {k: v for k, v in vec.items() if v != 0}
-
-
-def _column_positions(vectors: Iterable[dict[Coord, Fraction]]) -> dict[Coord, int]:
-    lhs_coords: set[tuple[int, ...]] = set()
-    rhs_coords: set[tuple[int, ...]] = set()
-    for vec in vectors:
-        for side, word in vec:
-            (lhs_coords if side == "L" else rhs_coords).add(word)
-    ordered: list[Coord] = [("L", w) for w in sorted(lhs_coords, key=grlex_key)]
-    ordered += [("R", w) for w in sorted(rhs_coords, key=grlex_key)]
-    return {coord: i for i, coord in enumerate(ordered)}
+    vec = {(0, len(word), word): coeff for word, coeff in ident.lhs.terms}
+    vec.update(((1, len(word), word), coeff) for word, coeff in ident.rhs.terms)
+    return vec
 
 
 def _parse_field(field_spec) -> int | None:
@@ -600,17 +588,6 @@ def _parse_field(field_spec) -> int | None:
     if prime_factors(p) != {p}:
         raise ValueError(f"{p} is not prime")
     return p
-
-
-def _to_gf(vec: dict[Coord, Fraction], p: int) -> dict[Coord, int]:
-    out: dict[Coord, int] = {}
-    for k, c in vec.items():
-        if c.denominator % p == 0:
-            raise ValueError(f"coefficient {c} is not defined modulo {p}")
-        val = c.numerator * pow(c.denominator, -1, p) % p
-        if val:
-            out[k] = val
-    return out
 
 
 # --- certificates ---------------------------------------------------------------
@@ -690,8 +667,8 @@ class NotInSpan:
 
 
 def _residual_string(residual: Mapping[Coord, Fraction | int], mode: str) -> str:
-    lhs_terms = [(w, c) for (side, w), c in residual.items() if side == "L"]
-    rhs_terms = [(w, c) for (side, w), c in residual.items() if side == "R"]
+    lhs_terms = [(w, c) for (side, _, w), c in residual.items() if side == 0]
+    rhs_terms = [(w, c) for (side, _, w), c in residual.items() if side == 1]
     lhs = FreePoly.from_terms(lhs_terms, mode)
     rhs = FreePoly.from_terms(rhs_terms, COMMUTATIVE)
     return f"h({to_string(lhs)}) = {to_string(rhs, h_heads=True)}"
@@ -711,9 +688,9 @@ def consequence_check(
     The linear space has one coordinate per left-side word and one per
     right-side monomial; instances and target embed as sparse vectors, and
     exact elimination (rationals, or GF(p) when field='GF(p)') decides
-    membership.  Column order is fixed (left words graded-lex, then right
-    monomials graded-lex) and pivots take the lowest column index, so the
-    emitted certificate is deterministic.
+    membership.  Coordinates order themselves (left words graded-lex, then
+    right monomials graded-lex) and each pivot is the smallest coordinate of
+    its row, so the emitted certificate is deterministic.
     """
     if isinstance(target, str):
         target = parse_identity(target, mode)
@@ -723,18 +700,11 @@ def consequence_check(
     field_tag = "Q" if p is None else f"GF({p})"
     instances = generate_instances(n, variables, coeff_range, target.mode, override=override)
     vectors = [_identity_vector(inst.identity) for inst in instances]
-    tvec = _identity_vector(target)
-    if p is not None:
-        vectors = [_to_gf(v, p) for v in vectors]
-        tvec = _to_gf(tvec, p)
-    col_pos = _column_positions(vectors + [tvec])
-    independent, combo, residual = eliminate(vectors, tvec, col_pos, p)
+    independent, combo, residual = eliminate(vectors, _identity_vector(target), p)
     rank = len(independent)
     if combo is None:
         return NotInSpan(rank, len(instances), _residual_string(residual, target.mode))
-    used = tuple(
-        (instances[idx].expr, str(combo[idx])) for idx in sorted(combo) if combo[idx]
-    )
+    used = tuple((instances[idx].expr, str(combo[idx])) for idx in sorted(combo))
     cert = Certificate(
         n=n,
         mode=target.mode,
@@ -751,7 +721,8 @@ def verify_certificate(cert: Certificate, target: HIdentity | str | None = None)
     Pure recomputation: substitutes each stored linear form into a fresh
     seed, combines with the stored coefficients, and checks the result
     against the target (the embedded one unless an explicit target is
-    given).  Over GF(p) the comparison is congruence of every coefficient.
+    given): the difference of the combination and the target must vanish,
+    over GF(p) up to congruence of every coefficient.
     """
     try:
         if target is None:
@@ -766,24 +737,15 @@ def verify_certificate(cert: Certificate, target: HIdentity | str | None = None)
         for expr, coeff in cert.instances:
             form = parse_expr(expr, cert.mode)
             parts.append((Fraction(coeff), substitute(base, {SEED_VAR: form})))
-        if parts:
-            combo = combine(parts)
-            lhs, rhs = combo.lhs, combo.rhs
-        else:
-            lhs, rhs = FreePoly.zero(cert.mode), FreePoly.zero(COMMUTATIVE)
+        diff = combine(parts + [(-1, expected)])
     except (ValueError, ZeroDivisionError):
         return False
+    terms = diff.lhs.terms + diff.rhs.terms
     if p is None:
-        return lhs == expected.lhs and rhs == expected.rhs
-
-    def congruent(a: FreePoly, b: FreePoly) -> bool:
-        diff = a - b
-        for _, c in diff.terms:
-            if c.denominator % p == 0 or c.numerator % p != 0:
-                return False
-        return True
-
-    return congruent(lhs, expected.lhs) and congruent(rhs, expected.rhs)
+        return not terms
+    # Congruence is tested here with plain integer arithmetic, not exact.residue,
+    # so the verifier shares no arithmetic with the eliminator it checks.
+    return all(c.denominator % p and c.numerator % p == 0 for _, c in terms)
 
 
 # --- stock experiments ----------------------------------------------------------

@@ -1,14 +1,16 @@
 """Exact arithmetic shared by the identity calculus and the finite models.
 
 prime_factors is the one primality routine: n is prime exactly when
-prime_factors(n) == {n}.  eliminate is the one exact row reduction, over the
-rationals or over GF(p), used for span membership of seed instances and for
-the unit and the nilpotency index of a finite ring.
+prime_factors(n) == {n}.  residue is the one map from the rationals into
+Z_m.  eliminate is the one exact row reduction, over the rationals or over
+GF(p), used for span membership of seed instances and for the unit and the
+nilpotency index of a finite ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Hashable, Mapping, Sequence
 
 
@@ -27,71 +29,83 @@ def prime_factors(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def residue(c: Fraction | int, m: int) -> int:
+    """The image of the rational c in Z_m; ValueError when its denominator is not a unit mod m."""
+    if gcd(c.denominator, m) != 1:
+        raise ValueError(f"coefficient {c} is not defined modulo {m}")
+    return c.numerator * pow(c.denominator, -1, m) % m
+
+
 def eliminate(
     vectors: Sequence[Mapping[Hashable, Fraction | int]],
     target: Mapping[Hashable, Fraction | int],
-    col_pos: Mapping[Hashable, int] | Sequence[int],
     p: int | None,
 ) -> tuple[list[int], dict[int, Fraction | int] | None, dict]:
     """Row reduction with combination tracking over Q (p=None) or GF(p).
 
-    Vectors are sparse maps from coordinates to coefficients (reduced mod p
-    over GF(p)); each pivot is the coordinate with the lowest
-    ``col_pos[coordinate]`` (a range serves for integer coordinates).
+    Vectors are sparse maps from coordinates to rational coefficients; over
+    GF(p) they are reduced mod p first.  Coordinates must be mutually
+    comparable, and each pivot is the smallest coordinate of its row.
     Returns (independent, combo or None, residual).  ``independent`` lists
     the indices of the vectors that are not combinations of earlier ones,
     so its length is the rank.  combo maps vector index to coefficient when
     the target lies in the span; residual is the reduced remainder
     otherwise.
     """
-    zero = 0 if p else Fraction(0)
-    one = 1 if p else Fraction(1)
+    if p is None:
+        zero = Fraction(0)
+        field = dict
 
-    def sub_scaled(vec, factor, basis):
+        def reduce(c):
+            return c
+
+        def inverse(c):
+            return Fraction(1) / c
+    else:
+        zero = 0
+
+        def field(vec):
+            return {k: r for k, c in vec.items() if (r := residue(c, p))}
+
+        def reduce(c):
+            return c % p
+
+        def inverse(c):
+            return pow(c, -1, p)
+
+    def axpy(vec, factor, basis):
+        """vec -= factor * basis in place, dropping the coordinates that vanish."""
         for k, val in basis.items():
-            nv = vec.get(k, zero) - factor * val
-            if p:
-                nv %= p
+            nv = reduce(vec.get(k, zero) - factor * val)
             if nv:
                 vec[k] = nv
             elif k in vec:
                 del vec[k]
 
-    def inv(x):
-        return pow(x, -1, p) if p else 1 / x
-
     rows: list[tuple[Hashable, dict, dict]] = []
+
+    def sweep(vec, combo):
+        for pivot, basis, bc in rows:
+            if pivot in vec:
+                f = vec[pivot]
+                axpy(vec, f, basis)
+                axpy(combo, f, bc)
+
+    t = field(target)
     independent: list[int] = []
     for idx, vec in enumerate(vectors):
-        v = dict(vec)
-        combo = {idx: one}
-        for pivot_coord, basis, bc in rows:
-            if pivot_coord in v:
-                f = v[pivot_coord]
-                sub_scaled(v, f, basis)
-                sub_scaled(combo, f, bc)
+        v = field(vec)
+        combo = {idx: 1}
+        sweep(v, combo)
         if v:
-            pivot_coord = min(v, key=col_pos.__getitem__)
-            f_inv = inv(v[pivot_coord])
-            v = {k: (val * f_inv % p if p else val * f_inv) for k, val in v.items()}
-            combo = {k: (val * f_inv % p if p else val * f_inv) for k, val in combo.items()}
-            rows.append((pivot_coord, v, combo))
+            pivot = min(v)
+            f_inv = inverse(v[pivot])
+            rows.append((pivot, {k: reduce(c * f_inv) for k, c in v.items()},
+                         {k: reduce(c * f_inv) for k, c in combo.items()}))
             independent.append(idx)
-
-    t = dict(target)
+    # t = target - sum(f * row), so the target's combination is -tc
     tc: dict[int, Fraction | int] = {}
-    for pivot_coord, basis, bc in rows:
-        if pivot_coord in t:
-            f = t[pivot_coord]
-            sub_scaled(t, f, basis)
-            for k, val in bc.items():
-                nv = tc.get(k, zero) + f * val
-                if p:
-                    nv %= p
-                if nv:
-                    tc[k] = nv
-                elif k in tc:
-                    del tc[k]
+    sweep(t, tc)
     if t:
         return independent, None, t
-    return independent, tc, {}
+    return independent, {k: reduce(-c) for k, c in tc.items()}, {}

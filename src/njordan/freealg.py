@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .errors import GuardError
+
 NONCOMMUTATIVE = "nc"
 COMMUTATIVE = "c"
 MODES = (NONCOMMUTATIVE, COMMUTATIVE)
@@ -28,6 +30,10 @@ ALPHABET = ("x", "y", "z", "w", "t", "a", "b", "c")
 
 Word = tuple[int, ...]
 Scalar = Fraction
+
+# Most letters (words times word length, a constant counting as one letter)
+# that one product, power or substitution may build.
+EXPANSION_CAP = 10 ** 6
 
 
 class ParseError(ValueError):
@@ -54,6 +60,11 @@ def var_id(name: str) -> int:
     if len(name) > 1 and name[0] == "v" and name[1:].isdigit():
         return len(ALPHABET) + int(name[1:])
     raise KeyError(name)
+
+
+def _check_expansion(letters: int) -> None:
+    if letters > EXPANSION_CAP:
+        raise GuardError(f"expansion exceeds the cap of {EXPANSION_CAP} letters")
 
 
 def _check_mode(mode: str) -> None:
@@ -153,6 +164,7 @@ class FreePoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same_mode(other)
+        _check_expansion(len(self.terms) * len(other.terms) * max(self.degree() + other.degree(), 1))
         pairs = []
         for wa, ca in self.terms:
             for wb, cb in other.terms:
@@ -165,9 +177,17 @@ class FreePoly:
     def __pow__(self, n: int) -> FreePoly:
         if n < 0:
             raise ValueError("negative power")
-        out = FreePoly.one(self.mode)
-        for _ in range(n):
-            out = out * self
+        # each word of the result has n * degree letters; bounding that first
+        # keeps len(terms) ** n small enough to compute
+        _check_expansion(n * max(self.degree(), 1))
+        _check_expansion(len(self.terms) ** n * max(n * self.degree(), 1))
+        out, base = FreePoly.one(self.mode), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __str__(self) -> str:
@@ -195,7 +215,8 @@ def substitute_linear(p: FreePoly, subst: Mapping[int, FreePoly]) -> FreePoly:
     Only substitutions of this shape are meaningful for arguments of an
     additive map, so anything with a constant term, a longer word, or a
     fractional coefficient is rejected.  Variables absent from ``subst``
-    are left alone.
+    are left alone.  An expansion over EXPANSION_CAP letters raises
+    GuardError before it is built.
     """
     images: dict[int, FreePoly] = {}
     for vid, img in subst.items():
@@ -205,10 +226,12 @@ def substitute_linear(p: FreePoly, subst: Mapping[int, FreePoly]) -> FreePoly:
             raise ValueError(f"substitution image for {var_name(vid)} is not integer-linear: {img}")
         images[vid] = img
     pairs: list[tuple[Word, Fraction]] = []
+    letters = 0  # already in pairs
     for word, coeff in p.terms:
         expanded: dict[Word, Fraction] = {(): coeff}
-        for vid in word:
+        for k, vid in enumerate(word, 1):
             img = images.get(vid)
+            _check_expansion(letters + len(expanded) * (1 if img is None else len(img.terms)) * k)
             if img is None:
                 expanded = {w + (vid,): c for w, c in expanded.items()}
                 continue
@@ -218,6 +241,7 @@ def substitute_linear(p: FreePoly, subst: Mapping[int, FreePoly]) -> FreePoly:
                     key = w + iw
                     nxt[key] = nxt.get(key, Fraction(0)) + c * ic
             expanded = nxt
+        letters += len(expanded) * len(word)
         pairs.extend(expanded.items())
     return FreePoly.from_terms(pairs, p.mode)
 

@@ -41,7 +41,7 @@ from .freealg import (
     var_id,
     var_name,
 )
-from .exact import prime_factors
+from .exact import prime_factors, residue
 
 if TYPE_CHECKING:
     from .models import AdditiveMap, FiniteRing
@@ -87,9 +87,8 @@ def seed(n: int, mode: str) -> HIdentity:
     """The defining identity h(a^n) = H(a)^n."""
     if n < 2:
         raise ValueError("power must be at least 2")
-    lhs = FreePoly.from_terms([((SEED_VAR,) * n, 1)], mode)
-    rhs = FreePoly.from_terms([((SEED_VAR,) * n, 1)], COMMUTATIVE)
-    return HIdentity(lhs, rhs)
+    # powers of one variable: an n past the expansion cap raises GuardError
+    return HIdentity(FreePoly.variable(SEED_VAR, mode) ** n, FreePoly.variable(SEED_VAR, COMMUTATIVE) ** n)
 
 
 def substitute(ident: HIdentity, subst: Mapping[int, FreePoly]) -> HIdentity:
@@ -169,11 +168,6 @@ class EvalReport:
     witness: dict[str, list[int]] | None = None
 
 
-def _scaled(vectors: np.ndarray, coeff: Fraction, modulus: int) -> np.ndarray:
-    c = (coeff.numerator * pow(coeff.denominator, -1, modulus)) % modulus
-    return (vectors * c) % modulus
-
-
 def evaluate(
     ident: HIdentity,
     ring_a: "FiniteRing",
@@ -213,11 +207,11 @@ def evaluate(
     himg = {v: h.apply_batch(vecs) for v, vecs in assign.items()}
     lhs_val = np.zeros((count, ring_b.dim), dtype=np.int64)
     for word, coeff in ident.lhs.terms:
-        lhs_val += _scaled(h.apply_batch(ring_a.product_batch(assign[v] for v in word)), coeff, m)
+        lhs_val += residue(coeff, m) * h.apply_batch(ring_a.product_batch(assign[v] for v in word))
         lhs_val %= m
     rhs_val = np.zeros((count, ring_b.dim), dtype=np.int64)
     for word, coeff in ident.rhs.terms:
-        rhs_val += _scaled(ring_b.product_batch(himg[v] for v in word), coeff, m)
+        rhs_val += residue(coeff, m) * ring_b.product_batch(himg[v] for v in word)
         rhs_val %= m
 
     mismatch = (lhs_val != rhs_val).any(axis=1)

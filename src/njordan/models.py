@@ -59,7 +59,7 @@ def _index(digits, m: int) -> int:
 
 
 def _eliminate_rows(rows: np.ndarray, target: np.ndarray, p: int):
-    """exact.eliminate over GF(p) on the rows of a reduced integer array.
+    """exact.eliminate over GF(p) on the rows of an integer array.
 
     Coordinates are column positions, so pivots follow column order.
     """
@@ -67,7 +67,7 @@ def _eliminate_rows(rows: np.ndarray, target: np.ndarray, p: int):
     def sparse(vec: np.ndarray) -> dict[int, int]:
         return {int(i): int(vec[i]) for i in np.flatnonzero(vec)}
 
-    return eliminate([sparse(r) for r in rows], sparse(target), range(rows.shape[1]), p)
+    return eliminate([sparse(r) for r in rows], sparse(target), p)
 
 
 class FiniteRing:
@@ -217,15 +217,23 @@ def make_zm(m: int, override: bool = False) -> FiniteRing:
     return FiniteRing(f"zm:{m}", m, struct)
 
 
+def _direct_sum(name: str, modulus: int, blocks: list[np.ndarray]) -> FiniteRing:
+    """The ring whose structure table has the given tables as diagonal blocks."""
+    d = sum(block.shape[0] for block in blocks)
+    struct = np.zeros((d, d, d), dtype=np.int64)
+    start = 0
+    for block in blocks:
+        end = start + block.shape[0]
+        struct[start:end, start:end, start:end] = block
+        start = end
+    return FiniteRing(name, modulus, struct)
+
+
 def product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
     """Direct product with componentwise operations."""
     if a.modulus != b.modulus:
         raise ValueError("factors must share a modulus")
-    d = a.dim + b.dim
-    struct = np.zeros((d, d, d), dtype=np.int64)
-    struct[: a.dim, : a.dim, : a.dim] = a.struct
-    struct[a.dim:, a.dim:, a.dim:] = b.struct
-    return FiniteRing(f"product({a.name},{b.name})", a.modulus, struct)
+    return _direct_sum(f"product({a.name},{b.name})", a.modulus, [a.struct, b.struct])
 
 
 def matrix_ring(k: int, m: int, override: bool = False) -> FiniteRing:
@@ -264,12 +272,7 @@ def function_ring(base: FiniteRing, npoints: int, override: bool = False) -> Fin
         raise GuardError(f"{npoints} points exceed 4; pass override to lift")
     if npoints < 1:
         raise ValueError("need at least one point")
-    d = base.dim * npoints
-    struct = np.zeros((d, d, d), dtype=np.int64)
-    for p in range(npoints):
-        o = p * base.dim
-        struct[o:o + base.dim, o:o + base.dim, o:o + base.dim] = base.struct
-    return FiniteRing(f"fun:{base.name},pts:{npoints}", base.modulus, struct)
+    return _direct_sum(f"fun:{base.name},pts:{npoints}", base.modulus, [base.struct] * npoints)
 
 
 def truncated_free(letters: int, maxdeg: int, m: int, override: bool = False) -> FiniteRing:
@@ -347,12 +350,9 @@ def ring_from_spec(spec: str, override: bool = False) -> FiniteRing:
             m, k = int(mstr), int(kstr)
             if k < 1:
                 raise ValueError("power must be positive")
-            ring = make_zm(m, override)
-            for _ in range(k - 1):
-                ring = product(ring, make_zm(m, override))
-            if k > 1:
-                ring.name = f"zm:{m}^{k}"
-            return ring
+            _guard_modulus(m, override)
+            name = f"zm:{m}^{k}" if k > 1 else f"zm:{m}"
+            return _direct_sum(name, m, [np.ones((1, 1, 1), dtype=np.int64)] * k)
         return make_zm(int(body), override)
     if s.startswith("mat:"):
         body = s[4:]

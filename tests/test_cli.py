@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -135,6 +136,19 @@ class TestVerifyCertCommand:
         code, _, err = run(["verify-cert", path], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("n", [11, 10 ** 9])
+    def test_oversized_expansion_exits_two_quickly(self, n, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "n": n, "mode": "nc", "field": "Q", "target": "h(x^11) = H(x)^11",
+            "instances": [{"subst": {"a": "x + y + z"}, "coeff": "1"}],
+        }))
+        start = time.perf_counter()
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "expansion exceeds" in err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, _, err = run(["verify-cert", str(tmp_path / "nope.json")], capsys)
         assert code == 2
@@ -230,3 +244,10 @@ class TestNormCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["equivalence_held"] == 50
+
+    @pytest.mark.parametrize("check", ["corollary26", "theorem27", "step2"])
+    def test_zero_samples_exit_two(self, check, capsys):
+        code, out, err = run(["norm", check, "--samples", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err

@@ -131,6 +131,16 @@ class TestContractivityChecks:
             assert report["min_slack"] >= -1e-9
             assert report["max_slack"] >= report["min_slack"]
 
+    def test_zero_samples_are_refused(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            DiagAlgebra(2).samples(0)
+        with pytest.raises(ValueError, match="at least 1"):
+            check_corollary_2_6(2, 2, samples=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            check_theorem_2_7(coordinate_star_map(3), 1, samples=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            step2_reduction_check(random_linear_maps(2, 2, 1)[0], 3, samples=0)
+
     def test_whole_equals_componentwise_reduction(self):
         maps = random_linear_maps(2, 2, 1000, seed=0)
         assert all(step2_reduction_check(h, 3) for h in maps)

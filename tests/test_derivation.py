@@ -306,6 +306,23 @@ class TestCertificates:
         )
         assert not verify_certificate(bad)
 
+    def test_prime_field_certificate_verdicts(self):
+        result = consequence_check(3, SYM_SIX, ("x", "y", "z"), 1, field="GF(7)")
+        assert isinstance(result, InSpan)
+        cert = result.certificate
+        subst, coeff = cert.instances[0]
+
+        def variant(new_coeff: str, field: str = "GF(7)") -> Certificate:
+            instances = ((subst, new_coeff),) + cert.instances[1:]
+            return Certificate(cert.n, cert.mode, field, cert.target, instances)
+
+        assert verify_certificate(cert)
+        assert not verify_certificate(variant(str(Fraction(coeff) + 1)))
+        assert verify_certificate(variant(str(Fraction(coeff) + 7)))
+        assert not verify_certificate(variant("1/7"))
+        for tampered in (coeff, str(Fraction(coeff) + 7)):
+            assert not verify_certificate(variant(tampered, field="Q"))
+
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
             Certificate.from_json("{\"n\": 3}")

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from njordan.errors import GuardError
 from njordan.freealg import (
     COMMUTATIVE,
+    EXPANSION_CAP,
     NONCOMMUTATIVE,
     FreePoly,
     ParseError,
@@ -88,6 +91,52 @@ class TestArithmetic:
         p, q, r = poly("x + 2*y"), poly("y*z - x"), poly("z")
         assert (p + q) * r == p * r + q * r
         assert p * (q + r) == p * q + p * r
+
+
+class TestExpansionCap:
+    @pytest.mark.parametrize("text", ["x + 2*y - z", "x", "2/3", "x - x", "x*y + y*x"])
+    @pytest.mark.parametrize("mode", [NONCOMMUTATIVE, COMMUTATIVE])
+    def test_power_matches_repeated_products(self, text, mode):
+        p = poly(text, mode)
+        expected = FreePoly.one(mode)
+        for n in range(8):
+            assert p ** n == expected
+            expected = expected * p
+
+    @pytest.mark.parametrize(
+        "text", ["(x+y+z)^30", "x^1000000000", "(x - x)^1000000000", "(2)^1000000000"]
+    )
+    def test_oversized_expressions_are_refused_quickly(self, text):
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="expansion"):
+            parse_expr(text, NONCOMMUTATIVE)
+        assert time.perf_counter() - start < 1.0
+
+    def test_product_is_bounded_before_it_is_built(self):
+        def linear(width: int) -> FreePoly:
+            return FreePoly.from_terms([((v,), 1) for v in range(width)], NONCOMMUTATIVE)
+
+        assert len((linear(100) * linear(100)).terms) == 10 ** 4
+        start = time.perf_counter()
+        with pytest.raises(GuardError):
+            linear(1000) * linear(1000)  # 10^6 words of 2 letters
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_power_under_the_cap_is_built(self):
+        # 2^15 words of 15 letters fit; 2^16 words of 16 letters do not
+        assert 2 ** 15 * 15 <= EXPANSION_CAP < 2 ** 16 * 16
+        assert len(poly("(x+y)^15").terms) == 2 ** 15
+        with pytest.raises(GuardError):
+            poly("(x+y)^16")
+
+    def test_substitution_is_bounded_before_expanding(self):
+        x = var_id("x")
+        form = poly("x + y + z")
+        assert len(substitute_linear(poly("x^10"), {x: form}).terms) == 3 ** 10
+        start = time.perf_counter()
+        with pytest.raises(GuardError):
+            substitute_linear(poly("x^11"), {x: form})
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSubstituteLinear:

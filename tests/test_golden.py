@@ -3,8 +3,10 @@
 Each case runs one README command through ``njordan.cli.main`` and compares
 its exit code, its stdout and every file it writes (``--json``, ``--cert``)
 byte for byte with the files under ``tests/golden/``.  The commands that
-take ``--json`` get one even where the README omits it.  ``verify-cert``
-reads the golden certificate of the ``consequence`` case.
+take ``--json`` get one even where the README omits it.  Four more cases pin
+the prime fields: a GF(7) certificate and its verification, and a GF(2)
+target outside the span in ``nc`` mode and inside it in ``c`` mode.  Each
+``verify-cert`` case reads the golden certificate of a ``consequence`` case.
 
 The golden files are regenerated with ``PYTHONPATH=src python
 tests/test_golden.py``; do that only for an intended output change.
@@ -23,6 +25,7 @@ from njordan.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SYM_SIX = "h(x*y*z + x*z*y + y*x*z + y*z*x + z*x*y + z*y*x) = 6*H(x)*H(y)*H(z)"
+SINGLE = "h(x*y*z) = H(x)*H(y)*H(z)"
 
 # name -> argv; "{out}" is the directory the command writes into.
 CASES: dict[str, list[str]] = {
@@ -33,6 +36,19 @@ CASES: dict[str, list[str]] = {
         "--cert", "{out}/sym.cert.json", "--json", "{out}/consequence_sym.json",
     ],
     "verify_cert_sym": ["verify-cert", str(GOLDEN / "sym.cert.json")],
+    "consequence_sym_gf7": [
+        "consequence", "--n", "3", "--target", SYM_SIX, "--vars", "x,y,z", "--coeff-range", "1",
+        "--field", "GF(7)", "--cert", "{out}/sym_gf7.cert.json", "--json", "{out}/consequence_sym_gf7.json",
+    ],
+    "verify_cert_sym_gf7": ["verify-cert", str(GOLDEN / "sym_gf7.cert.json")],
+    "consequence_single_gf2": [
+        "consequence", "--n", "3", "--target", SINGLE, "--field", "GF(2)",
+        "--json", "{out}/consequence_single_gf2.json",
+    ],
+    "consequence_single_gf2_c": [
+        "consequence", "--n", "3", "--target", SINGLE, "--field", "GF(2)", "--mode", "c",
+        "--json", "{out}/consequence_single_gf2_c.json",
+    ],
     "consequence_pair_n2": [
         "consequence", "--n", "2", "--target", "h(x*y) = H(x)*H(y)", "--vars", "x,y,z",
         "--coeff-range", "2", "--mode", "nc", "--json", "{out}/consequence_pair_n2.json",
@@ -81,8 +97,8 @@ def _regenerate() -> None:
 
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}
-    # the consequence case writes the certificate verify-cert reads
-    for name in sorted(CASES, key=lambda n: n == "verify_cert_sym"):
+    # the consequence cases write the certificates verify-cert reads
+    for name in sorted(CASES, key=lambda n: n.startswith("verify_cert")):
         with tempfile.TemporaryDirectory() as tmp:
             code, stdout, written = run_case(name, Path(tmp))
         (GOLDEN / f"{name}.stdout").write_bytes(stdout)

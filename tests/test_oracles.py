@@ -4,17 +4,24 @@ find_njordan_maps and search run on one chunked, vectorized power filter;
 their oracle is one is_n_jordan call per enumerated map, followed for
 search by the named predicate's second check.  Index decoding and the
 seeded map sample are compared with plain Python digit arithmetic and
-per-map draws.  The unit and the nilpotency index come from the one exact
-eliminator and are compared with their known values on every constructor.
+per-map draws.  The one exact eliminator is compared with sympy's rank over
+Q and prime fields on random sparse matrices, and the unit and the
+nilpotency index it computes with their known values on every constructor.
 Sampled predicate and evaluation runs must return the witnesses recorded
 before their assignment source was shared.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
+from njordan.exact import eliminate
 from njordan.freealg import NONCOMMUTATIVE
 from njordan.identities import evaluate, parse_identity
 from njordan.models import (
@@ -111,6 +118,71 @@ def test_sampled_maps_match_per_map_draws(dom, cod):
     got = list(sample_additive_maps(domain, codomain, count, seed=11))
     assert len(got) == count
     assert all((h.matrix == mat).all() for h, mat in zip(got, expected))
+
+
+def _sympy_rank(rows: list[dict[int, Fraction]], ncols: int, p: int | None) -> int:
+    if p is None:
+        dom, conv = QQ, lambda c: QQ(c.numerator, c.denominator)
+    else:
+        dom = GF(p)
+        conv = lambda c: dom(c.numerator * pow(c.denominator, -1, p) % p)
+    mat = [[conv(Fraction(row.get(j, 0))) for j in range(ncols)] for row in rows]
+    return DomainMatrix(mat, (len(rows), ncols), dom).rank()
+
+
+def _random_entry(rng: random.Random) -> Fraction | int:
+    num = rng.choice([-3, -2, -1, 1, 2, 3, 7, 10])
+    if rng.random() < 0.5:
+        return num
+    # denominators invertible in every field tested
+    return Fraction(num, rng.choice([3, 11, 13]))
+
+
+def _random_system(rng: random.Random, ncols: int):
+    rows: list[dict[int, Fraction | int]] = []
+    for _ in range(rng.randint(1, 8)):
+        if rows and rng.random() < 0.3:
+            combo = {j: 0 for j in range(ncols)}
+            for row in rng.sample(rows, rng.randint(1, len(rows))):
+                f = _random_entry(rng)
+                for j, c in row.items():
+                    combo[j] += f * c
+            rows.append({j: c for j, c in combo.items() if c})
+        else:
+            rows.append({j: _random_entry(rng) for j in range(ncols) if rng.random() < 0.35})
+    target = {j: 0 for j in range(ncols)}
+    for idx in rng.sample(range(len(rows)), rng.randint(1, len(rows))):
+        for j, c in rows[idx].items():
+            target[j] += 2 * c
+    if rng.random() < 0.5:
+        target[rng.randrange(ncols)] += 1
+    return rows, {j: c for j, c in target.items() if c}
+
+
+@pytest.mark.parametrize("p", [None, 2, 5, 7])
+def test_eliminate_matches_sympy_rank(p):
+    rng = random.Random(1000 + (p or 0))
+    for _ in range(150):
+        ncols = rng.randint(1, 7)
+        rows, target = _random_system(rng, ncols)
+        independent, combo, residual = eliminate(rows, target, p)
+        ranks = [0] + [_sympy_rank(rows[: i + 1], ncols, p) for i in range(len(rows))]
+        assert independent == [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
+        in_span = _sympy_rank(rows + [target], ncols, p) == len(independent)
+        assert (combo is not None) == in_span
+        if combo is None:
+            assert residual
+            continue
+        total = {j: Fraction(0) for j in range(ncols)}
+        for idx, coeff in combo.items():
+            for j, c in rows[idx].items():
+                total[j] += coeff * c
+        for j in range(ncols):
+            diff = total[j] - target.get(j, 0)
+            if p is None:
+                assert diff == 0
+            else:
+                assert diff.denominator % p and diff.numerator % p == 0
 
 
 UNIT_AND_NILPOTENCY = [
