@@ -285,6 +285,8 @@ def coordinate_star_map(k: int, perm: tuple[int, ...] | None = None) -> LinearMa
 
 def random_linear_maps(m: int, k: int, count: int, seed: int = 0) -> list[LinearMapC]:
     """Reproducible batch of dense complex maps for the reduction check."""
+    if count < 1:
+        raise ValueError(f"map count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

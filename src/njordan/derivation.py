@@ -37,7 +37,6 @@ from .freealg import (
     COMMUTATIVE,
     NONCOMMUTATIVE,
     FreePoly,
-    grlex_key,
     linear_form,
     parse_expr,
     to_string,
@@ -131,23 +130,16 @@ class Trace:
         return self.steps[-1].identity if self.steps else "h(0) = 0"
 
 
-def _term_str(word: tuple[int, ...], mode: str, h_heads: bool = False) -> str:
-    return to_string(FreePoly.from_terms([(word, 1)], mode), h_heads=h_heads)
-
-
 def _first_divergence(actual: HIdentity, expected: HIdentity) -> str:
     """Describe the first term, in graded-lex order, where the sides differ."""
+    diff = combine([(1, actual), (-1, expected)])
     for side in ("lhs", "rhs"):
-        a = getattr(actual, side)
-        b = getattr(expected, side)
-        amap = dict(a.terms)
-        bmap = dict(b.terms)
-        for word in sorted(set(amap) | set(bmap), key=grlex_key):
-            ca = amap.get(word, Fraction(0))
-            cb = bmap.get(word, Fraction(0))
-            if ca != cb:
-                shown = _term_str(word, a.mode, h_heads=(side == "rhs"))
-                return f"{side} term {shown}: {ca} vs {cb}"
+        poly = getattr(diff, side)
+        if poly.terms:
+            word = poly.terms[0][0]
+            shown = to_string(FreePoly.from_terms([(word, 1)], poly.mode), h_heads=(side == "rhs"))
+            ca, cb = getattr(actual, side).coeff(word), getattr(expected, side).coeff(word)
+            return f"{side} term {shown}: {ca} vs {cb}"
     return "no divergence"
 
 
@@ -699,7 +691,7 @@ def consequence_check(
     p = _parse_field(field)
     field_tag = "Q" if p is None else f"GF({p})"
     instances = generate_instances(n, variables, coeff_range, target.mode, override=override)
-    vectors = [_identity_vector(inst.identity) for inst in instances]
+    vectors = (_identity_vector(inst.identity) for inst in instances)
     independent, combo, residual = eliminate(vectors, _identity_vector(target), p)
     rank = len(independent)
     if combo is None:

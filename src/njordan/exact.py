@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 
 def prime_factors(n: int) -> frozenset[int]:
@@ -37,7 +37,7 @@ def residue(c: Fraction | int, m: int) -> int:
 
 
 def eliminate(
-    vectors: Sequence[Mapping[Hashable, Fraction | int]],
+    vectors: Iterable[Mapping[Hashable, Fraction | int]],
     target: Mapping[Hashable, Fraction | int],
     p: int | None,
 ) -> tuple[list[int], dict[int, Fraction | int] | None, dict]:

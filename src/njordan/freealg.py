@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import reduce
+from math import prod
+from operator import mul
+from typing import Iterable, Iterator, Mapping
 
 from .errors import GuardError
 
@@ -29,10 +32,9 @@ MODES = (NONCOMMUTATIVE, COMMUTATIVE)
 ALPHABET = ("x", "y", "z", "w", "t", "a", "b", "c")
 
 Word = tuple[int, ...]
-Scalar = Fraction
 
 # Most letters (words times word length, a constant counting as one letter)
-# that one product, power or substitution may build.
+# that one polynomial may hold, sums included (enforced in FreePoly.from_terms).
 EXPANSION_CAP = 10 ** 6
 
 
@@ -86,20 +88,29 @@ class FreePoly:
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Word, Fraction | int]], mode: str) -> FreePoly:
-        """Build the canonical polynomial from any iterable of term pairs."""
+        """Build the canonical polynomial from any iterable of term pairs.
+
+        This is the one place where terms merge.  Pairs are consumed one at a
+        time, and GuardError is raised as soon as the terms kept so far hold
+        more than EXPANSION_CAP letters.
+        """
         _check_mode(mode)
         acc: dict[Word, Fraction] = {}
+        letters = 0
         for word, coeff in pairs:
             w = tuple(word)
-            if any(v < 0 for v in w):
+            if w and min(w) < 0:
                 raise ValueError(f"bad word {w}")
             if mode == COMMUTATIVE:
                 w = tuple(sorted(w))
-            c = acc.get(w, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[w] = c
-            elif w in acc:
-                del acc[w]
+            old = acc.pop(w, None)
+            if old is not None:
+                letters -= max(len(w), 1)
+                coeff += old
+            if coeff:
+                letters += max(len(w), 1)
+                _check_expansion(letters)
+                acc[w] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         ordered = tuple(sorted(acc.items(), key=lambda t: grlex_key(t[0])))
         return FreePoly(mode, ordered)
 
@@ -165,11 +176,9 @@ class FreePoly:
             return self.scale(other)
         self._require_same_mode(other)
         _check_expansion(len(self.terms) * len(other.terms) * max(self.degree() + other.degree(), 1))
-        pairs = []
-        for wa, ca in self.terms:
-            for wb, cb in other.terms:
-                pairs.append((wa + wb, ca * cb))
-        return FreePoly.from_terms(pairs, self.mode)
+        return FreePoly.from_terms(
+            ((wa + wb, ca * cb) for wa, ca in self.terms for wb, cb in other.terms), self.mode
+        )
 
     def __rmul__(self, other: Fraction | int) -> FreePoly:
         return self.scale(other)
@@ -204,46 +213,27 @@ def linear_form(coeffs: Mapping[int, int], mode: str) -> FreePoly:
     return FreePoly.from_terms([((v,), c) for v, c in coeffs.items()], mode)
 
 
-def is_integer_linear(p: FreePoly) -> bool:
-    """True when every term is a single variable with an integer coefficient."""
-    return all(len(w) == 1 and c.denominator == 1 for w, c in p.terms)
-
-
 def substitute_linear(p: FreePoly, subst: Mapping[int, FreePoly]) -> FreePoly:
     """Replace variables by integer-linear forms and expand exactly.
 
     Only substitutions of this shape are meaningful for arguments of an
     additive map, so anything with a constant term, a longer word, or a
     fractional coefficient is rejected.  Variables absent from ``subst``
-    are left alone.  An expansion over EXPANSION_CAP letters raises
-    GuardError before it is built.
+    are left alone.  A word whose expansion could exceed EXPANSION_CAP
+    letters raises GuardError before it is built.
     """
-    images: dict[int, FreePoly] = {}
     for vid, img in subst.items():
         if img.mode != p.mode:
             raise ValueError(f"substitution image for {var_name(vid)} has mode {img.mode}, expected {p.mode}")
-        if not is_integer_linear(img):
+        if not all(len(w) == 1 and c.denominator == 1 for w, c in img.terms):
             raise ValueError(f"substitution image for {var_name(vid)} is not integer-linear: {img}")
-        images[vid] = img
-    pairs: list[tuple[Word, Fraction]] = []
-    letters = 0  # already in pairs
-    for word, coeff in p.terms:
-        expanded: dict[Word, Fraction] = {(): coeff}
-        for k, vid in enumerate(word, 1):
-            img = images.get(vid)
-            _check_expansion(letters + len(expanded) * (1 if img is None else len(img.terms)) * k)
-            if img is None:
-                expanded = {w + (vid,): c for w, c in expanded.items()}
-                continue
-            nxt: dict[Word, Fraction] = {}
-            for w, c in expanded.items():
-                for iw, ic in img.terms:
-                    key = w + iw
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * ic
-            expanded = nxt
-        letters += len(expanded) * len(word)
-        pairs.extend(expanded.items())
-    return FreePoly.from_terms(pairs, p.mode)
+
+    def expanded(word: Word, coeff: Fraction) -> tuple[tuple[Word, Fraction], ...]:
+        factors = [subst[vid] if vid in subst else FreePoly.variable(vid, p.mode) for vid in word]
+        _check_expansion(prod(len(f.terms) for f in factors) * len(word))
+        return reduce(mul, factors, FreePoly.from_terms([((), coeff)], p.mode)).terms
+
+    return FreePoly.from_terms((t for word, coeff in p.terms for t in expanded(word, coeff)), p.mode)
 
 
 # --- expression grammar -----------------------------------------------------
@@ -310,21 +300,22 @@ class _Parser:
             raise ParseError(f"expected {op!r}", at)
 
     def parse_expr(self) -> FreePoly:
-        sign = Fraction(1)
+        return FreePoly.from_terms(self._signed_terms(), self.mode)
+
+    def _signed_terms(self) -> Iterator[tuple[Word, Fraction]]:
+        """The terms of each summand in turn, each summand parsed only when needed."""
         kind, val, _ = self.peek()
+        negate = kind == "OP" and val == "-"
         if kind == "OP" and val in "+-":
             self.take()
-            if val == "-":
-                sign = Fraction(-1)
-        poly = self.parse_term().scale(sign)
         while True:
+            term = self.parse_term()
+            yield from (-term if negate else term).terms
             kind, val, _ = self.peek()
-            if kind == "OP" and val in "+-":
-                self.take()
-                nxt = self.parse_term()
-                poly = poly + (nxt if val == "+" else -nxt)
-            else:
-                return poly
+            if not (kind == "OP" and val in "+-"):
+                return
+            self.take()
+            negate = val == "-"
 
     def parse_term(self) -> FreePoly:
         kind, val, at = self.peek()
@@ -380,26 +371,22 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        if kind == "NAME":
-            if self.h_heads:
-                if val != "H":
-                    raise ParseError(f"expected H(<var>), got {val!r}", at)
-                self.expect("(")
-                k2, v2, a2 = self.take()
-                if k2 != "NAME":
-                    raise ParseError("expected variable name", a2)
-                try:
-                    vid = var_id(v2)
-                except KeyError:
-                    raise ParseError(f"unknown variable name {v2!r}", a2) from None
-                self.expect(")")
-                return FreePoly.variable(vid, self.mode)
-            try:
-                vid = var_id(val)
-            except KeyError:
-                raise ParseError(f"unknown variable name {val!r}", at) from None
-            return FreePoly.variable(vid, self.mode)
-        raise ParseError("expected a variable, number, or parenthesized expression", at)
+        if kind != "NAME":
+            raise ParseError("expected a variable, number, or parenthesized expression", at)
+        if self.h_heads:
+            if val != "H":
+                raise ParseError(f"expected H(<var>), got {val!r}", at)
+            self.expect("(")
+            kind, val, at = self.take()
+            if kind != "NAME":
+                raise ParseError("expected variable name", at)
+        try:
+            vid = var_id(val)
+        except KeyError:
+            raise ParseError(f"unknown variable name {val!r}", at) from None
+        if self.h_heads:
+            self.expect(")")
+        return FreePoly.variable(vid, self.mode)
 
 
 def parse_expr(text: str, mode: str, h_heads: bool = False) -> FreePoly:

@@ -34,7 +34,6 @@ from .freealg import (
     COMMUTATIVE,
     FreePoly,
     abelianize,
-    is_integer_linear,
     parse_expr,
     substitute_linear,
     to_string,
@@ -93,11 +92,7 @@ def seed(n: int, mode: str) -> HIdentity:
 
 def substitute(ident: HIdentity, subst: Mapping[int, FreePoly]) -> HIdentity:
     """Apply a variable-to-linear-form substitution to both sides."""
-    for img in subst.values():
-        if not is_integer_linear(img):
-            raise ValueError(f"substitution image is not integer-linear: {img}")
-    lhs_map = {v: img if img.mode == ident.lhs.mode else FreePoly.from_terms(img.terms, ident.lhs.mode)
-               for v, img in subst.items()}
+    lhs_map = {v: FreePoly.from_terms(img.terms, ident.mode) for v, img in subst.items()}
     rhs_map = {v: abelianize(img) for v, img in subst.items()}
     return HIdentity(
         substitute_linear(ident.lhs, lhs_map),
@@ -111,17 +106,17 @@ def combine(terms: Sequence[tuple[Fraction | int, HIdentity]]) -> HIdentity:
     if not terms:
         raise ValueError("combine needs at least one term")
     mode = terms[0][1].mode
-    lhs = FreePoly.zero(mode)
-    rhs = FreePoly.zero(COMMUTATIVE)
-    primes: set[int] = set()
-    for coeff, ident in terms:
-        if ident.mode != mode:
-            raise ValueError("cannot combine identities of different modes")
-        c = Fraction(coeff)
-        lhs = lhs + ident.lhs.scale(c)
-        rhs = rhs + ident.rhs.scale(c)
-        primes |= ident.denominators | prime_factors(c.denominator)
-    return HIdentity(lhs, rhs, frozenset(primes))
+    if any(ident.mode != mode for _, ident in terms):
+        raise ValueError("cannot combine identities of different modes")
+    weighted = [(Fraction(coeff), ident) for coeff, ident in terms]
+    primes = frozenset().union(*(ident.denominators | prime_factors(c.denominator) for c, ident in weighted))
+
+    def side(name: str, side_mode: str) -> FreePoly:
+        return FreePoly.from_terms(
+            ((word, c * coeff) for c, ident in weighted for word, coeff in getattr(ident, name).terms), side_mode
+        )
+
+    return HIdentity(side("lhs", mode), side("rhs", COMMUTATIVE), primes)
 
 
 def is_homogeneous(ident: HIdentity, n: int) -> bool:
@@ -150,11 +145,8 @@ def parse_identity(text: str, mode: str) -> HIdentity:
     inner = s[1:].lstrip()[1:-1]
     lhs = parse_expr(inner, mode)
     rhs = parse_expr(rhs_text, COMMUTATIVE, h_heads=True)
-    primes: set[int] = set()
-    for poly in (lhs, rhs):
-        for _, c in poly.terms:
-            primes |= prime_factors(c.denominator)
-    return HIdentity(lhs, rhs, frozenset(primes))
+    primes = frozenset().union(*(prime_factors(c.denominator) for _, c in lhs.terms + rhs.terms))
+    return HIdentity(lhs, rhs, primes)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,15 @@ TUPLE_CAP = 10 ** 7
 ELEMENT_CAP = 2 ** 22
 CONSTRUCTOR_MODULI = (2, 3, 5, 7)
 MAX_MATRIX_SIZE = 4
+# Most basis elements of any ring, with no override: on a dense structure
+# table the associativity check forms d^4 products of d terms each.
+MAX_DIM = 64
+
+
+def _check_dim(d: int) -> None:
+    """Refuse a ring of dimension d over MAX_DIM, before any of its tables is built."""
+    if d > MAX_DIM:
+        raise GuardError(f"ring dimension {d} exceeds {MAX_DIM}")
 
 
 def _digits(idx, m: int, width: int) -> np.ndarray:
@@ -79,6 +88,7 @@ class FiniteRing:
         struct = np.asarray(struct, dtype=object) % modulus
         if struct.ndim != 3 or struct.shape[0] != struct.shape[1] or struct.shape[1] != struct.shape[2]:
             raise ValueError("structure table must have shape (d, d, d)")
+        _check_dim(struct.shape[0])
         # mul_batch sums c_ijk * u_i * v_j over i, j and apply_batch sums d
         # products of residues, all in int64
         bound = max(struct.sum(axis=(0, 1)).max(initial=0), struct.shape[0]) * (modulus - 1) ** 2
@@ -97,12 +107,21 @@ class FiniteRing:
         self._powers: dict[int, np.ndarray] = {}
 
     def _check_associativity(self) -> None:
-        c = self.struct
-        left = np.einsum("ijl,lkm->ijkm", c, c) % self.modulus
-        right = np.einsum("jkl,ilm->ijkm", c, c) % self.modulus
-        if not (left == right).all():
-            bad = np.argwhere((left != right).any(axis=3))[0]
-            raise ValueError(f"structure table is not associative at basis triple {tuple(int(x) for x in bad)}")
+        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple.
+
+        Both sides vanish unless e_i e_j or e_j e_k is nonzero, so only the
+        triples through a basis pair (a, b) with a nonzero product are formed.
+        """
+        c, m = self.struct, self.modulus
+        a, b = np.nonzero(c.any(axis=2))
+        # triples (a, b, k) as (pair, k, .) and (i, a, b) as (pair, i, .)
+        tail = (np.einsum("pl,lkm->pkm", c[a, b], c) - np.einsum("pkl,plm->pkm", c[b], c[a])) % m
+        head = (np.einsum("ipl,lpm->pim", c[:, a], c[:, b]) - np.einsum("pl,ilm->pim", c[a, b], c)) % m
+        p, k = np.nonzero(tail.any(axis=2))
+        q, i = np.nonzero(head.any(axis=2))
+        bad = sorted(zip(a[p], b[p], k)) + sorted(zip(i, a[q], b[q]))
+        if bad:
+            raise ValueError(f"structure table is not associative at basis triple {tuple(int(x) for x in min(bad))}")
 
     def _find_unit(self) -> np.ndarray | None:
         """The unit over a prime modulus, solving u*e_j = e_j and e_i*u = e_i for u."""
@@ -220,6 +239,7 @@ def make_zm(m: int, override: bool = False) -> FiniteRing:
 def _direct_sum(name: str, modulus: int, blocks: list[np.ndarray]) -> FiniteRing:
     """The ring whose structure table has the given tables as diagonal blocks."""
     d = sum(block.shape[0] for block in blocks)
+    _check_dim(d)
     struct = np.zeros((d, d, d), dtype=np.int64)
     start = 0
     for block in blocks:
@@ -242,6 +262,7 @@ def matrix_ring(k: int, m: int, override: bool = False) -> FiniteRing:
         raise GuardError(f"matrix size {k} exceeds {MAX_MATRIX_SIZE}; pass override to lift")
     _guard_modulus(m, override)
     d = k * k
+    _check_dim(d)
     struct = np.zeros((d, d, d), dtype=np.int64)
     for i in range(k):
         for j in range(k):
@@ -255,6 +276,7 @@ def strict_upper(k: int, m: int, override: bool = False) -> FiniteRing:
     if k > MAX_MATRIX_SIZE and not override:
         raise GuardError(f"matrix size {k} exceeds {MAX_MATRIX_SIZE}; pass override to lift")
     _guard_modulus(m, override)
+    _check_dim(k * (k - 1) // 2)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     pos = {p: n for n, p in enumerate(pairs)}
     d = len(pairs)
@@ -272,6 +294,7 @@ def function_ring(base: FiniteRing, npoints: int, override: bool = False) -> Fin
         raise GuardError(f"{npoints} points exceed 4; pass override to lift")
     if npoints < 1:
         raise ValueError("need at least one point")
+    _check_dim(base.dim * npoints)
     return _direct_sum(f"fun:{base.name},pts:{npoints}", base.modulus, [base.struct] * npoints)
 
 
@@ -284,13 +307,14 @@ def truncated_free(letters: int, maxdeg: int, m: int, override: bool = False) ->
     _guard_modulus(m, override)
     if letters < 1 or maxdeg < 1:
         raise ValueError("need at least one letter and degree 1")
+    # words of length 1..maxdeg; with two or more letters, lengths past MAX_DIM
+    # only add to a count already far over the bound
+    _check_dim(maxdeg if letters == 1 else sum(letters ** k for k in range(1, min(maxdeg, MAX_DIM) + 1)))
     words: list[tuple[int, ...]] = []
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(maxdeg):
         frontier = [w + (a,) for w in frontier for a in range(letters)]
         words.extend(frontier)
-    if len(words) > 64 and not override:
-        raise GuardError(f"{len(words)} basis words exceed 64; pass override to lift")
     pos = {w: i for i, w in enumerate(words)}
     d = len(words)
     struct = np.zeros((d, d, d), dtype=np.int64)
@@ -306,6 +330,7 @@ def truncated_poly(m: int, maxdeg: int, override: bool = False) -> FiniteRing:
     """Unital commutative ring Z_m[e] with e^(maxdeg+1) = 0; basis 1, e, ..., e^maxdeg."""
     _guard_modulus(m, override)
     d = maxdeg + 1
+    _check_dim(d)
     struct = np.zeros((d, d, d), dtype=np.int64)
     for i in range(d):
         for j in range(d):
@@ -351,6 +376,7 @@ def ring_from_spec(spec: str, override: bool = False) -> FiniteRing:
             if k < 1:
                 raise ValueError("power must be positive")
             _guard_modulus(m, override)
+            _check_dim(k)
             name = f"zm:{m}^{k}" if k > 1 else f"zm:{m}"
             return _direct_sum(name, m, [np.ones((1, 1, 1), dtype=np.int64)] * k)
         return make_zm(int(body), override)
@@ -725,7 +751,8 @@ def paper_examples() -> dict:
     """Reproduce the motivating example computations on finite surrogates.
 
     Every ring here is a finite surrogate: Z_m stand-ins for the real or
-    complex algebras of the original constructions.
+    complex algebras of the original constructions.  ``report["ok"]`` is the
+    verdict: every computed fact is the one the constructions predict.
     """
     report: dict = {
         "note": "finite surrogate models over Z_m stand in for real or complex algebras",
@@ -769,11 +796,12 @@ def paper_examples() -> dict:
     }
 
     fun = function_ring(u42, 3)
+    fun_index = nilpotency_index(fun)
     report["function_ring_on_3_points"] = {
         "ring": fun.name,
         "dim": fun.dim,
-        "nilpotency_index": nilpotency_index(fun),
-        "all_4_fold_products_zero": nilpotency_index(fun) == 4,
+        "nilpotency_index": fun_index,
+        "all_4_fold_products_zero": fun_index == 4,
     }
 
     mat22 = matrix_ring(2, 2)
@@ -784,4 +812,12 @@ def paper_examples() -> dict:
         "is_2_ring": is_n_ring(transp, 2).to_json(),
         "n_jordan_up_to_6": {str(n): is_n_jordan(transp, n).ok for n in range(2, 7)},
     }
+    neg, upper, tr = (report[k] for k in ("negation_on_z5", "strict_upper_4_2", "transpose_on_mat2_z2"))
+    report["ok"] = (
+        neg["is_3_jordan"]["ok"] and not neg["is_2_jordan"]["ok"] and not neg["is_4_jordan"]["ok"]
+        and report["jordan_functionals_on_z5"]["all_multiplicative"]
+        and upper["nilpotency_index"] == 4 and upper["triple_product_witness"]["nonzero"]
+        and upper["all_sampled_maps_4_jordan"] and report["function_ring_on_3_points"]["all_4_fold_products_zero"]
+        and tr["is_2_jordan"]["ok"] and not tr["is_2_ring"]["ok"]
+    )
     return report

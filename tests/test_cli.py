@@ -149,6 +149,16 @@ class TestVerifyCertCommand:
         assert code == 2
         assert "expansion exceeds" in err
 
+    def test_largest_expansion_under_the_cap_verifies(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "n": 10, "mode": "nc", "field": "Q", "target": "h((x + y + z)^10) = (H(x) + H(y) + H(z))^10",
+            "instances": [{"subst": {"a": "x + y + z"}, "coeff": "1"}],
+        }))
+        code, out, _ = run(["verify-cert", str(path)], capsys)
+        assert code == 0
+        assert out.endswith(": valid\n")
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, _, err = run(["verify-cert", str(tmp_path / "nope.json")], capsys)
         assert code == 2
@@ -206,6 +216,17 @@ class TestSearchCommand:
         assert "guard refused" in err
 
 
+    @pytest.mark.parametrize(
+        "spec", ["zm:5^200", "zm:5^1000000000", "nilpoly:200@5", "freetrunc:9d9@5", "fun:freetrunc:2d5@2,pts:4"]
+    )
+    def test_oversized_ring_exits_two_quickly(self, spec, capsys):
+        start = time.perf_counter()
+        code, _, err = run(["search", "--domain", spec, "--codomain", "zm:5", "--unsafe-override"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "exceeds 64" in err
+
+
 class TestExamplesCommand:
     def test_catalogue_passes_and_is_stable(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -248,6 +269,12 @@ class TestNormCommand:
     @pytest.mark.parametrize("check", ["corollary26", "theorem27", "step2"])
     def test_zero_samples_exit_two(self, check, capsys):
         code, out, err = run(["norm", check, "--samples", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
+
+    def test_zero_count_exits_two(self, capsys):
+        code, out, err = run(["norm", "step2", "--count", "0"], capsys)
         assert code == 2
         assert out == ""
         assert "at least 1" in err

@@ -140,6 +140,8 @@ class TestContractivityChecks:
             check_theorem_2_7(coordinate_star_map(3), 1, samples=0)
         with pytest.raises(ValueError, match="at least 1"):
             step2_reduction_check(random_linear_maps(2, 2, 1)[0], 3, samples=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            random_linear_maps(2, 2, 0)
 
     def test_whole_equals_componentwise_reduction(self):
         maps = random_linear_maps(2, 2, 1000, seed=0)

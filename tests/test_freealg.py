@@ -129,6 +129,30 @@ class TestExpansionCap:
         with pytest.raises(GuardError):
             poly("(x+y)^16")
 
+    def test_sum_is_bounded_as_it_is_parsed(self):
+        text = "x^999999 + y^999999 + z^999999 + w^999999 + t^999999 + a^999999 + b^999999 + c^999999"
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="expansion"):
+            parse_expr(text, NONCOMMUTATIVE)
+        assert time.perf_counter() - start < 1.0
+
+    def test_from_terms_bounds_the_terms_it_keeps(self):
+        full, half, other = (0,) * EXPANSION_CAP, (0,) * 600_000, (1,) * 600_000
+        assert len(FreePoly.from_terms([(full, 1)], NONCOMMUTATIVE).terms) == 1
+        with pytest.raises(GuardError):
+            FreePoly.from_terms([(full, 1), ((), 1)], NONCOMMUTATIVE)  # a constant counts one letter
+        # a cancelled term no longer counts
+        kept = FreePoly.from_terms([(half, 1), (half, -1), (other, 1)], NONCOMMUTATIVE)
+        assert kept.terms == ((other, 1),)
+
+        def stream():
+            yield half, 1
+            yield other, 1
+            raise AssertionError("consumed past the bound")
+
+        with pytest.raises(GuardError):
+            FreePoly.from_terms(stream(), COMMUTATIVE)
+
     def test_substitution_is_bounded_before_expanding(self):
         x = var_id("x")
         form = poly("x + y + z")

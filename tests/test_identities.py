@@ -55,6 +55,15 @@ class TestConstruction:
         z = combine([(1, s), (-1, s)])
         assert z.lhs.is_zero() and z.rhs.is_zero()
 
+    def test_combine_is_bounded_by_the_merged_size(self):
+        base = seed(10, NONCOMMUTATIVE)
+        first = substitute(base, {SEED_VAR: nc("x + y + z")})
+        second = substitute(base, {SEED_VAR: nc("w + t + a")})
+        assert len(first.lhs.terms) * 10 == len(second.lhs.terms) * 10 == 590_490
+        with pytest.raises(GuardError, match="expansion"):
+            combine([(1, first), (1, second)])  # 1,180,980 letters
+        assert combine([(1, first), (-1, first)]).lhs.is_zero()
+
     def test_equality_ignores_denominator_badge(self):
         a = parse_identity("h(x*y) = H(x)*H(y)", NONCOMMUTATIVE)
         b = HIdentity(a.lhs, a.rhs, frozenset({2, 3}))

@@ -13,6 +13,7 @@ from njordan.models import (
     AdditiveMap,
     enumerate_additive_maps,
     find_njordan_maps,
+    function_ring,
     gap_witness_model,
     identity_map,
     is_n_jordan,
@@ -99,6 +100,28 @@ class TestRingConstruction:
         assert ring.dim == 39
         assert ring.index_of(np.full(ring.dim, 4)) == 5 ** 39 - 1
         assert ring.index_of(np.full(ring.dim, -1)) == 5 ** 39 - 1
+
+    @pytest.mark.parametrize(
+        "spec,override,dim",
+        [("freetrunc:2d5@2", False, 62), ("fun:upper:4@2,pts:3", False, 18), ("freetrunc:3d3@5", True, 39),
+         ("zm:5^64", False, 64)],
+    )
+    def test_rings_up_to_the_dimension_bound_build(self, spec, override, dim):
+        assert ring_from_spec(spec, override=override).dim == dim
+
+    def test_dimension_bound_has_no_override(self):
+        assert models.MAX_DIM == 64
+        for build in (
+            lambda: ring_from_spec("zm:5^65", override=True),
+            lambda: matrix_ring(9, 2, override=True),
+            lambda: strict_upper(13, 2, override=True),
+            lambda: truncated_free(1, 10 ** 9, 5, override=True),
+            lambda: function_ring(make_zm(5), 65, override=True),
+            lambda: product(ring_from_spec("zm:5^40"), ring_from_spec("zm:5^40")),
+            lambda: models.FiniteRing("big", 2, np.zeros((65, 65, 65), dtype=np.int64)),
+        ):
+            with pytest.raises(GuardError, match="exceeds 64"):
+                build()
 
     def test_modulus_guard(self):
         with pytest.raises(GuardError):
@@ -343,3 +366,4 @@ class TestExampleCatalogue:
         assert not tr["is_2_ring"]["ok"]
         assert tr["is_2_ring"]["checked"] == 256
         assert all(tr["n_jordan_up_to_6"][str(n)] for n in range(2, 7))
+        assert report["ok"] is True

@@ -7,13 +7,20 @@ seeded map sample are compared with plain Python digit arithmetic and
 per-map draws.  The one exact eliminator is compared with sympy's rank over
 Q and prime fields on random sparse matrices, and the unit and the
 nilpotency index it computes with their known values on every constructor.
-Sampled predicate and evaluation runs must return the witnesses recorded
-before their assignment source was shared.
+The ring constructor's associativity check, which forms only the triples
+through basis pairs with a nonzero product, is compared with dense d^4
+tables on random structure constants.  substitute_linear is compared with
+a plain expansion that picks one image term per letter and sums in a
+dict, with no FreePoly arithmetic.  Sampled predicate and evaluation runs
+must return the witnesses recorded before their assignment source was
+shared.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +29,12 @@ from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from njordan.exact import eliminate
-from njordan.freealg import NONCOMMUTATIVE
+from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, linear_form, substitute_linear
 from njordan.identities import evaluate, parse_identity
 from njordan.models import (
     PREDICATES,
     AdditiveMap,
+    FiniteRing,
     enumerate_additive_maps,
     find_njordan_maps,
     gap_witness_model,
@@ -208,6 +216,33 @@ def test_unit_and_nilpotency_on_constructor_rings(spec, unit, index):
     assert nilpotency_index(ring) == index
 
 
+def _first_nonassociative_triple(struct, m):
+    """The dense check on every basis triple at once, as d^4 tables."""
+    left = np.einsum("ijl,lkm->ijkm", struct, struct) % m
+    right = np.einsum("jkl,ilm->ijkm", struct, struct) % m
+    bad = np.argwhere((left != right).any(axis=3))
+    return tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
+def test_associativity_check_matches_dense_tables():
+    rng = np.random.default_rng(0)
+    for spec, _, _ in UNIT_AND_NILPOTENCY:
+        ring = ring_from_spec(spec)
+        assert _first_nonassociative_triple(ring.struct, ring.modulus) is None
+    failures = 0
+    for _ in range(1000):
+        d, m = int(rng.integers(1, 5)), int(rng.choice([2, 3, 5]))
+        struct = (rng.random((d, d, d)) < rng.random()) * rng.integers(0, m, (d, d, d))
+        expected = _first_nonassociative_triple(struct, m)
+        if expected is None:
+            assert FiniteRing("r", m, struct).dim == d
+        else:
+            failures += 1
+            with pytest.raises(ValueError, match=re.escape(f"at basis triple {expected}")):
+                FiniteRing("r", m, struct)
+    assert 100 < failures < 900
+
+
 def test_sampled_predicates_keep_their_witnesses():
     dom, cod, h = gap_witness_model()
     rep = is_n_jordan(h, 2, sample_seed=0)
@@ -240,3 +275,37 @@ def test_sampled_evaluation_keeps_its_witness():
         "y": [3, 4, 2, 1, 1, 0, 0, 3, 1, 3, 1, 1, 2, 3],
         "z": [0, 2, 0, 4, 1, 0, 4, 0, 0, 2, 4, 0, 0, 4],
     }
+
+
+def _expand_by_hand(pairs, images, mode):
+    """Terms of substitute_linear(pairs, images), sorted graded-lex: every choice
+    of one image term per letter, summed in a plain dict."""
+    acc = {}
+    for word, coeff in pairs:
+        choices = [images.get(v, [(v, 1)]) for v in word]
+        for picks in itertools.product(*choices):
+            w = tuple(v for v, _ in picks)
+            if mode == COMMUTATIVE:
+                w = tuple(sorted(w))
+            c = Fraction(coeff)
+            for _, k in picks:
+                c *= k
+            acc[w] = acc.get(w, 0) + c
+    return sorted(((w, c) for w, c in acc.items() if c), key=lambda t: (len(t[0]), t[0]))
+
+
+@pytest.mark.parametrize("mode", [NONCOMMUTATIVE, COMMUTATIVE])
+def test_substitute_linear_matches_plain_expansion(mode):
+    rng = random.Random(5)
+    for _ in range(150):
+        pairs = [
+            (tuple(rng.randrange(4) for _ in range(rng.randrange(5))), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            for _ in range(rng.randrange(1, 6))
+        ]
+        images = {}
+        for v in rng.sample(range(4), rng.randrange(1, 4)):
+            coeffs = {u: rng.choice([-2, -1, 1, 2]) for u in rng.sample(range(5), rng.randrange(0, 4))}
+            images[v] = sorted(coeffs.items())
+        subst = {v: linear_form(dict(img), mode) for v, img in images.items()}
+        out = substitute_linear(FreePoly.from_terms(pairs, mode), subst)
+        assert list(out.terms) == _expand_by_hand(pairs, images, mode)
