@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -55,6 +56,9 @@ from .identities import (
 
 MAX_VARS = 4
 MAX_COEFF = 2
+# Longest certificate coefficient text, and largest decimal exponent in it:
+# Fraction("1e10000000") alone builds a ten-million-digit integer.
+MAX_COEFF_DIGITS = 1000
 
 
 # --- script steps -------------------------------------------------------------
@@ -707,6 +711,14 @@ def consequence_check(
     return InSpan(cert, rank, len(instances))
 
 
+def _coefficient(text: str) -> Fraction:
+    """An untrusted certificate coefficient, refused past MAX_COEFF_DIGITS digits."""
+    exponent = re.search(r"e([-+]?\d[\d_]*)", text, re.IGNORECASE)
+    if len(text) > MAX_COEFF_DIGITS or (exponent and abs(int(exponent.group(1))) > MAX_COEFF_DIGITS):
+        raise GuardError(f"certificate coefficient exceeds {MAX_COEFF_DIGITS} digits")
+    return Fraction(text)
+
+
 def verify_certificate(cert: Certificate, target: HIdentity | str | None = None) -> bool:
     """Re-expand the certificate with the identity calculus and compare.
 
@@ -728,7 +740,7 @@ def verify_certificate(cert: Certificate, target: HIdentity | str | None = None)
         parts = []
         for expr, coeff in cert.instances:
             form = parse_expr(expr, cert.mode)
-            parts.append((Fraction(coeff), substitute(base, {SEED_VAR: form})))
+            parts.append((_coefficient(coeff), substitute(base, {SEED_VAR: form})))
         diff = combine(parts + [(-1, expected)])
     except (ValueError, ZeroDivisionError):
         return False

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,9 +41,7 @@ from .freealg import (
     var_name,
 )
 from .exact import prime_factors, residue
-
-if TYPE_CHECKING:
-    from .models import AdditiveMap, FiniteRing
+from .models import AdditiveMap, FiniteRing, check_blocks
 
 SEED_VAR = var_id("a")
 
@@ -162,9 +160,9 @@ class EvalReport:
 
 def evaluate(
     ident: HIdentity,
-    ring_a: "FiniteRing",
-    ring_b: "FiniteRing",
-    h: "AdditiveMap",
+    ring_a: FiniteRing,
+    ring_b: FiniteRing,
+    h: AdditiveMap,
     max_assignments: int = 1_000_000,
     sample_seed: int | None = None,
 ) -> EvalReport:
@@ -192,23 +190,25 @@ def evaluate(
 
     variables = sorted(set(ident.lhs.variables()) | set(ident.rhs.variables()))
     space = ring_a.size ** len(variables)
-    cols, exhaustive = ring_a.assignments(len(variables), max_assignments, sample_seed, max_assignments)
-    assign = dict(zip(variables, cols))
-    count = cols[0].shape[0] if cols else 1
+    blocks, exhaustive = ring_a.assignments(len(variables), max_assignments, sample_seed, max_assignments)
+    lhs_terms = [(word, residue(coeff, m)) for word, coeff in ident.lhs.terms]
+    rhs_terms = [(word, residue(coeff, m)) for word, coeff in ident.rhs.terms]
 
-    himg = {v: h.apply_batch(vecs) for v, vecs in assign.items()}
-    lhs_val = np.zeros((count, ring_b.dim), dtype=np.int64)
-    for word, coeff in ident.lhs.terms:
-        lhs_val += residue(coeff, m) * h.apply_batch(ring_a.product_batch(assign[v] for v in word))
-        lhs_val %= m
-    rhs_val = np.zeros((count, ring_b.dim), dtype=np.int64)
-    for word, coeff in ident.rhs.terms:
-        rhs_val += residue(coeff, m) * ring_b.product_batch(himg[v] for v in word)
-        rhs_val %= m
+    def mismatch(cols: list[np.ndarray], _start: int) -> np.ndarray:
+        assign = dict(zip(variables, cols))
+        count = cols[0].shape[0] if cols else 1
+        # h is Z_m-linear: sum the left side in the domain and apply h once
+        lhs_arg = np.zeros((count, ring_a.dim), dtype=np.int64)
+        for word, coeff in lhs_terms:
+            lhs_arg += coeff * ring_a.product_batch(assign[v] for v in word)
+            lhs_arg %= m
+        himg = {v: h.apply_batch(vecs) for v, vecs in assign.items()}
+        rhs_val = np.zeros((count, ring_b.dim), dtype=np.int64)
+        for word, coeff in rhs_terms:
+            rhs_val += coeff * ring_b.product_batch(himg[v] for v in word)
+            rhs_val %= m
+        return (h.apply_batch(lhs_arg) != rhs_val).any(axis=1)
 
-    mismatch = (lhs_val != rhs_val).any(axis=1)
-    if not mismatch.any():
-        return EvalReport(True, count, space, exhaustive)
-    first = int(np.flatnonzero(mismatch)[0])
-    witness = {var_name(v): assign[v][first].tolist() for v in variables}
-    return EvalReport(False, count, space, exhaustive, witness)
+    result = check_blocks(blocks, mismatch, exhaustive)
+    witness = None if result.ok else dict(zip(map(var_name, variables), result.witness))
+    return EvalReport(result.ok, result.checked, space, exhaustive, witness)

@@ -27,6 +27,9 @@ from .exact import eliminate, prime_factors
 
 ENUM_CAP = 10 ** 7
 TUPLE_CAP = 10 ** 7
+# Most rows one vectorized check holds at a time: a block of exhaustive
+# assignments, or of (candidate map, element) pairs in a scan.
+BLOCK_ROWS = 2 ** 16
 ELEMENT_CAP = 2 ** 22
 CONSTRUCTOR_MODULI = (2, 3, 5, 7)
 MAX_MATRIX_SIZE = 4
@@ -98,6 +101,9 @@ class FiniteRing:
         self.name = name
         self.modulus = modulus
         self.struct = struct
+        # (i, j, k, c) for every nonzero c = struct[i, j, k], the terms mul_batch sums
+        nonzero = np.nonzero(struct)
+        self._terms = list(zip(*(a.tolist() for a in nonzero), struct[nonzero].tolist()))
         self.dim = struct.shape[0]
         self.size = modulus ** self.dim
         self._check_associativity()
@@ -139,8 +145,23 @@ class FiniteRing:
         return np.array([combo.get(i, 0) for i in range(d)], dtype=np.int64)
 
     def mul_batch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Componentwise ring product of two (N, d) batches."""
-        return np.einsum("bi,bj,ijk->bk", u % self.modulus, v % self.modulus, self.struct) % self.modulus
+        """Componentwise ring product of two (N, d) batches.
+
+        One pass over the nonzero structure constants, out[k] += c * u[i] * v[j],
+        on (d, N) copies so that each coordinate is one contiguous row.
+        """
+        m = self.modulus
+        u = np.remainder(np.asarray(u).T, m, order="C")
+        v = np.remainder(np.asarray(v).T, m, order="C")
+        out = np.zeros(u.shape, dtype=np.int64)
+        tmp = np.empty(u.shape[1], dtype=np.int64)
+        for i, j, k, c in self._terms:
+            np.multiply(u[i], v[j], out=tmp)
+            if c != 1:
+                tmp *= c
+            out[k] += tmp
+        # out is nonnegative, where fmod agrees with % and costs less
+        return np.fmod(out, m, out=out).T
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.mul_batch(np.asarray(u)[None, :], np.asarray(v)[None, :])[0]
@@ -161,23 +182,25 @@ class FiniteRing:
 
     def assignments(
         self, k: int, cap: int, sample_seed: int | None, sample_count: int
-    ) -> tuple[list[np.ndarray], bool]:
-        """Columns of elements to assign to k variables, and whether they are exhaustive.
+    ) -> tuple[Iterator[list[np.ndarray]], bool]:
+        """Blocks of columns of elements to assign to k variables, and whether they are exhaustive.
 
-        Every k-tuple in index order when the size**k tuples fit under cap;
-        otherwise sample_count seeded uniform draws per column, which needs
-        sample_seed.  The map predicates and identity evaluation all draw
-        their assignments here.
+        Every k-tuple in index order, in blocks of at most BLOCK_ROWS
+        rows, when the size**k tuples fit under cap; otherwise one block of
+        sample_count seeded uniform draws per column, which needs sample_seed.
+        The map predicates and identity evaluation all draw their assignments
+        here.
         """
         space = self.size ** k
         if space <= cap:
             elems = self.element_vectors()
-            grids = np.meshgrid(*(np.arange(self.size) for _ in range(k)), indexing="ij")
-            return [elems[g.reshape(-1)] for g in grids], True
+            starts = range(0, space, BLOCK_ROWS)
+            tuples = (_digits(np.arange(s, min(s + BLOCK_ROWS, space)), self.size, k) for s in starts)
+            return ([elems[col] for col in block.T] for block in tuples), True
         if sample_seed is None:
             raise GuardError(f"{space} assignments exceed cap {cap}; pass sample_seed to sample")
         rng = np.random.default_rng(sample_seed)
-        return [rng.integers(0, self.modulus, size=(sample_count, self.dim)) for _ in range(k)], False
+        return iter([[rng.integers(0, self.modulus, size=(sample_count, self.dim)) for _ in range(k)]]), False
 
     def product_batch(self, factors: Iterable[np.ndarray]) -> np.ndarray:
         """Left-to-right ring product of a nonempty sequence of (N, d) batches.
@@ -536,15 +559,23 @@ class PredicateResult:
         }
 
 
-def _result(bad: np.ndarray, cols: list[np.ndarray], exhaustive: bool) -> PredicateResult:
-    """A predicate's result from its mismatch mask over the assignment columns.
+def check_blocks(
+    blocks: Iterable[list[np.ndarray]], mismatch: Callable[[list[np.ndarray], int], np.ndarray], exhaustive: bool
+) -> PredicateResult:
+    """One result from a mismatch mask over every block of assignment columns.
 
-    The witness is the first mismatching assignment, one element per column.
+    ``mismatch`` gets a block's columns and the number of rows before it.
+    Every block is checked, so ``checked`` counts every assignment; the
+    witness is the first mismatching assignment, one element per column.
     """
-    if not bad.any():
-        return PredicateResult(True, len(bad), exhaustive)
-    first = int(np.flatnonzero(bad)[0])
-    return PredicateResult(False, len(bad), exhaustive, tuple(c[first].tolist() for c in cols))
+    checked, witness = 0, None
+    for cols in blocks:
+        bad = mismatch(cols, checked)
+        if witness is None and bad.any():
+            first = int(np.flatnonzero(bad)[0])
+            witness = tuple(c[first].tolist() for c in cols)
+        checked += len(bad)
+    return PredicateResult(witness is None, checked, exhaustive, witness)
 
 
 def _power_mismatch(
@@ -574,9 +605,14 @@ def is_n_jordan(
     if n < 1:
         raise ValueError("n must be positive")
     ring_a = h.domain
-    (elems,), exhaustive = ring_a.assignments(1, max_elements, sample_seed, sample_count)
-    powers = ring_a.all_powers(n) if exhaustive else ring_a.power_batch(elems, n)
-    return _result(_power_mismatch(h.matrix[None], elems, powers, h.codomain, n)[0], [elems], exhaustive)
+    blocks, exhaustive = ring_a.assignments(1, max_elements, sample_seed, sample_count)
+
+    def mismatch(cols: list[np.ndarray], start: int) -> np.ndarray:
+        (elems,) = cols
+        powers = ring_a.all_powers(n)[start:start + len(elems)] if exhaustive else ring_a.power_batch(elems, n)
+        return _power_mismatch(h.matrix[None], elems, powers, h.codomain, n)[0]
+
+    return check_blocks(blocks, mismatch, exhaustive)
 
 
 def is_n_ring(
@@ -589,10 +625,14 @@ def is_n_ring(
     """Does h(a_1 ... a_n) = h(a_1) ... h(a_n) hold for all tuples."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    cols, exhaustive = h.domain.assignments(n, max_tuples, sample_seed, sample_count)
-    lhs = h.apply_batch(h.domain.product_batch(cols))
-    rhs = h.codomain.product_batch(h.apply_batch(c) for c in cols)
-    return _result((lhs != rhs).any(axis=1), cols, exhaustive)
+    blocks, exhaustive = h.domain.assignments(n, max_tuples, sample_seed, sample_count)
+
+    def mismatch(cols: list[np.ndarray], _start: int) -> np.ndarray:
+        lhs = h.apply_batch(h.domain.product_batch(cols))
+        rhs = h.codomain.product_batch(h.apply_batch(c) for c in cols)
+        return (lhs != rhs).any(axis=1)
+
+    return check_blocks(blocks, mismatch, exhaustive)
 
 
 def recheck_jordan_witness(h: AdditiveMap, n: int, element: list[int]) -> bool:
@@ -678,9 +718,9 @@ def _scan(
 ) -> Iterator[AdditiveMap]:
     """Candidate maps in scan order, keeping those with h(a^power) = h(a)^power.
 
-    The power condition is checked on every domain element at once for a
-    whole chunk of candidate matrices; power None keeps every candidate.
-    Domains over 4096 elements are refused.
+    The power condition is checked on every domain element at once for as
+    many candidate matrices as keep the pairs under BLOCK_ROWS; power None
+    keeps every candidate.  Domains over 4096 elements are refused.
     """
     if domain.size > 4096:
         raise GuardError("search domain too large to precompute element powers")
@@ -688,13 +728,16 @@ def _scan(
         raise ValueError("n must be positive")
     elems = domain.element_vectors()
     powers = None if power is None else domain.all_powers(power)
-    for mats in _candidates(domain, codomain, sample_count, seed, override):
-        if power is None:
-            passing = range(mats.shape[0])
-        else:
-            passing = np.flatnonzero(~_power_mismatch(mats, elems, powers, codomain, power).any(axis=1))
-        for c in passing:
-            yield AdditiveMap(domain, codomain, mats[c])
+    step = max(1, BLOCK_ROWS // domain.size)
+    for chunk in _candidates(domain, codomain, sample_count, seed, override):
+        for start in range(0, chunk.shape[0], step):
+            mats = chunk[start:start + step]
+            if power is None:
+                passing = range(mats.shape[0])
+            else:
+                passing = np.flatnonzero(~_power_mismatch(mats, elems, powers, codomain, power).any(axis=1))
+            for c in passing:
+                yield AdditiveMap(domain, codomain, mats[c])
 
 
 def search(
@@ -779,9 +822,8 @@ def paper_examples() -> dict:
     basis = np.eye(u42.dim, dtype=np.int64)
     # basis order: (0,1),(0,2),(0,3),(1,2),(1,3),(2,3), so these are E12, E23, E34
     triple = u42.mul(u42.mul(basis[0], basis[3]), basis[5])
-    sampled_all_4jordan = all(
-        is_n_jordan(h, 4).ok for h in sample_additive_maps(u42, u42, 10 ** 4, seed=0)
-    )
+    # every seeded map passes the scan's power filter on all 64 elements
+    sampled_all_4jordan = sum(1 for _ in _scan(u42, u42, 4, sample_count=10 ** 4, seed=0)) == 10 ** 4
     report["strict_upper_4_2"] = {
         "ring": u42.name,
         "nilpotency_index": nilpotency_index(u42),

@@ -149,6 +149,18 @@ class TestVerifyCertCommand:
         assert code == 2
         assert "expansion exceeds" in err
 
+    def test_oversized_coefficient_exits_two_quickly(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "n": 3, "mode": "nc", "field": "Q", "target": "h(x^3) = H(x)^3",
+            "instances": [{"subst": {"a": "x"}, "coeff": "1e10000000"}],
+        }))
+        start = time.perf_counter()
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "coefficient exceeds" in err
+
     def test_largest_expansion_under_the_cap_verifies(self, tmp_path, capsys):
         path = tmp_path / "cert.json"
         path.write_text(json.dumps({

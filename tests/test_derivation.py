@@ -336,6 +336,21 @@ class TestCertificates:
         )
         assert not verify_certificate(bad)
 
+    def test_coefficient_size_is_bounded(self):
+        cert = self.fresh()
+        subst, _ = cert.instances[0]
+
+        def variant(coeff: str) -> Certificate:
+            return Certificate(cert.n, cert.mode, cert.field, cert.target, ((subst, coeff),) + cert.instances[1:])
+
+        bound = derivation.MAX_COEFF_DIGITS
+        # at the bound a coefficient is read and simply does not verify
+        for coeff in (f"1e{bound}", f"1E-{bound}", "7" * bound, f"2.5e+{bound}"):
+            assert not verify_certificate(variant(coeff))
+        for coeff in (f"1e{bound + 1}", f"-1e-{bound + 1}", "1.0E1_000_000", "7" * (bound + 1)):
+            with pytest.raises(GuardError, match="coefficient exceeds"):
+                verify_certificate(variant(coeff))
+
     def test_fuzz_random_members_round_trip(self):
         rng = random.Random(7)
         instances = generate_instances(3, ("x", "y", "z"), 1)

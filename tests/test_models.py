@@ -26,6 +26,7 @@ from njordan.models import (
     product,
     recheck_jordan_witness,
     ring_from_spec,
+    sample_additive_maps,
     search,
     strict_upper,
     transpose_map,
@@ -367,3 +368,9 @@ class TestExampleCatalogue:
         assert tr["is_2_ring"]["checked"] == 256
         assert all(tr["n_jordan_up_to_6"][str(n)] for n in range(2, 7))
         assert report["ok"] is True
+
+    def test_every_sampled_upper_map_passes_the_4_jordan_scan(self):
+        u42 = strict_upper(4, 2)
+        kept = list(models._scan(u42, u42, 4, sample_count=10 ** 4, seed=0))
+        assert len(kept) == 10 ** 4
+        assert kept[::997] == list(sample_additive_maps(u42, u42, 10 ** 4, seed=0))[::997]

@@ -13,12 +13,15 @@ tables on random structure constants.  substitute_linear is compared with
 a plain expansion that picks one image term per letter and sums in a
 dict, with no FreePoly arithmetic.  Sampled predicate and evaluation runs
 must return the witnesses recorded before their assignment source was
-shared.
+shared.  The sparse ring product is compared with the dense einsum over
+the whole structure table, and the streamed exhaustive assignments with
+one-shot meshgrid columns checked all at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -28,13 +31,16 @@ import pytest
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from njordan.exact import eliminate
-from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, linear_form, substitute_linear
+from njordan import models
+from njordan.errors import GuardError
+from njordan.exact import eliminate, residue
+from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, linear_form, substitute_linear, var_name
 from njordan.identities import evaluate, parse_identity
 from njordan.models import (
     PREDICATES,
     AdditiveMap,
     FiniteRing,
+    PredicateResult,
     enumerate_additive_maps,
     find_njordan_maps,
     gap_witness_model,
@@ -309,3 +315,183 @@ def test_substitute_linear_matches_plain_expansion(mode):
         subst = {v: linear_form(dict(img), mode) for v, img in images.items()}
         out = substitute_linear(FreePoly.from_terms(pairs, mode), subst)
         assert list(out.terms) == _expand_by_hand(pairs, images, mode)
+
+
+def _einsum_product(ring, u, v):
+    """The dense product over every structure constant at once."""
+    m = ring.modulus
+    return np.einsum("bi,bj,ijk->bk", u % m, v % m, ring.struct) % m
+
+
+# one spec per ring_from_spec constructor family
+FAMILY_SPECS = [
+    "zm:5", "zm:7^3", "mat:2x2@5", "mat:3x3@2", "upper:4@3",
+    "fun:mat:2x2@3,pts:2", "freetrunc:2d3@5", "nilpoly:4@7",
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+@pytest.mark.parametrize("rows", [0, 1, 10 ** 5])
+def test_mul_batch_matches_einsum(spec, rows):
+    ring = ring_from_spec(spec)
+    m = ring.modulus
+    rng = np.random.default_rng(rows)
+    # unreduced and negative entries
+    u, v = rng.integers(-3 * m, 3 * m, size=(2, rows, ring.dim))
+    got = ring.mul_batch(u, v)
+    assert got.shape == (rows, ring.dim)
+    assert (got == _einsum_product(ring, u, v)).all()
+
+
+def test_mul_batch_matches_einsum_on_random_tables():
+    """Constructor rings only have constants 0 and 1; random associative tables have any."""
+    rng = np.random.default_rng(1)
+    built = 0
+    for _ in range(400):
+        d, m = int(rng.integers(1, 4)), int(rng.choice([3, 5, 7]))
+        struct = (rng.random((d, d, d)) < 0.3) * rng.integers(0, m, (d, d, d))
+        try:
+            ring = FiniteRing("r", m, struct)
+        except ValueError:
+            continue
+        built += 1
+        u, v = rng.integers(-2 * m, 2 * m, size=(2, 50, d))
+        assert (ring.mul_batch(u, v) == _einsum_product(ring, u, v)).all()
+    assert built > 100
+
+
+def _largest_modulus(spec_of, bound_factor):
+    """The largest modulus m with bound_factor * (m - 1)^2 under 2^63."""
+    m = math.isqrt((2 ** 63 - 1) // bound_factor) + 1
+    ring_from_spec(spec_of(m), override=True)
+    with pytest.raises(GuardError, match="overflows int64"):
+        ring_from_spec(spec_of(m + 1), override=True)
+    return m
+
+
+# (spec for a modulus, max over k of the sum of c_ijk over i, j, or d if larger)
+@pytest.mark.parametrize("spec_of,factor", [(lambda m: f"zm:{m}", 1), (lambda m: f"mat:2x2@{m}", 4)])
+def test_mul_batch_matches_exact_products_just_under_the_int64_guard(spec_of, factor):
+    m = _largest_modulus(spec_of, factor)
+    ring = ring_from_spec(spec_of(m), override=True)
+    rng = np.random.default_rng(0)
+    u = np.concatenate([rng.integers(-m, m, size=(200, ring.dim)), np.full((1, ring.dim), m - 1)])
+    v = np.concatenate([rng.integers(-m, m, size=(200, ring.dim)), np.full((1, ring.dim), -1)])
+    got = ring.mul_batch(u, v)
+    # Python integers cannot wrap
+    exact = np.einsum("bi,bj,ijk->bk", u.astype(object) % m, v.astype(object) % m, ring.struct.astype(object)) % m
+    assert got.tolist() == exact.tolist()
+    assert (got == _einsum_product(ring, u, v)).all()
+
+
+def _one_shot_columns(ring, k):
+    """Every k-tuple of elements in index order, as k full columns."""
+    grids = np.meshgrid(*(np.arange(ring.size) for _ in range(k)), indexing="ij")
+    return [ring.element_vectors()[g.reshape(-1)] for g in grids]
+
+
+def _first_witness(bad, cols):
+    if not bad.any():
+        return None
+    first = int(np.flatnonzero(bad)[0])
+    return tuple(c[first].tolist() for c in cols)
+
+
+def _one_shot_jordan(h, n):
+    (elems,) = _one_shot_columns(h.domain, 1)
+    lhs = h.apply_batch(h.domain.power_batch(elems, n))
+    rhs = h.codomain.power_batch(h.apply_batch(elems), n)
+    witness = _first_witness((lhs != rhs).any(axis=1), [elems])
+    return PredicateResult(witness is None, len(elems), True, witness)
+
+
+def _one_shot_ring(h, n):
+    cols = _one_shot_columns(h.domain, n)
+    lhs = h.apply_batch(h.domain.product_batch(cols))
+    rhs = h.codomain.product_batch(h.apply_batch(c) for c in cols)
+    witness = _first_witness((lhs != rhs).any(axis=1), cols)
+    return PredicateResult(witness is None, len(cols[0]), True, witness)
+
+
+def _one_shot_evaluate(ident, h):
+    """evaluate's verdict from full columns, applying h to each left word."""
+    ring_a, ring_b, m = h.domain, h.codomain, h.domain.modulus
+    variables = sorted(set(ident.lhs.variables()) | set(ident.rhs.variables()))
+    cols = _one_shot_columns(ring_a, len(variables))
+    assign = dict(zip(variables, cols))
+    lhs = np.zeros((len(cols[0]), ring_b.dim), dtype=np.int64)
+    for word, coeff in ident.lhs.terms:
+        lhs = (lhs + residue(coeff, m) * h.apply_batch(ring_a.product_batch(assign[v] for v in word))) % m
+    rhs = np.zeros_like(lhs)
+    for word, coeff in ident.rhs.terms:
+        rhs = (rhs + residue(coeff, m) * ring_b.product_batch(h.apply_batch(assign[v]) for v in word)) % m
+    witness = _first_witness((lhs != rhs).any(axis=1), cols)
+    return witness is None, len(cols[0]), witness and dict(zip(map(var_name, variables), witness))
+
+
+def _streamed_maps():
+    pair = ring_from_spec("zm:5^2")
+    z5 = ring_from_spec("zm:5")
+    m22 = matrix_ring(2, 5)
+    return [
+        AdditiveMap(pair, pair, [[1, 0], [0, 1]]),
+        AdditiveMap(pair, pair, [[2, 0], [0, 0]]),
+        AdditiveMap(pair, pair, [[0, 1], [1, 0]]),
+        AdditiveMap(pair, z5, [[1, 1]]),
+        negation_map(m22),
+        transpose_map(2, 5)[1],
+        AdditiveMap(m22, z5, [[1, 0, 0, 1]]),
+    ]
+
+
+@pytest.mark.parametrize("block", [7, 100, models.BLOCK_ROWS])
+def test_streamed_jordan_predicate_matches_one_shot_column(block, monkeypatch):
+    monkeypatch.setattr(models, "BLOCK_ROWS", block)
+    for h in _streamed_maps():
+        for n in (2, 3, 4):
+            assert is_n_jordan(h, n) == _one_shot_jordan(h, n)
+
+
+@pytest.mark.parametrize("block", [1000, models.BLOCK_ROWS])
+def test_streamed_ring_predicate_matches_one_shot_columns(block, monkeypatch):
+    monkeypatch.setattr(models, "BLOCK_ROWS", block)
+    for h in _streamed_maps():
+        if h.domain.size ** 3 <= 10 ** 5:
+            for n in (2, 3):
+                assert is_n_ring(h, n) == _one_shot_ring(h, n)
+        else:
+            assert is_n_ring(h, 2) == _one_shot_ring(h, 2)
+
+
+@pytest.mark.parametrize("block", [100, models.BLOCK_ROWS])
+def test_streamed_evaluation_matches_one_shot_columns(block, monkeypatch):
+    monkeypatch.setattr(models, "BLOCK_ROWS", block)
+    texts = [
+        "h(x*y*x) = H(x)^2*H(y)",
+        "h(x*y + y*x) = 2*H(x)*H(y)",
+        "h(x^2*y - 3*y*x^2 + 2/3*x*y*x) = -1/3*H(x)^2*H(y)",
+        "h(x*y*z) = H(x)*H(y)*H(z)",
+    ]
+    for h in _streamed_maps():
+        for text in texts:
+            ident = parse_identity(text, NONCOMMUTATIVE)
+            if h.domain.size ** len(ident.lhs.variables()) > 10 ** 5:
+                continue
+            rep = evaluate(ident, h.domain, h.codomain, h)
+            assert rep.exhaustive
+            assert (rep.ok, rep.checked, rep.witness) == _one_shot_evaluate(ident, h)
+
+
+def test_first_mismatch_past_the_first_block():
+    """h(x, y) = (2x, 0) on Z_5 x Z_5 first fails at a_1 = ... = a_4 = (1, 0), element 5."""
+    pair = ring_from_spec("zm:5^2")
+    h = AdditiveMap(pair, pair, [[2, 0], [0, 0]])
+    first = 5 * (25 ** 3 + 25 ** 2 + 25 + 1)
+    assert first > models.BLOCK_ROWS
+    expected = _one_shot_ring(h, 4)
+    assert expected == PredicateResult(False, 25 ** 4, True, ([1, 0], [1, 0], [1, 0], [1, 0]))
+    assert is_n_ring(h, 4) == expected
+    ident = parse_identity("h(x*y*z*w) = H(x)*H(y)*H(z)*H(w)", NONCOMMUTATIVE)
+    rep = evaluate(ident, pair, pair, h)
+    assert (rep.ok, rep.checked, rep.space, rep.exhaustive) == (False, 25 ** 4, 25 ** 4, True)
+    assert rep.witness == {"x": [1, 0], "y": [1, 0], "z": [1, 0], "w": [1, 0]}
