@@ -104,30 +104,26 @@ def classify_njordan_functionals(m: int, n: int) -> list[LinearMapC]:
     return out
 
 
-def is_involution_preserving(h: LinearMapC, tol: float = FILTER_TOL) -> bool:
+def is_involution_preserving(h: LinearMapC) -> bool:
     """h(conj(a)) = conj(h(a)) for all a, equivalent to a real matrix."""
-    return float(np.max(np.abs(h.matrix.imag), initial=0.0)) <= tol
+    return float(np.max(np.abs(h.matrix.imag), initial=0.0)) <= FILTER_TOL
 
 
-def _first_bad(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> tuple[bool, int | None]:
-    """(True, None) when every sample's sup-norm defect is within tol, else (False, first bad sample)."""
-    bad = np.flatnonzero(np.abs(lhs - rhs).max(axis=1, initial=0.0) > tol)
+def _first_bad(lhs: np.ndarray, rhs: np.ndarray) -> tuple[bool, int | None]:
+    """(True, None) when every sample's sup-norm defect is within FILTER_TOL, else (False, first bad sample)."""
+    bad = np.flatnonzero(np.abs(lhs - rhs).max(axis=1, initial=0.0) > FILTER_TOL)
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
-def is_power_jordan(
-    h: LinearMapC, n: int, samples: np.ndarray, tol: float = FILTER_TOL
-) -> tuple[bool, int | None]:
+def is_power_jordan(h: LinearMapC, n: int, samples: np.ndarray) -> tuple[bool, int | None]:
     """Does h(a^n) = h(a)^n hold on every sample; returns first bad index."""
-    return _first_bad(h.apply(samples ** n), h.apply(samples) ** n, tol)
+    return _first_bad(h.apply(samples ** n), h.apply(samples) ** n)
 
 
-def preserves_star_product(
-    h: LinearMapC, samples: np.ndarray, tol: float = FILTER_TOL
-) -> tuple[bool, int | None]:
+def preserves_star_product(h: LinearMapC, samples: np.ndarray) -> tuple[bool, int | None]:
     """Does h(a* a) = h(a)* h(a) hold on every sample."""
     img = h.apply(samples)
-    return _first_bad(h.apply(np.conjugate(samples) * samples), np.conjugate(img) * img, tol)
+    return _first_bad(h.apply(np.conjugate(samples) * samples), np.conjugate(img) * img)
 
 
 def check_corollary_2_6(
@@ -135,7 +131,6 @@ def check_corollary_2_6(
     k: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    tol: float = FILTER_TOL,
 ) -> dict:
     """Contractivity sweep over componentwise cube-power-preserving maps.
 
@@ -150,7 +145,7 @@ def check_corollary_2_6(
     if m > 3 or k > 3:
         raise ValueError("sweep capped at m <= 3, k <= 3")
     functionals = [
-        f for f in classify_njordan_functionals(m, 3) if is_involution_preserving(f, tol)
+        f for f in classify_njordan_functionals(m, 3) if is_involution_preserving(f)
     ]
     dom = DiagAlgebra(m)
     batch = dom.samples(samples, seed)
@@ -160,7 +155,7 @@ def check_corollary_2_6(
     all_contractive = True
     for components in itertools.product(functionals, repeat=k):
         h = LinearMapC(np.vstack([f.matrix for f in components]))
-        ok, _ = is_power_jordan(h, 3, batch, tol)
+        ok, _ = is_power_jordan(h, 3, batch)
         norm = op_norm_sup(h)
         maps_checked += 1
         max_norm = max(max_norm, norm)
@@ -168,7 +163,7 @@ def check_corollary_2_6(
         all_contractive = all_contractive and norm <= 1.0
     fake = np.zeros((1, m), dtype=complex)
     fake[0, 0] = 2.0
-    fake_rejected = not is_power_jordan(LinearMapC(fake), 3, batch, tol)[0]
+    fake_rejected = not is_power_jordan(LinearMapC(fake), 3, batch)[0]
     return {
         "m": m,
         "k": k,
@@ -189,7 +184,6 @@ def step2_reduction_check(
     n: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    tol: float = FILTER_TOL,
 ) -> bool:
     """Whole-map power preservation is equivalent to componentwise.
 
@@ -200,11 +194,11 @@ def step2_reduction_check(
     """
     dom = DiagAlgebra(h.domain_dim)
     batch = dom.samples(samples, seed)
-    whole, _ = is_power_jordan(h, n, batch, tol)
+    whole, _ = is_power_jordan(h, n, batch)
     component_results = []
     for row in range(h.codomain_dim):
         comp = LinearMapC(h.matrix[row : row + 1, :])
-        ok, _ = is_power_jordan(comp, n, batch, tol)
+        ok, _ = is_power_jordan(comp, n, batch)
         component_results.append(ok)
     componentwise = all(component_results)
     return whole == componentwise
@@ -215,7 +209,6 @@ def check_theorem_2_7(
     power: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    tol: float = FILTER_TOL,
 ) -> dict:
     """Norm check for maps passing the full hypothesis filter set.
 
@@ -223,7 +216,7 @@ def check_theorem_2_7(
     preservation, and h(a* a) = h(a)* h(a) on samples.  A map failing any
     filter is reported as rejected with the failing hypothesis and witness
     sample index, and no norm claim is made.  A map passing all three must
-    satisfy op_norm_sup(h) <= 1 + tol; the report also traces the
+    satisfy op_norm_sup(h) <= 1 + FILTER_TOL; the report also traces the
     inequality norm(h(a))^(4*power+2) <= opnorm(h)^4 * norm(a)^(4*power+2)
     on every sample and returns the smallest and largest observed slack.
     """
@@ -239,12 +232,12 @@ def check_theorem_2_7(
             "ok": False,
         }
 
-    ok, witness = is_power_jordan(h, power, batch, tol)
+    ok, witness = is_power_jordan(h, power, batch)
     if not ok:
         return rejected("power_preservation", witness)
-    if not is_involution_preserving(h, tol):
+    if not is_involution_preserving(h):
         return rejected("involution_preservation", None)
-    ok, witness = preserves_star_product(h, batch, tol)
+    ok, witness = preserves_star_product(h, batch)
     if not ok:
         return rejected("star_product", witness)
 
@@ -261,13 +254,13 @@ def check_theorem_2_7(
         "rejected_by": None,
         "power": power,
         "norm": norm,
-        "contractive": norm <= 1.0 + tol,
+        "contractive": norm <= 1.0 + FILTER_TOL,
         "min_slack": min_slack,
         "max_slack": max_slack,
-        "slack_nonnegative": min_slack >= -tol,
+        "slack_nonnegative": min_slack >= -FILTER_TOL,
         "samples": samples,
         "seed": seed,
-        "ok": norm <= 1.0 + tol,
+        "ok": norm <= 1.0 + FILTER_TOL,
     }
 
 

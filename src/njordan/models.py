@@ -2,8 +2,10 @@
 
 A ring lives on the additive group (Z_m)^d.  Multiplication is the bilinear
 extension of a table c[i, j] giving the product of basis vectors e_i * e_j
-as a vector of d coefficients.  Associativity is checked on all basis
-triples at construction time, so an accepted FiniteRing really is a ring.
+as a vector of d coefficients.  The list of its nonzero entries is the
+ring's multiplication: the product kernel sums over it, and associativity
+is checked on all basis triples at construction time by joining it with
+itself, so an accepted FiniteRing really is a ring.
 
 Additive maps between two rings over the same modulus are exactly the
 (d_B x d_A) matrices over Z_m.  They are enumerated in row-major order
@@ -16,8 +18,9 @@ real or complex algebras that motivate the example constructions.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice, product as cartesian_product
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -33,9 +36,12 @@ BLOCK_ROWS = 2 ** 16
 ELEMENT_CAP = 2 ** 22
 CONSTRUCTOR_MODULI = (2, 3, 5, 7)
 MAX_MATRIX_SIZE = 4
-# Most basis elements of any ring, with no override: on a dense structure
-# table the associativity check forms d^4 products of d terms each.
+# Most basis elements of any ring, with no override: every ring materializes
+# its d x d x d structure table.
 MAX_DIM = 64
+# Most products the associativity join may form, with no override; the
+# largest constructor ring, nilpoly:63, needs 91,520.
+MAX_JOIN = 2 * 10 ** 5
 
 
 def _check_dim(d: int) -> None:
@@ -101,7 +107,8 @@ class FiniteRing:
         self.name = name
         self.modulus = modulus
         self.struct = struct
-        # (i, j, k, c) for every nonzero c = struct[i, j, k], the terms mul_batch sums
+        # (i, j, k, c) for every nonzero c = struct[i, j, k]: the terms mul_batch
+        # sums and _check_associativity joins
         nonzero = np.nonzero(struct)
         self._terms = list(zip(*(a.tolist() for a in nonzero), struct[nonzero].tolist()))
         self.dim = struct.shape[0]
@@ -113,21 +120,30 @@ class FiniteRing:
         self._powers: dict[int, np.ndarray] = {}
 
     def _check_associativity(self) -> None:
-        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple.
+        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, as a join over the nonzero constants.
 
-        Both sides vanish unless e_i e_j or e_j e_k is nonzero, so only the
-        triples through a basis pair (a, b) with a nonzero product are formed.
+        For each term e_i e_j -> c e_p, (e_i e_j) e_k goes through the terms
+        e_p e_k and e_a (e_i e_j) through the terms e_a e_p.  Both sides are
+        summed into one coefficient per (i, j, k, r); a triple is bad when one
+        of its coefficients is nonzero mod m.  The join's size is known from
+        the term counts, and a join over MAX_JOIN products is refused first.
         """
-        c, m = self.struct, self.modulus
-        a, b = np.nonzero(c.any(axis=2))
-        # triples (a, b, k) as (pair, k, .) and (i, a, b) as (pair, i, .)
-        tail = (np.einsum("pl,lkm->pkm", c[a, b], c) - np.einsum("pkl,plm->pkm", c[b], c[a])) % m
-        head = (np.einsum("ipl,lpm->pim", c[:, a], c[:, b]) - np.einsum("pl,ilm->pim", c[a, b], c)) % m
-        p, k = np.nonzero(tail.any(axis=2))
-        q, i = np.nonzero(head.any(axis=2))
-        bad = sorted(zip(a[p], b[p], k)) + sorted(zip(i, a[q], b[q]))
+        starting, ending = defaultdict(list), defaultdict(list)
+        for i, j, k, c in self._terms:
+            starting[i].append((j, k, c))
+            ending[j].append((i, k, c))
+        work = sum(len(starting[p]) + len(ending[p]) for _, _, p, _ in self._terms)
+        if work > MAX_JOIN:
+            raise GuardError(f"associativity check needs {work} products, over {MAX_JOIN}")
+        diff: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
+        for i, j, p, c in self._terms:
+            for k, r, c2 in starting[p]:
+                diff[i, j, k, r] += c * c2
+            for a, r, c2 in ending[p]:
+                diff[a, i, j, r] -= c * c2
+        bad = [key[:3] for key, value in diff.items() if value % self.modulus]
         if bad:
-            raise ValueError(f"structure table is not associative at basis triple {tuple(int(x) for x in min(bad))}")
+            raise ValueError(f"structure table is not associative at basis triple {min(bad)}")
 
     def _find_unit(self) -> np.ndarray | None:
         """The unit over a prime modulus, solving u*e_j = e_j and e_i*u = e_i for u."""
@@ -185,10 +201,10 @@ class FiniteRing:
     ) -> tuple[Iterator[list[np.ndarray]], bool]:
         """Blocks of columns of elements to assign to k variables, and whether they are exhaustive.
 
-        Every k-tuple in index order, in blocks of at most BLOCK_ROWS
-        rows, when the size**k tuples fit under cap; otherwise one block of
-        sample_count seeded uniform draws per column, which needs sample_seed.
-        The map predicates and identity evaluation all draw their assignments
+        Every k-tuple in index order when the size**k tuples fit under cap;
+        otherwise sample_count seeded uniform draws per column, which needs
+        sample_seed.  Either way in blocks of at most BLOCK_ROWS rows.  The
+        map predicates and identity evaluation all draw their assignments
         here.
         """
         space = self.size ** k
@@ -200,7 +216,8 @@ class FiniteRing:
         if sample_seed is None:
             raise GuardError(f"{space} assignments exceed cap {cap}; pass sample_seed to sample")
         rng = np.random.default_rng(sample_seed)
-        return iter([[rng.integers(0, self.modulus, size=(sample_count, self.dim)) for _ in range(k)]]), False
+        draws = [rng.integers(0, self.modulus, size=(sample_count, self.dim)) for _ in range(k)]
+        return ([col[s:s + BLOCK_ROWS] for col in draws] for s in range(0, sample_count, BLOCK_ROWS)), False
 
     def product_batch(self, factors: Iterable[np.ndarray]) -> np.ndarray:
         """Left-to-right ring product of a nonempty sequence of (N, d) batches.
@@ -226,14 +243,14 @@ class FiniteRing:
         return f"FiniteRing({self.name}, m={self.modulus}, d={self.dim})"
 
 
-def nilpotency_index(ring: FiniteRing, max_k: int = 16) -> int | None:
+def nilpotency_index(ring: FiniteRing) -> int | None:
     """Smallest k with every k-fold product zero, via the ranks of A^k; None if none."""
     p = ring.modulus
     if prime_factors(p) != {p}:
         raise GuardError("nilpotency index needs a prime modulus")
     basis = np.eye(ring.dim, dtype=np.int64)
     span = basis  # independent rows spanning A^(k-1)
-    for k in range(2, max_k + 1):
+    for k in count(2):  # the rank of A^k falls at every step, so this ends by k = d + 1
         prods = np.concatenate([ring.mul_batch(np.tile(e, (span.shape[0], 1)), span) for e in basis])
         independent, _, _ = _eliminate_rows(prods, np.zeros(ring.dim, dtype=np.int64), p)
         if not independent:
@@ -241,7 +258,6 @@ def nilpotency_index(ring: FiniteRing, max_k: int = 16) -> int | None:
         if len(independent) == span.shape[0]:
             return None  # A^k = A^(k-1), since A^k lies inside A^(k-1)
         span = prods[independent]
-    return None
 
 
 # --- constructors ------------------------------------------------------------
@@ -252,11 +268,27 @@ def _guard_modulus(m: int, override: bool) -> None:
         raise GuardError(f"modulus {m} outside {CONSTRUCTOR_MODULI}; pass override to lift")
 
 
+def _monomial(name: str, m: int, basis: Iterable, product: Callable) -> FiniteRing:
+    """The ring on the given basis keys with e_a e_b = e_product(a, b), or 0 for a key outside the basis."""
+    pos = {key: n for n, key in enumerate(basis)}
+    struct = np.zeros((len(pos),) * 3, dtype=np.int64)
+    for a, i in pos.items():
+        for b, j in pos.items():
+            k = pos.get(product(a, b))
+            if k is not None:
+                struct[i, j, k] = 1
+    return FiniteRing(name, m, struct)
+
+
+def _matrix_unit(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int] | None:
+    """E_ij E_pq = E_iq when j = p, else zero."""
+    return (a[0], b[1]) if a[1] == b[0] else None
+
+
 def make_zm(m: int, override: bool = False) -> FiniteRing:
     """The ring Z_m."""
     _guard_modulus(m, override)
-    struct = np.ones((1, 1, 1), dtype=np.int64)
-    return FiniteRing(f"zm:{m}", m, struct)
+    return _monomial(f"zm:{m}", m, [0], lambda a, b: 0)
 
 
 def _direct_sum(name: str, modulus: int, blocks: list[np.ndarray]) -> FiniteRing:
@@ -284,14 +316,9 @@ def matrix_ring(k: int, m: int, override: bool = False) -> FiniteRing:
     if k > MAX_MATRIX_SIZE and not override:
         raise GuardError(f"matrix size {k} exceeds {MAX_MATRIX_SIZE}; pass override to lift")
     _guard_modulus(m, override)
-    d = k * k
-    _check_dim(d)
-    struct = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            for q in range(k):
-                struct[i * k + j, j * k + q, i * k + q] = 1
-    return FiniteRing(f"mat:{k}x{k}@{m}", m, struct)
+    _check_dim(k * k)
+    units = [(i, j) for i in range(k) for j in range(k)]
+    return _monomial(f"mat:{k}x{k}@{m}", m, units, _matrix_unit)
 
 
 def strict_upper(k: int, m: int, override: bool = False) -> FiniteRing:
@@ -300,15 +327,8 @@ def strict_upper(k: int, m: int, override: bool = False) -> FiniteRing:
         raise GuardError(f"matrix size {k} exceeds {MAX_MATRIX_SIZE}; pass override to lift")
     _guard_modulus(m, override)
     _check_dim(k * (k - 1) // 2)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    pos = {p: n for n, p in enumerate(pairs)}
-    d = len(pairs)
-    struct = np.zeros((d, d, d), dtype=np.int64)
-    for (i, j), a in pos.items():
-        for (p, q), b in pos.items():
-            if j == p:
-                struct[a, b, pos[(i, q)]] = 1
-    return FiniteRing(f"upper:{k}@{m}", m, struct)
+    units = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return _monomial(f"upper:{k}@{m}", m, units, _matrix_unit)
 
 
 def function_ring(base: FiniteRing, npoints: int, override: bool = False) -> FiniteRing:
@@ -333,33 +353,15 @@ def truncated_free(letters: int, maxdeg: int, m: int, override: bool = False) ->
     # words of length 1..maxdeg; with two or more letters, lengths past MAX_DIM
     # only add to a count already far over the bound
     _check_dim(maxdeg if letters == 1 else sum(letters ** k for k in range(1, min(maxdeg, MAX_DIM) + 1)))
-    words: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(maxdeg):
-        frontier = [w + (a,) for w in frontier for a in range(letters)]
-        words.extend(frontier)
-    pos = {w: i for i, w in enumerate(words)}
-    d = len(words)
-    struct = np.zeros((d, d, d), dtype=np.int64)
-    for w1, i in pos.items():
-        for w2, j in pos.items():
-            cat = w1 + w2
-            if len(cat) <= maxdeg:
-                struct[i, j, pos[cat]] = 1
-    return FiniteRing(f"freetrunc:{letters}d{maxdeg}@{m}", m, struct)
+    words = [w for n in range(1, maxdeg + 1) for w in cartesian_product(range(letters), repeat=n)]
+    return _monomial(f"freetrunc:{letters}d{maxdeg}@{m}", m, words, lambda w1, w2: w1 + w2)
 
 
 def truncated_poly(m: int, maxdeg: int, override: bool = False) -> FiniteRing:
     """Unital commutative ring Z_m[e] with e^(maxdeg+1) = 0; basis 1, e, ..., e^maxdeg."""
     _guard_modulus(m, override)
-    d = maxdeg + 1
-    _check_dim(d)
-    struct = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            if i + j < d:
-                struct[i, j, i + j] = 1
-    return FiniteRing(f"nilpoly:{maxdeg}@{m}", m, struct)
+    _check_dim(maxdeg + 1)
+    return _monomial(f"nilpoly:{maxdeg}@{m}", m, range(maxdeg + 1), lambda i, j: i + j)
 
 
 def gap_witness_model() -> tuple[FiniteRing, FiniteRing, AdditiveMap]:
@@ -392,17 +394,14 @@ def ring_from_spec(spec: str, override: bool = False) -> FiniteRing:
         inner, pts = body.rsplit(",pts:", 1)
         return function_ring(ring_from_spec(inner, override), int(pts), override)
     if s.startswith("zm:"):
-        body = s[3:]
-        if "^" in body:
-            mstr, kstr = body.split("^", 1)
-            m, k = int(mstr), int(kstr)
-            if k < 1:
-                raise ValueError("power must be positive")
-            _guard_modulus(m, override)
-            _check_dim(k)
-            name = f"zm:{m}^{k}" if k > 1 else f"zm:{m}"
-            return _direct_sum(name, m, [np.ones((1, 1, 1), dtype=np.int64)] * k)
-        return make_zm(int(body), override)
+        mstr, power, kstr = s[3:].partition("^")
+        m, k = int(mstr), int(kstr) if power else 1
+        if k < 1:
+            raise ValueError("power must be positive")
+        _guard_modulus(m, override)
+        _check_dim(k)
+        name = f"zm:{m}^{k}" if k > 1 else f"zm:{m}"
+        return _monomial(name, m, range(k), lambda i, j: i if i == j else None)
     if s.startswith("mat:"):
         body = s[4:]
         shape, mstr = body.split("@", 1)

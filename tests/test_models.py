@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import numpy as np
@@ -123,6 +124,23 @@ class TestRingConstruction:
         ):
             with pytest.raises(GuardError, match="exceeds 64"):
                 build()
+
+    def test_associativity_join_is_bounded_before_it_starts(self, monkeypatch):
+        assert models.MAX_JOIN == 2 * 10 ** 5
+        dense = np.random.default_rng(0).integers(0, 2, (64, 64, 64))
+        t0 = time.perf_counter()
+        with pytest.raises(GuardError, match="associativity check needs"):
+            models.FiniteRing("dense", 5, dense)
+        assert time.perf_counter() - t0 < 1.0
+        t0 = time.perf_counter()
+        assert ring_from_spec("nilpoly:63@5").dim == 64
+        assert time.perf_counter() - t0 < 1.0
+        # the largest constructor ring's join, 91,520 products, sits at the bound
+        monkeypatch.setattr(models, "MAX_JOIN", 91_520)
+        assert ring_from_spec("nilpoly:63@5").dim == 64
+        monkeypatch.setattr(models, "MAX_JOIN", 91_519)
+        with pytest.raises(GuardError, match="needs 91520 products"):
+            ring_from_spec("nilpoly:63@5")
 
     def test_modulus_guard(self):
         with pytest.raises(GuardError):

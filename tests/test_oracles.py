@@ -7,15 +7,17 @@ seeded map sample are compared with plain Python digit arithmetic and
 per-map draws.  The one exact eliminator is compared with sympy's rank over
 Q and prime fields on random sparse matrices, and the unit and the
 nilpotency index it computes with their known values on every constructor.
-The ring constructor's associativity check, which forms only the triples
-through basis pairs with a nonzero product, is compared with dense d^4
-tables on random structure constants.  substitute_linear is compared with
-a plain expansion that picks one image term per letter and sums in a
-dict, with no FreePoly arithmetic.  Sampled predicate and evaluation runs
-must return the witnesses recorded before their assignment source was
-shared.  The sparse ring product is compared with the dense einsum over
-the whole structure table, and the streamed exhaustive assignments with
-one-shot meshgrid columns checked all at once.
+The ring constructor's associativity check, a join over the nonzero
+structure constants, is compared with dense d^4 tables on random structure
+constants, and every catalogue ring's table with an independent definition
+of its basis products (matrix units multiplied as numpy matrices, word
+concatenation, exponent sums, componentwise products).  substitute_linear
+is compared with a plain expansion that picks one image term per letter
+and sums in a dict, with no FreePoly arithmetic.  Sampled predicate and
+evaluation runs must return the witnesses recorded before their assignment
+source was shared.  The sparse ring product is compared with the dense
+einsum over the whole structure table, and the streamed assignments,
+exhaustive and sampled, with one-shot columns checked all at once.
 """
 
 from __future__ import annotations
@@ -211,6 +213,8 @@ UNIT_AND_NILPOTENCY = [
     ("fun:upper:4@2,pts:3", None, 4),
     ("freetrunc:1d2@2", None, 3),
     ("freetrunc:2d3@5", None, 4),
+    ("freetrunc:1d16@5", None, 17),
+    ("freetrunc:1d20@5", None, 21),
     ("nilpoly:2@5", [1, 0, 0], None),
 ]
 
@@ -247,6 +251,72 @@ def test_associativity_check_matches_dense_tables():
             with pytest.raises(ValueError, match=re.escape(f"at basis triple {expected}")):
                 FiniteRing("r", m, struct)
     assert 100 < failures < 900
+
+
+def _orthonormal_table(basis, product):
+    """Table of the span of 0/1 basis vectors with disjoint supports, which
+    product maps into itself: coefficients are inner products with the basis."""
+    basis = np.array(basis, dtype=np.int64)
+    prods = np.array([[product(a, b) for b in basis] for a in basis])
+    table = prods @ basis.T
+    assert (table @ basis == prods).all()  # every product lies in the span
+    return table
+
+
+def _matrix_unit_table(k, upper):
+    """Matrix units E_ij (i < j when upper) in row-major order, multiplied as k x k matrices."""
+    units = []
+    for i, j in itertools.product(range(k), repeat=2):
+        if not upper or i < j:
+            e = np.zeros((k, k), dtype=np.int64)
+            e[i, j] = 1
+            units.append(e.reshape(-1))
+    return _orthonormal_table(units, lambda a, b: (a.reshape(k, k) @ b.reshape(k, k)).reshape(-1))
+
+
+def _componentwise_table(k):
+    return _orthonormal_table(np.eye(k, dtype=np.int64), np.multiply)
+
+
+def _concatenation_table(letters, maxdeg):
+    """Words of length 1..maxdeg sorted by (length, word), multiplied by concatenation."""
+    words = sorted(
+        {w for n in range(1, maxdeg + 1) for w in itertools.product(range(letters), repeat=n)},
+        key=lambda w: (len(w), w),
+    )
+    pos = {w: i for i, w in enumerate(words)}
+    table = np.zeros((len(words),) * 3, dtype=np.int64)
+    for u, v in itertools.product(words, repeat=2):
+        if len(u) + len(v) <= maxdeg:
+            table[pos[u], pos[v], pos[u + v]] = 1
+    return table
+
+
+def _exponent_sum_table(maxdeg):
+    """Powers e^0..e^maxdeg, multiplied by adding exponents."""
+    d = maxdeg + 1
+    table = np.zeros((d, d, d), dtype=np.int64)
+    for i, j in itertools.product(range(d), repeat=2):
+        if i + j <= maxdeg:
+            table[i, j, i + j] = 1
+    return table
+
+
+# (spec, an independent definition of its table, its arguments)
+CONSTRUCTOR_TABLES = (
+    [(f"mat:{k}x{k}@5", _matrix_unit_table, (k, False)) for k in (1, 2, 3, 4)]
+    + [(f"upper:{k}@2", _matrix_unit_table, (k, True)) for k in (2, 3, 4, 6)]
+    + [(f"freetrunc:{n}d{e}@5", _concatenation_table, (n, e)) for n, e in ((1, 1), (1, 5), (2, 3), (3, 2), (2, 5))]
+    + [(f"nilpoly:{e}@7", _exponent_sum_table, (e,)) for e in (0, 1, 4, 63)]
+    + [(f"zm:5^{k}", _componentwise_table, (k,)) for k in (1, 2, 3, 64)]
+    + [("zm:7", _componentwise_table, (1,))]
+)
+
+
+@pytest.mark.parametrize("spec,definition,args", CONSTRUCTOR_TABLES)
+def test_constructor_tables_match_their_definitions(spec, definition, args):
+    expected = definition(*args)
+    assert ring_from_spec(spec, override=True).struct.tolist() == expected.tolist()
 
 
 def test_sampled_predicates_keep_their_witnesses():
@@ -384,8 +454,12 @@ def test_mul_batch_matches_exact_products_just_under_the_int64_guard(spec_of, fa
     assert (got == _einsum_product(ring, u, v)).all()
 
 
-def _one_shot_columns(ring, k):
-    """Every k-tuple of elements in index order, as k full columns."""
+def _one_shot_columns(ring, k, sample=None):
+    """Every k-tuple of elements in index order, as k full columns; or, for
+    sample = (seed, count), count seeded draws per column."""
+    if sample is not None:
+        rng = np.random.default_rng(sample[0])
+        return [rng.integers(0, ring.modulus, size=(sample[1], ring.dim)) for _ in range(k)]
     grids = np.meshgrid(*(np.arange(ring.size) for _ in range(k)), indexing="ij")
     return [ring.element_vectors()[g.reshape(-1)] for g in grids]
 
@@ -397,27 +471,27 @@ def _first_witness(bad, cols):
     return tuple(c[first].tolist() for c in cols)
 
 
-def _one_shot_jordan(h, n):
-    (elems,) = _one_shot_columns(h.domain, 1)
+def _one_shot_jordan(h, n, sample=None):
+    (elems,) = _one_shot_columns(h.domain, 1, sample)
     lhs = h.apply_batch(h.domain.power_batch(elems, n))
     rhs = h.codomain.power_batch(h.apply_batch(elems), n)
     witness = _first_witness((lhs != rhs).any(axis=1), [elems])
-    return PredicateResult(witness is None, len(elems), True, witness)
+    return PredicateResult(witness is None, len(elems), sample is None, witness)
 
 
-def _one_shot_ring(h, n):
-    cols = _one_shot_columns(h.domain, n)
+def _one_shot_ring(h, n, sample=None):
+    cols = _one_shot_columns(h.domain, n, sample)
     lhs = h.apply_batch(h.domain.product_batch(cols))
     rhs = h.codomain.product_batch(h.apply_batch(c) for c in cols)
     witness = _first_witness((lhs != rhs).any(axis=1), cols)
-    return PredicateResult(witness is None, len(cols[0]), True, witness)
+    return PredicateResult(witness is None, len(cols[0]), sample is None, witness)
 
 
-def _one_shot_evaluate(ident, h):
+def _one_shot_evaluate(ident, h, sample=None):
     """evaluate's verdict from full columns, applying h to each left word."""
     ring_a, ring_b, m = h.domain, h.codomain, h.domain.modulus
     variables = sorted(set(ident.lhs.variables()) | set(ident.rhs.variables()))
-    cols = _one_shot_columns(ring_a, len(variables))
+    cols = _one_shot_columns(ring_a, len(variables), sample)
     assign = dict(zip(variables, cols))
     lhs = np.zeros((len(cols[0]), ring_b.dim), dtype=np.int64)
     for word, coeff in ident.lhs.terms:
@@ -450,6 +524,9 @@ def test_streamed_jordan_predicate_matches_one_shot_column(block, monkeypatch):
     for h in _streamed_maps():
         for n in (2, 3, 4):
             assert is_n_jordan(h, n) == _one_shot_jordan(h, n)
+            # sampled: the same seeded draws, sliced into blocks
+            sampled = is_n_jordan(h, n, max_elements=1, sample_seed=n, sample_count=500)
+            assert sampled == _one_shot_jordan(h, n, (n, 500))
 
 
 @pytest.mark.parametrize("block", [1000, models.BLOCK_ROWS])
@@ -461,6 +538,9 @@ def test_streamed_ring_predicate_matches_one_shot_columns(block, monkeypatch):
                 assert is_n_ring(h, n) == _one_shot_ring(h, n)
         else:
             assert is_n_ring(h, 2) == _one_shot_ring(h, 2)
+        for n in (2, 3):
+            sampled = is_n_ring(h, n, max_tuples=1, sample_seed=n, sample_count=2500)
+            assert sampled == _one_shot_ring(h, n, (n, 2500))
 
 
 @pytest.mark.parametrize("block", [100, models.BLOCK_ROWS])
@@ -472,9 +552,13 @@ def test_streamed_evaluation_matches_one_shot_columns(block, monkeypatch):
         "h(x^2*y - 3*y*x^2 + 2/3*x*y*x) = -1/3*H(x)^2*H(y)",
         "h(x*y*z) = H(x)*H(y)*H(z)",
     ]
-    for h in _streamed_maps():
+    for h in filter(lambda h: h.codomain.commutative, _streamed_maps()):
         for text in texts:
             ident = parse_identity(text, NONCOMMUTATIVE)
+            # every space here holds at least 25^2 assignments, so 300 are sampled
+            rep = evaluate(ident, h.domain, h.codomain, h, max_assignments=300, sample_seed=4)
+            assert not rep.exhaustive
+            assert (rep.ok, rep.checked, rep.witness) == _one_shot_evaluate(ident, h, (4, 300))
             if h.domain.size ** len(ident.lhs.variables()) > 10 ** 5:
                 continue
             rep = evaluate(ident, h.domain, h.codomain, h)
