@@ -213,9 +213,9 @@ UNIT_AND_NILPOTENCY = [
     ("fun:upper:4@2,pts:3", None, 4),
     ("freetrunc:1d2@2", None, 3),
     ("freetrunc:2d3@5", None, 4),
+    ("nilpoly:2@5", [1, 0, 0], None),
     ("freetrunc:1d16@5", None, 17),
     ("freetrunc:1d20@5", None, 21),
-    ("nilpoly:2@5", [1, 0, 0], None),
 ]
 
 
