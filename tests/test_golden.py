@@ -31,6 +31,9 @@ SINGLE = "h(x*y*z) = H(x)*H(y)*H(z)"
 CASES: dict[str, list[str]] = {
     "replay_thm2_2_n3": ["replay", "--script", "thm2_2_n3", "--json", "{out}/replay_thm2_2_n3.json"],
     "replay_thm2_5_step1": ["replay", "--script", "thm2_5_step1", "--json", "{out}/step1.json"],
+    "replay_thm2_5_step1_sym": [
+        "replay", "--script", "thm2_5_step1_sym", "--json", "{out}/replay_thm2_5_step1_sym.json",
+    ],
     "consequence_sym": [
         "consequence", "--n", "3", "--target", SYM_SIX, "--vars", "x,y,z", "--coeff-range", "1",
         "--cert", "{out}/sym.cert.json", "--json", "{out}/consequence_sym.json",
@@ -60,6 +63,12 @@ CASES: dict[str, list[str]] = {
     "search_mat2x2": [
         "search", "--domain", "mat:2x2@5", "--codomain", "zm:5", "--n", "3",
         "--predicate", "jordan_not_ring", "--unsafe-override", "--json", "{out}/search_mat2x2.json",
+    ],
+    # 6,000 seeded draws, all scanned (150 hits under the limit), cross every
+    # candidate block boundary
+    "search_zm5sq_sampled": [
+        "search", "--domain", "zm:5^2", "--codomain", "zm:5^2", "--n", "3", "--predicate", "njordan_not_jordan",
+        "--sample-count", "6000", "--seed", "7", "--limit", "700", "--json", "{out}/search_zm5sq_sampled.json",
     ],
     "examples": ["examples", "--json", "{out}/examples.json"],
     "norm_corollary26": ["norm", "corollary26", "--m", "3", "--k", "3", "--json", "{out}/norm_corollary26.json"],
