@@ -25,6 +25,16 @@ import numpy as np
 FILTER_TOL = 1e-9
 ALGEBRA_TOL = 1e-12
 DEFAULT_SAMPLES = 256
+# Most samples per batch and maps per reduction sweep, with no override.
+MAX_SAMPLES = 10 ** 5
+
+
+def _check_count(what: str, count: int) -> None:
+    """Refuse a sample or map count below 1 or over MAX_SAMPLES, before anything is drawn."""
+    if count < 1:
+        raise ValueError(f"{what} must be at least 1, got {count}")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"{what} {count} exceeds {MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +53,8 @@ class DiagAlgebra:
         return a * b
 
     def samples(self, count: int, seed: int = 0) -> np.ndarray:
-        """(count, k) array with entries uniform over the square [-1,1]^2; count is at least 1."""
-        if count < 1:
-            raise ValueError(f"sample count must be at least 1, got {count}")
+        """(count, k) array with entries uniform over the square [-1,1]^2; count is in [1, MAX_SAMPLES]."""
+        _check_count("sample count", count)
         rng = np.random.default_rng(seed)
         return rng.uniform(-1.0, 1.0, (count, self.k)) + 1j * rng.uniform(
             -1.0, 1.0, (count, self.k)
@@ -277,9 +286,8 @@ def coordinate_star_map(k: int, perm: tuple[int, ...] | None = None) -> LinearMa
 
 
 def random_linear_maps(m: int, k: int, count: int, seed: int = 0) -> list[LinearMapC]:
-    """Reproducible batch of dense complex maps for the reduction check."""
-    if count < 1:
-        raise ValueError(f"map count must be at least 1, got {count}")
+    """Reproducible batch of dense complex maps for the reduction check; count is in [1, MAX_SAMPLES]."""
+    _check_count("map count", count)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

@@ -358,30 +358,35 @@ _NOTE_FINAL = (
     " forms hold, which the mechanical derivation does not establish"
 )
 
+# The derivation of (9) from the cube identity, shared by both step-1 scripts.
+_STEP1_TO_9 = (
+    Seed(3),
+    Substitute(1, {"a": "x"}),
+    Substitute(1, {"a": "y"}),
+    Substitute(1, {"a": "x + y"}),
+    _c((1, 4), (-1, 2), (-1, 3)),
+    AssertEquals(
+        5,
+        "h(x*y*x + y*x^2 + y^2*x + x^2*y + x*y^2 + y*x*y)"
+        " = 3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
+        "(7)",
+    ),
+    Substitute(5, {"y": "-y"}),
+    AssertEquals(
+        7,
+        "h(-x*y*x - y*x^2 + y^2*x - x^2*y + x*y^2 + y*x*y)"
+        " = -3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
+        "(8)",
+    ),
+    _c((_F(1, 2), 5), (_F(1, 2), 7)),
+    AssertEquals(9, "h(x*y^2 + y^2*x + y*x*y) = 3*H(x)*H(y)^2", "(9)"),
+)
+
 THM2_5_STEP1 = DerivationScript(
     name="thm2_5_step1",
     mode=NONCOMMUTATIVE,
     steps=(
-        Seed(3),
-        Substitute(1, {"a": "x"}),
-        Substitute(1, {"a": "y"}),
-        Substitute(1, {"a": "x + y"}),
-        _c((1, 4), (-1, 2), (-1, 3)),
-        AssertEquals(
-            5,
-            "h(x*y*x + y*x^2 + y^2*x + x^2*y + x*y^2 + y*x*y)"
-            " = 3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
-            "(7)",
-        ),
-        Substitute(5, {"y": "-y"}),
-        AssertEquals(
-            7,
-            "h(-x*y*x - y*x^2 + y^2*x - x^2*y + x*y^2 + y*x*y)"
-            " = -3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
-            "(8)",
-        ),
-        _c((_F(1, 2), 5), (_F(1, 2), 7)),
-        AssertEquals(9, "h(x*y^2 + y^2*x + y*x*y) = 3*H(x)*H(y)^2", "(9)"),
+        *_STEP1_TO_9,
         Substitute(9, {"y": "y - z"}),
         AssertEquals(
             11,
@@ -451,26 +456,7 @@ THM2_5_STEP1_SYM = DerivationScript(
     name="thm2_5_step1_sym",
     mode=NONCOMMUTATIVE,
     steps=(
-        Seed(3),
-        Substitute(1, {"a": "x"}),
-        Substitute(1, {"a": "y"}),
-        Substitute(1, {"a": "x + y"}),
-        _c((1, 4), (-1, 2), (-1, 3)),
-        AssertEquals(
-            5,
-            "h(x*y*x + y*x^2 + y^2*x + x^2*y + x*y^2 + y*x*y)"
-            " = 3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
-            "(7)",
-        ),
-        Substitute(5, {"y": "-y"}),
-        AssertEquals(
-            7,
-            "h(-x*y*x - y*x^2 + y^2*x - x^2*y + x*y^2 + y*x*y)"
-            " = -3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
-            "(8)",
-        ),
-        _c((_F(1, 2), 5), (_F(1, 2), 7)),
-        AssertEquals(9, "h(x*y^2 + y^2*x + y*x*y) = 3*H(x)*H(y)^2", "(9)"),
+        *_STEP1_TO_9,
         Substitute(9, {"y": "y - z"}),
         AssertEquals(
             11,

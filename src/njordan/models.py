@@ -45,7 +45,9 @@ MAX_JOIN = 2 * 10 ** 5
 
 
 def _check_dim(d: int) -> None:
-    """Refuse a ring of dimension d over MAX_DIM, before any of its tables is built."""
+    """Refuse a ring of dimension d below 1 or over MAX_DIM, before any of its tables is built."""
+    if d < 1:
+        raise ValueError(f"ring dimension {d} is below 1: a ring needs at least one basis element")
     if d > MAX_DIM:
         raise GuardError(f"ring dimension {d} exceeds {MAX_DIM}")
 
@@ -205,8 +207,10 @@ class FiniteRing:
         otherwise sample_count seeded uniform draws per column, which needs
         sample_seed.  Either way in blocks of at most BLOCK_ROWS rows.  The
         map predicates and identity evaluation all draw their assignments
-        here.
+        here.  A sample_count below 1 is refused, so no check passes vacuously.
         """
+        if sample_count < 1:
+            raise ValueError(f"sample count must be at least 1, got {sample_count}")
         space = self.size ** k
         if space <= cap:
             elems = self.element_vectors()
@@ -491,51 +495,49 @@ def transpose_map(k: int, m: int, override: bool = False) -> tuple[FiniteRing, A
 def _candidates(
     domain: FiniteRing,
     codomain: FiniteRing,
+    block: int,
     sample_count: int | None = None,
     seed: int = 0,
     override: bool = False,
 ) -> Iterator[np.ndarray]:
-    """Candidate map matrices in chunks of shape (take, d_codomain, d_domain).
+    """Candidate map matrices in blocks of shape (at most block, d_codomain, d_domain).
 
     Every matrix in index order, guarded by the enumeration cap, or
-    ``sample_count`` seeded uniform draws when a count is given.
+    ``sample_count`` (at least 1) seeded uniform draws when a count is
+    given.  The draws do not depend on block: a Generator's stream is the
+    same however it is cut.
     """
-    chunk = 4096
     rows, cols, m = codomain.dim, domain.dim, domain.modulus
     if sample_count is not None:
+        if sample_count < 1:
+            raise ValueError(f"sample count must be at least 1, got {sample_count}")
         rng = np.random.default_rng(seed)
-        for start in range(0, sample_count, chunk):
-            yield rng.integers(0, m, size=(min(chunk, sample_count - start), rows, cols))
+        for start in range(0, sample_count, block):
+            yield rng.integers(0, m, size=(min(block, sample_count - start), rows, cols))
         return
     total = m ** (rows * cols)
     if total > ENUM_CAP and not override:
         raise GuardError(
             f"{total} additive maps exceed the enumeration cap {ENUM_CAP}; sample instead or pass override"
         )
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.int64)
         yield _digits(idx, m, rows * cols).reshape(-1, rows, cols)
 
 
-def enumerate_additive_maps(
+def additive_maps(
     domain: FiniteRing,
     codomain: FiniteRing,
+    sample_count: int | None = None,
+    seed: int = 0,
     override: bool = False,
 ) -> Iterator[AdditiveMap]:
-    """All additive maps in row-major index order; guarded by total count."""
-    for mats in _candidates(domain, codomain, override=override):
-        for mat in mats:
-            yield AdditiveMap(domain, codomain, mat)
+    """Every additive map in row-major index order, guarded by their count, or a seeded sample of them.
 
-
-def sample_additive_maps(
-    domain: FiniteRing,
-    codomain: FiniteRing,
-    count: int,
-    seed: int = 0,
-) -> Iterator[AdditiveMap]:
-    """Reproducible uniform sample of additive maps."""
-    for mats in _candidates(domain, codomain, sample_count=count, seed=seed):
+    Drawn in blocks of at most BLOCK_ROWS matrix entries.
+    """
+    block = max(1, BLOCK_ROWS // (codomain.dim * domain.dim))
+    for mats in _candidates(domain, codomain, block, sample_count, seed, override):
         for mat in mats:
             yield AdditiveMap(domain, codomain, mat)
 
@@ -584,7 +586,7 @@ def _power_mismatch(
 
     ``powers`` holds the n-th powers of ``elems`` in the domain.  This is the
     one computation of the power condition, for a single map and for a
-    chunk of search candidates alike.
+    block of search candidates alike.
     """
     m = codomain.modulus
     images = np.einsum("cij,ej->cei", mats, elems) % m
@@ -596,7 +598,7 @@ def _power_mismatch(
 def is_n_jordan(
     h: AdditiveMap,
     n: int,
-    max_elements: int = TUPLE_CAP,
+    max_elements: int = ELEMENT_CAP,
     sample_seed: int | None = None,
     sample_count: int = 10 ** 4,
 ) -> PredicateResult:
@@ -710,68 +712,57 @@ def _predicate(name: str, h: AdditiveMap, n: int) -> tuple[bool, dict]:
 def _scan(
     domain: FiniteRing,
     codomain: FiniteRing,
-    power: int | None,
+    power: int,
     sample_count: int | None = None,
     seed: int = 0,
     override: bool = False,
 ) -> Iterator[AdditiveMap]:
     """Candidate maps in scan order, keeping those with h(a^power) = h(a)^power.
 
-    The power condition is checked on every domain element at once for as
-    many candidate matrices as keep the pairs under BLOCK_ROWS; power None
-    keeps every candidate.  Domains over 4096 elements are refused.
+    The power condition is checked on every domain element at once for a
+    block of as many candidate matrices as keep the (map, element) pairs
+    under BLOCK_ROWS.  Domains over 4096 elements are refused.
     """
     if domain.size > 4096:
         raise GuardError("search domain too large to precompute element powers")
-    if power is not None and power < 1:
+    if power < 1:
         raise ValueError("n must be positive")
     elems = domain.element_vectors()
-    powers = None if power is None else domain.all_powers(power)
-    step = max(1, BLOCK_ROWS // domain.size)
-    for chunk in _candidates(domain, codomain, sample_count, seed, override):
-        for start in range(0, chunk.shape[0], step):
-            mats = chunk[start:start + step]
-            if power is None:
-                passing = range(mats.shape[0])
-            else:
-                passing = np.flatnonzero(~_power_mismatch(mats, elems, powers, codomain, power).any(axis=1))
-            for c in passing:
-                yield AdditiveMap(domain, codomain, mats[c])
+    powers = domain.all_powers(power)
+    block = max(1, BLOCK_ROWS // domain.size)
+    for mats in _candidates(domain, codomain, block, sample_count, seed, override):
+        for c in np.flatnonzero(~_power_mismatch(mats, elems, powers, codomain, power).any(axis=1)):
+            yield AdditiveMap(domain, codomain, mats[c])
 
 
 def search(
     domain: FiniteRing,
     codomain: FiniteRing,
     n: int,
-    predicate: str | Callable[[AdditiveMap], bool] = "jordan_not_ring",
+    predicate: str = "jordan_not_ring",
     limit: int = 10,
     sample_count: int | None = None,
     seed: int = 0,
     override: bool = False,
 ) -> list[SearchHit]:
-    """Scan additive maps in deterministic order and collect predicate hits.
+    """Scan additive maps in deterministic order and collect the first ``limit`` (at least 1) hits.
 
     Exhaustive enumeration under the cap; otherwise a seeded sample of
-    ``sample_count`` maps.  A named predicate first filters whole chunks of
-    candidates by its power condition; the survivors get only its second
-    check.
+    ``sample_count`` maps.  Each block of candidates is first filtered by
+    the named predicate's power condition; the survivors get only its
+    second check.
     """
-    if callable(predicate):
-        power = None
-    elif predicate in _PREDICATES:
-        power = _PREDICATES[predicate][0] or n
-    else:
+    if predicate not in _PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; choose from {PREDICATES}")
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     hits: list[SearchHit] = []
-    for hmap in _scan(domain, codomain, power, sample_count, seed, override):
-        if callable(predicate):
-            ok, details = bool(predicate(hmap)), {}
-        else:
-            ok, details = _predicate(predicate, hmap, n)
-        if ok:
+    for hmap in _scan(domain, codomain, _PREDICATES[predicate][0] or n, sample_count, seed, override):
+        found, details = _predicate(predicate, hmap, n)
+        if found:
             hits.append(SearchHit(hmap.index, hmap.matrix.tolist(), details))
-            if len(hits) >= limit:
-                return hits
+            if len(hits) == limit:
+                break
     return hits
 
 
@@ -784,7 +775,7 @@ def find_njordan_maps(
 ) -> list[AdditiveMap]:
     """All (or the first ``limit``) n-Jordan additive maps, exhaustively.
 
-    Runs on search's chunked scan, so domains over 4096 elements are refused.
+    Runs on search's blocked scan, so domains over 4096 elements are refused.
     """
     return list(islice(_scan(domain, codomain, n, override=override), limit))
 

@@ -239,6 +239,22 @@ class TestSearchCommand:
         assert "exceeds 64" in err
 
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--limit", "0"), ("--limit", "-3"), ("--sample-count", "0"), ("--sample-count", "-4")]
+    )
+    def test_counts_below_one_exit_two(self, flag, value, capsys):
+        code, out, err = run(["search", "--domain", "zm:5", "--codomain", "zm:5", flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be at least 1" in err
+
+    @pytest.mark.parametrize("spec", ["upper:1@2", "upper:0@2", "mat:0x0@2", "mat:-2x-2@5", "nilpoly:-1@5"])
+    def test_ring_without_basis_elements_exits_two(self, spec, capsys):
+        code, _, err = run(["search", "--domain", spec, "--codomain", spec], capsys)
+        assert code == 2
+        assert "ring dimension 0 is below 1" in err
+
+
 class TestExamplesCommand:
     def test_catalogue_passes_and_is_stable(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -284,6 +300,19 @@ class TestNormCommand:
         assert code == 2
         assert out == ""
         assert "at least 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["theorem27", "--k", "3", "--power", "3", "--samples", "100001"], ["corollary26", "--samples", "10000000000"],
+         ["step2", "--samples", "100001"], ["step2", "--count", "100001"]],
+    )
+    def test_counts_over_the_bound_exit_two_quickly(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["norm", *argv], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "exceeds 100000" in err
 
     def test_zero_count_exits_two(self, capsys):
         code, out, err = run(["norm", "step2", "--count", "0"], capsys)

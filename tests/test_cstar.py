@@ -7,6 +7,7 @@ import pytest
 
 from njordan.cstar_num import (
     ALGEBRA_TOL,
+    MAX_SAMPLES,
     DiagAlgebra,
     LinearMapC,
     check_corollary_2_6,
@@ -142,6 +143,16 @@ class TestContractivityChecks:
             step2_reduction_check(random_linear_maps(2, 2, 1)[0], 3, samples=0)
         with pytest.raises(ValueError, match="at least 1"):
             random_linear_maps(2, 2, 0)
+
+    def test_counts_over_the_bound_are_refused(self):
+        assert MAX_SAMPLES == 10 ** 5
+        assert DiagAlgebra(1).samples(MAX_SAMPLES).shape == (MAX_SAMPLES, 1)
+        with pytest.raises(ValueError, match="exceeds 100000"):
+            DiagAlgebra(2).samples(MAX_SAMPLES + 1)
+        with pytest.raises(ValueError, match="exceeds 100000"):
+            check_theorem_2_7(coordinate_star_map(3), 1, samples=MAX_SAMPLES + 1)
+        with pytest.raises(ValueError, match="exceeds 100000"):
+            random_linear_maps(2, 2, MAX_SAMPLES + 1)
 
     def test_whole_equals_componentwise_reduction(self):
         maps = random_linear_maps(2, 2, 1000, seed=0)

@@ -197,6 +197,14 @@ class TestModelEvaluation:
         with pytest.raises(GuardError):
             evaluate(single, dom, cod, h, max_assignments=2000)
 
+    def test_zero_assignments_are_refused(self):
+        pair = models.ring_from_spec("zm:5^2")
+        h = models.AdditiveMap(pair, pair, [[2, 0], [0, 0]])
+        ident = parse_identity("h(x*y) = H(x)*H(y)", NONCOMMUTATIVE)
+        assert not evaluate(ident, pair, pair, h).ok
+        with pytest.raises(ValueError, match="sample count must be at least 1"):
+            evaluate(ident, pair, pair, h, max_assignments=0, sample_seed=1)
+
     def test_denominator_must_be_invertible(self):
         z5 = models.make_zm(5)
         neg = models.negation_map(z5)

@@ -12,7 +12,7 @@ from njordan import models
 from njordan.errors import GuardError
 from njordan.models import (
     AdditiveMap,
-    enumerate_additive_maps,
+    additive_maps,
     find_njordan_maps,
     function_ring,
     gap_witness_model,
@@ -27,7 +27,6 @@ from njordan.models import (
     product,
     recheck_jordan_witness,
     ring_from_spec,
-    sample_additive_maps,
     search,
     strict_upper,
     transpose_map,
@@ -124,6 +123,15 @@ class TestRingConstruction:
         ):
             with pytest.raises(GuardError, match="exceeds 64"):
                 build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: strict_upper(1, 2), lambda: matrix_ring(-2, 5), lambda: ring_from_spec("nilpoly:-1@5"),
+         lambda: models.FiniteRing("empty", 2, np.zeros((0, 0, 0), dtype=np.int64))],
+    )
+    def test_rings_without_basis_elements_are_refused(self, build):
+        with pytest.raises(ValueError, match="ring dimension 0 is below 1"):
+            build()
 
     def test_associativity_join_is_bounded_before_it_starts(self, monkeypatch):
         assert models.MAX_JOIN == 2 * 10 ** 5
@@ -227,13 +235,13 @@ class TestAdditiveMaps:
 
     def test_enumeration_count(self):
         z5 = make_zm(5)
-        maps = list(enumerate_additive_maps(z5, z5))
+        maps = list(additive_maps(z5, z5))
         assert len(maps) == 5
 
     def test_enumeration_guard(self):
         m2 = matrix_ring(2, 5)
         with pytest.raises(GuardError):
-            list(enumerate_additive_maps(m2, m2))
+            list(additive_maps(m2, m2))
 
     def test_negation_is_3_jordan_not_2_or_4(self):
         z5 = make_zm(5)
@@ -254,10 +262,30 @@ class TestAdditiveMaps:
 
     def test_n_ring_implies_n_jordan(self):
         z6 = make_zm(6, override=True)
-        for h in enumerate_additive_maps(z6, z6):
+        for h in additive_maps(z6, z6):
             for n in (2, 3):
                 if is_n_ring(h, n).ok:
                     assert is_n_jordan(h, n).ok
+
+    @pytest.mark.parametrize("count", [0, -4])
+    def test_sample_counts_below_one_are_refused(self, count):
+        # h fails both predicates exhaustively, so checking no assignment must not pass
+        pair = ring_from_spec("zm:5^2")
+        h = AdditiveMap(pair, pair, [[2, 0], [0, 0]])
+        assert not is_n_jordan(h, 2).ok and not is_n_ring(h, 2).ok
+        for check in (is_n_jordan, is_n_ring):
+            with pytest.raises(ValueError, match="sample count must be at least 1"):
+                check(h, 2, 1, sample_seed=1, sample_count=count)
+            with pytest.raises(ValueError, match="sample count must be at least 1"):
+                check(h, 2, sample_count=count)
+        with pytest.raises(ValueError, match="sample count must be at least 1"):
+            list(additive_maps(pair, pair, count))
+
+    def test_jordan_predicate_samples_past_the_element_table(self):
+        ring = ring_from_spec("zm:5^10")
+        assert ring.size > models.ELEMENT_CAP
+        rep = is_n_jordan(identity_map(ring), 3, sample_seed=1, sample_count=100)
+        assert (rep.ok, rep.checked, rep.exhaustive) == (True, 100, False)
 
     def test_transpose_is_antimultiplicative_jordan(self):
         ring, t = transpose_map(2, 2)
@@ -288,12 +316,24 @@ class TestSearch:
         assert hits[0].index == 0
         assert hits[0].matrix.tolist() == [[0, 0, 0, 0]]
 
-    def test_custom_predicate_callable(self):
+    def test_limit_keeps_the_first_hits(self):
+        pair = ring_from_spec("zm:5^2")
+        every = search(pair, pair, 3, "njordan_not_jordan", limit=10 ** 6)
+        assert len(every) == 16
+        for limit in (1, 3):
+            assert search(pair, pair, 3, "njordan_not_jordan", limit=limit) == every[:limit]
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_is_refused(self, limit):
         z5 = make_zm(5)
-        hits = search(
-            z5, z5, 3, predicate=lambda h: h.matrix[0, 0] == 2, limit=10
-        )
-        assert [h.index for h in hits] == [2]
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            search(z5, z5, 3, "njordan_not_jordan", limit=limit)
+
+    @pytest.mark.parametrize("count", [0, -4])
+    def test_sample_count_below_one_is_refused(self, count):
+        z5 = make_zm(5)
+        with pytest.raises(ValueError, match="sample count must be at least 1"):
+            search(z5, z5, 3, "njordan_not_jordan", sample_count=count)
 
     def test_unknown_predicate_is_rejected_before_scanning(self):
         # no sampled map survives the power filter, so a late check never runs
@@ -391,4 +431,4 @@ class TestExampleCatalogue:
         u42 = strict_upper(4, 2)
         kept = list(models._scan(u42, u42, 4, sample_count=10 ** 4, seed=0))
         assert len(kept) == 10 ** 4
-        assert kept[::997] == list(sample_additive_maps(u42, u42, 10 ** 4, seed=0))[::997]
+        assert kept[::997] == list(additive_maps(u42, u42, 10 ** 4, seed=0))[::997]

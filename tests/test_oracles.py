@@ -1,10 +1,11 @@
 """Differential tests: the shared scanners and decoders against plain oracles.
 
-find_njordan_maps and search run on one chunked, vectorized power filter;
+find_njordan_maps and search run on one blocked, vectorized power filter;
 their oracle is one is_n_jordan call per enumerated map, followed for
 search by the named predicate's second check.  Index decoding and the
 seeded map sample are compared with plain Python digit arithmetic and
-per-map draws.  The one exact eliminator is compared with sympy's rank over
+per-map draws, and search, find_njordan_maps and additive_maps give the
+same results with BLOCK_ROWS set to 7, 100 or its default.  The one exact eliminator is compared with sympy's rank over
 Q and prime fields on random sparse matrices, and the unit and the
 nilpotency index it computes with their known values on every constructor.
 The ring constructor's associativity check, a join over the nonzero
@@ -43,7 +44,7 @@ from njordan.models import (
     AdditiveMap,
     FiniteRing,
     PredicateResult,
-    enumerate_additive_maps,
+    additive_maps,
     find_njordan_maps,
     gap_witness_model,
     is_n_jordan,
@@ -52,7 +53,6 @@ from njordan.models import (
     negation_map,
     nilpotency_index,
     ring_from_spec,
-    sample_additive_maps,
     search,
     transpose_map,
 )
@@ -62,7 +62,7 @@ from njordan.models import (
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_find_njordan_maps_matches_per_map_predicate(dom, cod, n):
     domain, codomain = ring_from_spec(dom), ring_from_spec(cod)
-    oracle = [h for h in enumerate_additive_maps(domain, codomain) if is_n_jordan(h, n).ok]
+    oracle = [h for h in additive_maps(domain, codomain) if is_n_jordan(h, n).ok]
     assert find_njordan_maps(domain, codomain, n, limit=10 ** 6) == oracle
     assert find_njordan_maps(domain, codomain, n, limit=3) == oracle[:3]
 
@@ -93,7 +93,7 @@ def test_search_matches_per_map_predicates(dom, cod, name, n):
     domain, codomain = ring_from_spec(dom), ring_from_spec(cod)
     power, first_key, second_key, second = SEARCH_ORACLE[name]
     oracle = []
-    for h in enumerate_additive_maps(domain, codomain):
+    for h in additive_maps(domain, codomain):
         first = is_n_jordan(h, power or n)
         if first.ok and not (res := second(h, n)).ok:
             oracle.append((h.index, h.matrix.tolist(), {first_key: first.to_json(), second_key: res.to_json()}))
@@ -111,7 +111,7 @@ def _python_digits(index: int, m: int, width: int) -> list[int]:
 
 def test_index_decoding_matches_python_digits():
     pair = ring_from_spec("zm:5^2")
-    maps = list(enumerate_additive_maps(pair, pair))
+    maps = list(additive_maps(pair, pair))
     assert len(maps) == 625
     for index, h in enumerate(maps):
         assert h.matrix.reshape(-1).tolist() == _python_digits(index, 5, 4)
@@ -128,12 +128,35 @@ def test_index_decoding_matches_python_digits():
 @pytest.mark.parametrize("dom,cod", [("mat:2x2@2", "zm:2"), ("zm:5^2", "zm:5")])
 def test_sampled_maps_match_per_map_draws(dom, cod):
     domain, codomain = ring_from_spec(dom), ring_from_spec(cod)
-    count = 5000  # crosses a chunk boundary
+    count = 5000
     rng = np.random.default_rng(11)
     expected = [rng.integers(0, domain.modulus, size=(codomain.dim, domain.dim)) for _ in range(count)]
-    got = list(sample_additive_maps(domain, codomain, count, seed=11))
+    got = list(additive_maps(domain, codomain, count, seed=11))
     assert len(got) == count
     assert all((h.matrix == mat).all() for h, mat in zip(got, expected))
+
+
+def _scan_results(domain: FiniteRing, codomain: FiniteRing, predicate: str, n: int) -> list:
+    """search, find_njordan_maps and additive_maps on one ring pair, exhaustive and sampled."""
+    return [
+        search(domain, codomain, n, predicate, limit=10 ** 6),
+        search(domain, codomain, n, predicate, limit=10 ** 6, sample_count=300, seed=5),
+        find_njordan_maps(domain, codomain, n, limit=10 ** 6),
+        list(additive_maps(domain, codomain)),
+        list(additive_maps(domain, codomain, 300, seed=5)),
+    ]
+
+
+@pytest.mark.parametrize("block", [7, 100])
+@pytest.mark.parametrize(
+    "dom,cod,predicate,n", [("zm:5^2", "zm:5^2", "njordan_not_jordan", 3), ("mat:2x2@2", "zm:2", "jordan_not_ring", 2)]
+)
+def test_scans_do_not_depend_on_the_block_size(dom, cod, predicate, n, block, monkeypatch):
+    domain, codomain = ring_from_spec(dom), ring_from_spec(cod)
+    expected = _scan_results(domain, codomain, predicate, n)
+    assert all(expected)
+    monkeypatch.setattr(models, "BLOCK_ROWS", block)
+    assert _scan_results(domain, codomain, predicate, n) == expected
 
 
 def _sympy_rank(rows: list[dict[int, Fraction]], ncols: int, p: int | None) -> int:
