@@ -130,19 +130,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         h = cstar_num.coordinate_star_map(args.k, perm)
         report = cstar_num.check_theorem_2_7(h, args.power, args.samples, args.seed)
     else:
-        maps = cstar_num.random_linear_maps(args.m, args.k, args.count, args.seed)
-        passed = sum(
-            1 for h in maps if cstar_num.step2_reduction_check(h, args.n, args.samples, args.seed)
-        )
-        report = {
-            "check": "step2_reduction",
-            "maps": len(maps),
-            "equivalence_held": passed,
-            "ok": passed == len(maps),
-            "n": args.n,
-            "samples": args.samples,
-            "seed": args.seed,
-        }
+        report = cstar_num.check_step2(args.m, args.k, args.n, args.count, args.samples, args.seed)
     print(json.dumps(report, **JSON_KW))
     if args.json:
         _write_json(args.json, report)

@@ -27,6 +27,8 @@ ALGEBRA_TOL = 1e-12
 DEFAULT_SAMPLES = 256
 # Most samples per batch and maps per reduction sweep, with no override.
 MAX_SAMPLES = 10 ** 5
+# Most map-sample pairs one reduction sweep checks (maps times samples per map).
+MAX_SWEEP_WORK = 10 ** 7
 
 
 def _check_count(what: str, count: int) -> None:
@@ -270,6 +272,29 @@ def check_theorem_2_7(
         "samples": samples,
         "seed": seed,
         "ok": norm <= 1.0 + FILTER_TOL,
+    }
+
+
+def check_step2(m: int, k: int, n: int, count: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict:
+    """step2_reduction_check on ``count`` random maps from C^m to C^k.
+
+    Each count is in [1, MAX_SAMPLES], and count * samples is at most
+    MAX_SWEEP_WORK; both are checked before anything is drawn.
+    """
+    _check_count("map count", count)
+    _check_count("sample count", samples)
+    if count * samples > MAX_SWEEP_WORK:
+        raise ValueError(f"{count} maps x {samples} samples exceeds {MAX_SWEEP_WORK} map-sample pairs")
+    maps = random_linear_maps(m, k, count, seed)
+    passed = sum(1 for h in maps if step2_reduction_check(h, n, samples, seed))
+    return {
+        "check": "step2_reduction",
+        "maps": len(maps),
+        "equivalence_held": passed,
+        "ok": passed == len(maps),
+        "n": n,
+        "samples": samples,
+        "seed": seed,
     }
 
 

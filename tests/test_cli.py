@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from njordan import cstar_num
 from njordan.cli import main
 
 
@@ -313,6 +314,17 @@ class TestNormCommand:
         assert code == 2
         assert out == ""
         assert "exceeds 100000" in err
+
+    def test_step2_work_over_the_bound_exits_two_quickly(self, capsys):
+        # each count is within MAX_SAMPLES; their product is not
+        start = time.perf_counter()
+        code, out, err = run(["norm", "step2", "--count", "100000", "--samples", "100000"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "exceeds 10000000" in err
+        with pytest.raises(ValueError, match="exceeds 10000000"):
+            cstar_num.check_step2(2, 2, 3, 1001, 10 ** 4)
 
     def test_zero_count_exits_two(self, capsys):
         code, out, err = run(["norm", "step2", "--count", "0"], capsys)

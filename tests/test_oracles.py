@@ -18,7 +18,9 @@ and sums in a dict, with no FreePoly arithmetic.  Sampled predicate and
 evaluation runs must return the witnesses recorded before their assignment
 source was shared.  The sparse ring product is compared with the dense
 einsum over the whole structure table, and the streamed assignments,
-exhaustive and sampled, with one-shot columns checked all at once.
+exhaustive and sampled, with one-shot columns checked all at once.  The
+exhaustive is_n_ring, which decides on the d^n basis tuples, is compared
+with the one-shot sweep over all size^n tuples.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from njordan.models import (
     additive_maps,
     find_njordan_maps,
     gap_witness_model,
+    identity_map,
     is_n_jordan,
     is_n_ring,
     matrix_ring,
@@ -602,3 +605,55 @@ def test_first_mismatch_past_the_first_block():
     rep = evaluate(ident, pair, pair, h)
     assert (rep.ok, rep.checked, rep.space, rep.exhaustive) == (False, 25 ** 4, 25 ** 4, True)
     assert rep.witness == {"x": [1, 0], "y": [1, 0], "z": [1, 0], "w": [1, 0]}
+
+
+def _ring_pair_maps(dom, cod):
+    """Known n-ring maps (zero, identity, coordinate projections), the coordinate
+    sum (multiplicative on each basis vector alone, not on e_0 e_1) and seeded random maps."""
+    domain, codomain = ring_from_spec(dom), ring_from_spec(cod)
+    mats = [np.zeros((codomain.dim, domain.dim), dtype=np.int64)]
+    if dom == cod:
+        mats.append(np.eye(domain.dim, dtype=np.int64))
+    if dom.startswith("zm:"):
+        # Z_5^2 -> Z_5 and Z_5^2 -> Z_5^2 projections onto one factor
+        for j in range(domain.dim):
+            proj = np.zeros((codomain.dim, domain.dim), dtype=np.int64)
+            proj[0, j] = 1
+            mats.append(proj)
+        mats.append(mats[-1] + mats[-2])
+    rng = np.random.default_rng(0)
+    mats += list(rng.integers(0, domain.modulus, size=(3, codomain.dim, domain.dim)))
+    return [AdditiveMap(domain, codomain, mat) for mat in mats]
+
+
+@pytest.mark.parametrize(
+    "dom,cod",
+    [("zm:5^2", "zm:5^2"), ("upper:3@2", "upper:3@2"), ("mat:2x2@2", "mat:2x2@2"),
+     ("mat:2x2@5", "zm:5"), ("zm:5^2", "zm:5")],
+)
+def test_basis_tuple_ring_check_matches_the_full_sweep(dom, cod):
+    """is_n_ring decides on the d^n basis tuples; the oracle sweeps all size^n tuples."""
+    verdicts = set()
+    for h in _ring_pair_maps(dom, cod):
+        for n in (2, 3, 4):
+            if h.domain.size ** n > 10 ** 6:
+                continue
+            result = is_n_ring(h, n)
+            assert result == _one_shot_ring(h, n)
+            verdicts.add(result.ok)
+    assert verdicts == {True, False}
+
+
+def test_passing_ring_check_multiplies_only_basis_tuples(monkeypatch):
+    pair = ring_from_spec("zm:5^2")
+    rows = []
+    mul_batch = FiniteRing.mul_batch
+
+    def counting(self, u, v):
+        rows.append(len(u))
+        return mul_batch(self, u, v)
+
+    monkeypatch.setattr(FiniteRing, "mul_batch", counting)
+    assert is_n_ring(identity_map(pair), 4) == PredicateResult(True, 25 ** 4, True)
+    # three products of 2^4 basis tuples on each side
+    assert sum(rows) <= 2 * 3 * 16
