@@ -544,7 +544,7 @@ def _streamed_maps():
     ]
 
 
-@pytest.mark.parametrize("block", [7, 100, models.BLOCK_ROWS])
+@pytest.mark.parametrize("block", [7, 100, models.BLOCK_ROWS, 2 ** 16])
 def test_streamed_jordan_predicate_matches_one_shot_column(block, monkeypatch):
     monkeypatch.setattr(models, "BLOCK_ROWS", block)
     for h in _streamed_maps():
@@ -555,7 +555,7 @@ def test_streamed_jordan_predicate_matches_one_shot_column(block, monkeypatch):
             assert sampled == _one_shot_jordan(h, n, (n, 500))
 
 
-@pytest.mark.parametrize("block", [1000, models.BLOCK_ROWS])
+@pytest.mark.parametrize("block", [1000, models.BLOCK_ROWS, 2 ** 16])
 def test_streamed_ring_predicate_matches_one_shot_columns(block, monkeypatch):
     monkeypatch.setattr(models, "BLOCK_ROWS", block)
     for h in _streamed_maps():
@@ -569,7 +569,7 @@ def test_streamed_ring_predicate_matches_one_shot_columns(block, monkeypatch):
             assert sampled == _one_shot_ring(h, n, (n, 2500))
 
 
-@pytest.mark.parametrize("block", [100, models.BLOCK_ROWS])
+@pytest.mark.parametrize("block", [100, models.BLOCK_ROWS, 2 ** 16])
 def test_streamed_evaluation_matches_one_shot_columns(block, monkeypatch):
     monkeypatch.setattr(models, "BLOCK_ROWS", block)
     texts = [
