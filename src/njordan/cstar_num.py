@@ -29,14 +29,16 @@ DEFAULT_SAMPLES = 256
 MAX_SAMPLES = 10 ** 5
 # Most map-sample pairs one reduction sweep checks (maps times samples per map).
 MAX_SWEEP_WORK = 10 ** 7
+# Largest dimension m of a domain C^m or k of a codomain C^k, with no override.
+MAX_DIM = 64
 
 
-def _check_count(what: str, count: int) -> None:
-    """Refuse a sample or map count below 1 or over MAX_SAMPLES, before anything is drawn."""
+def _check_count(what: str, count: int, most: int | None = MAX_SAMPLES) -> None:
+    """Refuse a count, dimension or power below 1 or over most, before anything is drawn or built."""
     if count < 1:
         raise ValueError(f"{what} must be at least 1, got {count}")
-    if count > MAX_SAMPLES:
-        raise ValueError(f"{what} {count} exceeds {MAX_SAMPLES}")
+    if most is not None and count > most:
+        raise ValueError(f"{what} {count} exceeds {most}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,19 @@ def is_involution_preserving(h: LinearMapC) -> bool:
     return float(np.max(np.abs(h.matrix.imag), initial=0.0)) <= FILTER_TOL
 
 
+def _check_finite(what: str, values: np.ndarray) -> None:
+    """Refuse an overflowed value: inf or NaN compares as within any tolerance or none."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} is not finite in floating point")
+
+
 def _first_bad(lhs: np.ndarray, rhs: np.ndarray) -> tuple[bool, int | None]:
-    """(True, None) when every sample's sup-norm defect is within FILTER_TOL, else (False, first bad sample)."""
+    """(True, None) when every sample's sup-norm defect is within FILTER_TOL, else (False, first bad sample).
+
+    A non-finite value on either side is refused with ValueError.
+    """
+    _check_finite("a power or product", lhs)
+    _check_finite("a power or product", rhs)
     bad = np.flatnonzero(np.abs(lhs - rhs).max(axis=1, initial=0.0) > FILTER_TOL)
     return (False, int(bad[0])) if bad.size else (True, None)
 
@@ -153,8 +166,8 @@ def check_corollary_2_6(
     projection) is pushed through the same filter as a self-test and must
     be rejected before any norm reasoning.
     """
-    if m > 3 or k > 3:
-        raise ValueError("sweep capped at m <= 3, k <= 3")
+    _check_count("m", m, 3)
+    _check_count("k", k, 3)
     functionals = [
         f for f in classify_njordan_functionals(m, 3) if is_involution_preserving(f)
     ]
@@ -231,6 +244,7 @@ def check_theorem_2_7(
     inequality norm(h(a))^(4*power+2) <= opnorm(h)^4 * norm(a)^(4*power+2)
     on every sample and returns the smallest and largest observed slack.
     """
+    _check_count("power", power, None)
     batch = DiagAlgebra(h.domain_dim).samples(samples, seed)
 
     def rejected(by: str, witness: int | None) -> dict:
@@ -259,7 +273,11 @@ def check_theorem_2_7(
     # from them in the last bit.
     image_norms = np.abs(h.apply(batch)).max(axis=1, initial=0.0).astype(object)
     sample_norms = np.abs(batch).max(axis=1, initial=0.0).astype(object)
-    slack = norm ** 4 * sample_norms ** exponent - image_norms ** exponent
+    try:
+        slack = norm ** 4 * sample_norms ** exponent - image_norms ** exponent
+    except OverflowError as exc:
+        raise ValueError(f"slack at power {power} is not finite in floating point") from exc
+    _check_finite(f"slack at power {power}", slack.astype(float))
     min_slack, max_slack = float(slack.min()), float(slack.max())
     return {
         "rejected_by": None,
@@ -278,9 +296,13 @@ def check_theorem_2_7(
 def check_step2(m: int, k: int, n: int, count: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict:
     """step2_reduction_check on ``count`` random maps from C^m to C^k.
 
-    Each count is in [1, MAX_SAMPLES], and count * samples is at most
-    MAX_SWEEP_WORK; both are checked before anything is drawn.
+    Each count is in [1, MAX_SAMPLES], count * samples is at most
+    MAX_SWEEP_WORK, m and k are in [1, MAX_DIM] and n is at least 1; all are
+    checked before anything is drawn.
     """
+    _check_count("m", m, MAX_DIM)
+    _check_count("k", k, MAX_DIM)
+    _check_count("n", n, None)
     _check_count("map count", count)
     _check_count("sample count", samples)
     if count * samples > MAX_SWEEP_WORK:
@@ -299,7 +321,8 @@ def check_step2(m: int, k: int, n: int, count: int, samples: int = DEFAULT_SAMPL
 
 
 def coordinate_star_map(k: int, perm: tuple[int, ...] | None = None) -> LinearMapC:
-    """The map permuting coordinates of C^k, a norm-one *-isomorphism."""
+    """The map permuting coordinates of C^k, a norm-one *-isomorphism; k is in [1, MAX_DIM]."""
+    _check_count("k", k, MAX_DIM)
     if perm is None:
         perm = tuple(range(k))
     if sorted(perm) != list(range(k)):

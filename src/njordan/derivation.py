@@ -621,6 +621,8 @@ class Certificate:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"certificate is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError("certificate JSON nests too deeply") from exc
         if not isinstance(data, dict):
             raise ValueError("certificate JSON must be an object")
         return Certificate.from_dict(data)

@@ -36,6 +36,9 @@ Word = tuple[int, ...]
 # Most letters (words times word length, a constant counting as one letter)
 # that one polynomial may hold, sums included (enforced in FreePoly.from_terms).
 EXPANSION_CAP = 10 ** 6
+# Deepest parenthesis nesting parse_expr accepts: each level is a few Python
+# frames, so untrusted text nested past it would exhaust the interpreter's stack.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -285,6 +288,7 @@ class _Parser:
         self.pos = 0
         self.mode = mode
         self.h_heads = h_heads
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -368,8 +372,12 @@ class _Parser:
     def parse_primary(self) -> FreePoly:
         kind, val, at = self.take()
         if kind == "OP" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise GuardError(f"parentheses nest deeper than {MAX_DEPTH}")
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind != "NAME":
             raise ParseError("expected a variable, number, or parenthesized expression", at)

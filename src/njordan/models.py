@@ -28,7 +28,9 @@ import numpy as np
 from .errors import GuardError
 from .exact import eliminate, prime_factors
 
+# Most candidate maps one scan enumerates or draws, with no override.
 ENUM_CAP = 10 ** 7
+# Most basis tuples one n-ring check multiplies.
 TUPLE_CAP = 10 ** 7
 # Most rows one vectorized check holds at a time: a block of exhaustive
 # assignments, or of (candidate map, element) pairs in a scan.
@@ -42,6 +44,9 @@ MAX_DIM = 64
 # Most products the associativity join may form, with no override; the
 # largest constructor ring, nilpoly:63, needs 91,520.
 MAX_JOIN = 2 * 10 ** 5
+# Largest power n a predicate or search takes, with no override: each n-th
+# power or n-fold product costs n - 1 ring products per row.
+MAX_POWER = 64
 
 
 def _check_dim(d: int) -> None:
@@ -50,6 +55,14 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"ring dimension {d} is below 1: a ring needs at least one basis element")
     if d > MAX_DIM:
         raise GuardError(f"ring dimension {d} exceeds {MAX_DIM}")
+
+
+def _check_power(n: int, least: int) -> None:
+    """Refuse a power n below least or over MAX_POWER, before any product is formed."""
+    if n < least:
+        raise ValueError(f"n must be at least {least}, got {n}")
+    if n > MAX_POWER:
+        raise GuardError(f"n = {n} exceeds {MAX_POWER}")
 
 
 def _digits(idx, m: int, width: int) -> np.ndarray:
@@ -214,7 +227,7 @@ class FiniteRing:
         Every k-tuple in index order when the size**k tuples fit under cap;
         otherwise sample_count seeded uniform draws per column, which needs
         sample_seed.  Either way in blocks of at most BLOCK_ROWS rows.  The
-        map predicates and identity evaluation all draw their assignments
+        n-Jordan predicate and identity evaluation draw their assignments
         here.  A sample_count below 1 is refused, so no check passes vacuously.
         """
         if sample_count < 1:
@@ -511,24 +524,24 @@ def _candidates(
 ) -> Iterator[np.ndarray]:
     """Candidate map matrices in blocks of shape (at most block, d_codomain, d_domain).
 
-    Every matrix in index order, guarded by the enumeration cap, or
-    ``sample_count`` (at least 1) seeded uniform draws when a count is
-    given.  The draws do not depend on block: a Generator's stream is the
-    same however it is cut.
+    Every matrix in index order, or ``sample_count`` (at least 1) seeded
+    uniform draws when a count is given; either number of maps is refused
+    past the enumeration cap unless override is set.  The draws do not
+    depend on block: a Generator's stream is the same however it is cut.
     """
     rows, cols, m = codomain.dim, domain.dim, domain.modulus
+    if sample_count is not None and sample_count < 1:
+        raise ValueError(f"sample count must be at least 1, got {sample_count}")
+    total = m ** (rows * cols) if sample_count is None else sample_count
+    if total > ENUM_CAP and not override:
+        raise GuardError(
+            f"{total} candidate maps exceed the enumeration cap {ENUM_CAP}; sample at most that many or pass override"
+        )
     if sample_count is not None:
-        if sample_count < 1:
-            raise ValueError(f"sample count must be at least 1, got {sample_count}")
         rng = np.random.default_rng(seed)
         for start in range(0, sample_count, block):
             yield rng.integers(0, m, size=(min(block, sample_count - start), rows, cols))
         return
-    total = m ** (rows * cols)
-    if total > ENUM_CAP and not override:
-        raise GuardError(
-            f"{total} additive maps exceed the enumeration cap {ENUM_CAP}; sample instead or pass override"
-        )
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
         yield _digits(idx, m, rows * cols).reshape(-1, rows, cols)
@@ -612,8 +625,7 @@ def is_n_jordan(
     sample_count: int = 10 ** 4,
 ) -> PredicateResult:
     """Does h(a^n) = h(a)^n hold for every element a."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_power(n, 1)
     ring_a = h.domain
     blocks, exhaustive = ring_a.assignments(1, max_elements, sample_seed, sample_count)
 
@@ -625,37 +637,30 @@ def is_n_jordan(
     return check_blocks(blocks, mismatch, exhaustive)
 
 
-def is_n_ring(
-    h: AdditiveMap,
-    n: int,
-    max_tuples: int = TUPLE_CAP,
-    sample_seed: int | None = None,
-    sample_count: int = 10 ** 4,
-) -> PredicateResult:
+def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
     """Does h(a_1 ... a_n) = h(a_1) ... h(a_n) hold for all tuples.
 
     The defect h(a_1 ... a_n) - h(a_1) ... h(a_n) is additive in each
-    argument, so it vanishes on every tuple exactly when it vanishes on the
-    d^n tuples of basis vectors.  An exhaustive check decides on those
-    first; its ``checked`` counts the size^n tuples the verdict covers.  Only
-    when a basis tuple fails are all size^n tuples swept in index order, so
-    the witness is the first failing tuple.  Sampled tuples are checked
-    directly.
+    argument, so the d^n tuples of basis vectors decide it, and the first
+    failing tuple in index order is a basis tuple: each entry is the first
+    element, given the entries before it, on which the defect is not
+    identically 0, and an element that is not a basis vector is a
+    combination of basis vectors of smaller index.  With the basis in index order (e_(d-1) is element 1),
+    the first failing basis tuple is the witness; ``checked`` counts the
+    size^n tuples the verdict covers.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    blocks, exhaustive = h.domain.assignments(n, max_tuples, sample_seed, sample_count)
+    _check_power(n, 2)
+    d = h.domain.dim
+    if d ** n > TUPLE_CAP:
+        raise GuardError(f"{d}^{n} basis tuples exceed cap {TUPLE_CAP}")
 
     def mismatch(cols: list[np.ndarray], _start: int) -> np.ndarray:
         lhs = h.apply_batch(h.domain.product_batch(cols))
         rhs = h.codomain.product_batch(h.apply_batch(c) for c in cols)
         return (lhs != rhs).any(axis=1)
 
-    if exhaustive:
-        basis = _tuple_blocks(np.eye(h.domain.dim, dtype=np.int64), n)
-        if check_blocks(basis, mismatch, True).ok:
-            return PredicateResult(True, h.domain.size ** n, True)
-    return check_blocks(blocks, mismatch, exhaustive)
+    basis = check_blocks(_tuple_blocks(np.eye(d, dtype=np.int64)[::-1], n), mismatch, True)
+    return PredicateResult(basis.ok, h.domain.size ** n, True, basis.witness)
 
 
 def recheck_jordan_witness(h: AdditiveMap, n: int, element: list[int]) -> bool:
@@ -747,8 +752,7 @@ def _scan(
     """
     if domain.size > 4096:
         raise GuardError("search domain too large to precompute element powers")
-    if power < 1:
-        raise ValueError("n must be positive")
+    _check_power(power, 1)
     elems = domain.element_vectors()
     powers = domain.all_powers(power)
     block = max(1, BLOCK_ROWS // domain.size)
@@ -769,8 +773,9 @@ def search(
 ) -> list[SearchHit]:
     """Scan additive maps in deterministic order and collect the first ``limit`` (at least 1) hits.
 
-    Exhaustive enumeration under the cap; otherwise a seeded sample of
-    ``sample_count`` maps.  Each block of candidates is first filtered by
+    Exhaustive enumeration, or a seeded sample of ``sample_count`` maps;
+    either is refused past the enumeration cap unless override is set, and
+    n past MAX_POWER is refused.  Each block of candidates is first filtered by
     the named predicate's power condition; the survivors get only its
     second check.
     """
@@ -778,6 +783,7 @@ def search(
         raise ValueError(f"unknown predicate {predicate!r}; choose from {PREDICATES}")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    _check_power(n, 1)
     hits: list[SearchHit] = []
     for hmap in _scan(domain, codomain, _PREDICATES[predicate][0] or n, sample_count, seed, override):
         found, details = _predicate(predicate, hmap, n)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from njordan import cstar_num
+from njordan import cstar_num, freealg, models
 from njordan.cli import main
 
 
@@ -71,6 +76,15 @@ class TestConsequenceCommand:
         )
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("depth,expected", [(freealg.MAX_DEPTH, 0), (freealg.MAX_DEPTH + 1, 2), (200, 2)])
+    def test_nesting_past_the_bound_exits_two(self, depth, expected, capsys):
+        target = "h(" + "(" * depth + "x^2" + ")" * depth + ") = H(x)^2"
+        start = time.perf_counter()
+        code, _, err = run(["consequence", "--n", "2", "--vars", "x", "--target", target], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == expected
+        assert ("nest deeper than" in err) == (expected == 2)
 
     def test_coefficient_guard_exits_two_without_override(self, capsys):
         code, _, err = run(
@@ -172,6 +186,26 @@ class TestVerifyCertCommand:
         assert code == 0
         assert out.endswith(": valid\n")
 
+    @pytest.mark.parametrize("depth,expected", [(freealg.MAX_DEPTH, 0), (freealg.MAX_DEPTH + 1, 2), (200, 2)])
+    def test_nested_linear_form_past_the_bound_exits_two(self, depth, expected, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "n": 3, "mode": "nc", "field": "Q", "target": "h(x^3) = H(x)^3",
+            "instances": [{"subst": {"a": "(" * depth + "x" + ")" * depth}, "coeff": "1"}],
+        }))
+        code, _, err = run(["verify-cert", str(path)], capsys)
+        assert code == expected
+        assert ("nest deeper than" in err) == (expected == 2)
+
+    def test_deeply_nested_json_exits_two_quickly(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text("[" * 10 ** 5)
+        start = time.perf_counter()
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "nests too deeply" in err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, _, err = run(["verify-cert", str(tmp_path / "nope.json")], capsys)
         assert code == 2
@@ -255,6 +289,38 @@ class TestSearchCommand:
         assert code == 2
         assert "ring dimension 0 is below 1" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["--n", "100000"], "exceeds 64"), (["--n", "65", "--predicate", "njordan_not_jordan"], "exceeds 64"),
+         (["--n", "0"], "at least 1"), (["--sample-count", "100000000"], "enumeration cap")],
+    )
+    def test_search_integers_past_their_bounds_exit_two_quickly(self, argv, message, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["search", "--domain", "zm:5", "--codomain", "zm:5", *argv], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_ring_check_past_the_sweep_bound_is_exact(self, tmp_path, capsys):
+        # every additive map Z_2^12 -> Z_2 is Jordan; the ring maps are 0 and the 12 coordinate projections
+        out_json = tmp_path / "hits.json"
+        code, _, _ = run(
+            ["search", "--domain", "zm:2^12", "--codomain", "zm:2", "--n", "3", "--predicate", "jordan_not_ring",
+             "--limit", "3", "--json", str(out_json)],
+            capsys,
+        )
+        assert code == 0
+        hits = json.loads(out_json.read_text())["hits"]
+        assert [hit["index"] for hit in hits] == [3, 5, 6]
+        assert all(hit["details"]["ring"]["checked"] == 4096 ** 2 for hit in hits)
+        code, out, _ = run(
+            ["search", "--domain", "zm:5^2", "--codomain", "zm:5", "--n", "6", "--predicate", "njordan_not_nring"],
+            capsys,
+        )
+        assert code == 0
+        assert out.startswith("0 map(s) satisfy njordan_not_nring")
+
 
 class TestExamplesCommand:
     def test_catalogue_passes_and_is_stable(self, tmp_path, capsys):
@@ -326,8 +392,109 @@ class TestNormCommand:
         with pytest.raises(ValueError, match="exceeds 10000000"):
             cstar_num.check_step2(2, 2, 3, 1001, 10 ** 4)
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["corollary26", "--m", "0"], "m must be at least 1"), (["corollary26", "--k", "-1"], "k must be at least 1"),
+         (["theorem27", "--k", "0"], "k must be at least 1"), (["theorem27", "--k", "100000000"], "exceeds 64"),
+         (["theorem27", "--power", "0"], "power must be at least 1"),
+         (["theorem27", "--power", "-3"], "power must be at least 1"), (["theorem27", "--power", "600"], "not finite"),
+         (["step2", "--n", "0"], "n must be at least 1"), (["step2", "--n", "-2"], "n must be at least 1"),
+         (["step2", "--n", "2000"], "not finite"), (["step2", "--m", "65"], "exceeds 64"),
+         (["step2", "--k", "0"], "k must be at least 1")],
+    )
+    def test_arguments_out_of_range_exit_two_quickly(self, argv, message, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["norm", *argv], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_zero_count_exits_two(self, capsys):
         code, out, err = run(["norm", "step2", "--count", "0"], capsys)
         assert code == 2
         assert out == ""
         assert "at least 1" in err
+
+
+# Untrusted input run through main in-process: whatever the text, JSON or
+# integers, the command ends in exit 0, 1 or 2 within the deadline, with no
+# exception escaping.  The integers stay in [-3, 700]; step2's map and sample
+# counts are held small, since their product is bounded separately.
+SMALL_INTS = st.integers(-3, 700)
+ATOMS = st.sampled_from(["x", "x*y", "2*x + y", "x^2 - 1/3*y*x", "x*", "1/0*x", "H(x)", ""])
+NESTED = st.builds(
+    lambda depth, close, atom, tail: "(" * depth + atom + ")" * close + tail,
+    st.integers(0, 300), st.integers(0, 300), ATOMS, st.text("xyz()+-*^/0123 ", max_size=12),
+)
+CERT_TEXT = st.one_of(
+    st.builds(lambda depth: "[" * depth, st.integers(1, 3000)),
+    st.builds(
+        lambda n, mode, field, target, forms, coeff: json.dumps({
+            "n": n, "mode": mode, "field": field, "target": target,
+            "instances": [{"subst": {"a": form}, "coeff": coeff} for form in forms],
+        }),
+        st.one_of(SMALL_INTS, st.text(max_size=3)), st.sampled_from(["nc", "c", "q"]),
+        st.sampled_from(["Q", "GF(7)", "GF(4)", "R"]), st.builds("h({}) = H(x)^3".format, NESTED),
+        st.lists(NESTED, max_size=3), st.one_of(st.sampled_from(["1", "-1/2", "1e5", "x"]), SMALL_INTS),
+    ),
+)
+PROPERTY_SETTINGS = settings(
+    max_examples=30, deadline=2000, suppress_health_check=[HealthCheck.too_slow], database=None
+)
+
+
+# Hypothesis raises the recursion limit while a test runs; the command line
+# runs under the interpreter's own limit, read here at import.
+PROCESS_RECURSION_LIMIT = sys.getrecursionlimit()
+
+
+def _quiet_main(argv) -> int:
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(PROCESS_RECURSION_LIMIT)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main([str(a) for a in argv])
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestUntrustedInputProperty:
+    @PROPERTY_SETTINGS
+    @given(NESTED, st.sampled_from(["nc", "c"]))
+    @example("(" * 300 + "x" + ")" * 300, "nc")
+    def test_expression_text(self, text, mode):
+        argv = ["consequence", "--n", 2, "--vars", "x,y", "--mode", mode, "--target", f"h({text}) = H(x)^2"]
+        assert _quiet_main(argv) in (0, 1, 2)
+
+    @PROPERTY_SETTINGS
+    @given(text=CERT_TEXT)
+    @example(text="[" * 3000)
+    def test_certificate_json(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cert") / "cert.json"
+        path.write_text(text)
+        assert _quiet_main(["verify-cert", path]) in (0, 1, 2)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.sampled_from(["corollary26", "theorem27", "step2"]),
+        SMALL_INTS, SMALL_INTS, SMALL_INTS, SMALL_INTS, SMALL_INTS, SMALL_INTS,
+    )
+    @example("corollary26", 0, 2, 3, 1, 16, 0)
+    @example("theorem27", 2, 2, 3, 600, 16, 0)
+    def test_norm_integers(self, check, m, k, n, power, samples, seed):
+        argv = ["norm", check, "--m", m, "--k", k, "--n", n, "--power", power, "--seed", seed]
+        argv += ["--count", 3, "--samples", 8] if check == "step2" else ["--samples", samples]
+        assert _quiet_main(argv) in (0, 1, 2)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.sampled_from(["zm:5", "zm:5^2"]), st.sampled_from(models.PREDICATES),
+        SMALL_INTS, SMALL_INTS, st.one_of(st.none(), SMALL_INTS), SMALL_INTS,
+    )
+    def test_search_integers(self, codomain, predicate, n, limit, sample_count, seed):
+        argv = ["search", "--domain", "zm:5", "--codomain", codomain, "--predicate", predicate,
+                "--n", n, "--limit", limit, "--seed", seed]
+        if sample_count is not None:
+            argv += ["--sample-count", sample_count]
+        assert _quiet_main(argv) in (0, 1, 2)

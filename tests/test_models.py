@@ -12,6 +12,7 @@ from njordan import models
 from njordan.errors import GuardError
 from njordan.models import (
     AdditiveMap,
+    PredicateResult,
     additive_maps,
     find_njordan_maps,
     function_ring,
@@ -272,14 +273,26 @@ class TestAdditiveMaps:
         # h fails both predicates exhaustively, so checking no assignment must not pass
         pair = ring_from_spec("zm:5^2")
         h = AdditiveMap(pair, pair, [[2, 0], [0, 0]])
-        assert not is_n_jordan(h, 2).ok and not is_n_ring(h, 2).ok
-        for check in (is_n_jordan, is_n_ring):
-            with pytest.raises(ValueError, match="sample count must be at least 1"):
-                check(h, 2, 1, sample_seed=1, sample_count=count)
-            with pytest.raises(ValueError, match="sample count must be at least 1"):
-                check(h, 2, sample_count=count)
+        assert not is_n_jordan(h, 2).ok
+        with pytest.raises(ValueError, match="sample count must be at least 1"):
+            is_n_jordan(h, 2, 1, sample_seed=1, sample_count=count)
+        with pytest.raises(ValueError, match="sample count must be at least 1"):
+            is_n_jordan(h, 2, sample_count=count)
         with pytest.raises(ValueError, match="sample count must be at least 1"):
             list(additive_maps(pair, pair, count))
+
+    def test_powers_out_of_range_are_refused(self):
+        h = identity_map(ring_from_spec("zm:5^2"))
+        with pytest.raises(ValueError, match="n must be at least 2, got 1"):
+            is_n_ring(h, 1)
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            is_n_jordan(h, 0)
+        for check in (is_n_jordan, is_n_ring):
+            with pytest.raises(GuardError, match="n = 65 exceeds 64"):
+                check(h, models.MAX_POWER + 1)
+        with pytest.raises(GuardError, match=r"2\^24 basis tuples exceed"):
+            is_n_ring(h, 24)
+        assert is_n_ring(identity_map(make_zm(5)), models.MAX_POWER).ok
 
     def test_jordan_predicate_samples_past_the_element_table(self):
         ring = ring_from_spec("zm:5^10")
@@ -334,6 +347,14 @@ class TestSearch:
         z5 = make_zm(5)
         with pytest.raises(ValueError, match="sample count must be at least 1"):
             search(z5, z5, 3, "njordan_not_jordan", sample_count=count)
+
+    def test_sample_count_over_the_enumeration_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(models, "ENUM_CAP", 10)
+        z5 = make_zm(5)
+        with pytest.raises(GuardError, match="11 candidate maps exceed the enumeration cap 10"):
+            search(z5, z5, 3, "njordan_not_jordan", sample_count=11)
+        assert {h.index for h in search(z5, z5, 3, "njordan_not_jordan", sample_count=11, override=True)} == {4}
+        assert len(list(additive_maps(z5, z5, 10))) == 10
 
     def test_unknown_predicate_is_rejected_before_scanning(self):
         # no sampled map survives the power filter, so a late check never runs
@@ -396,11 +417,12 @@ class TestGapWitness:
         assert lhs.tolist() == [0, 1, 0]
         assert rhs.tolist() == [0, 0, 0]
 
-    def test_is_n_ring_finds_a_witness_by_sampling(self):
+    def test_is_n_ring_finds_the_uvu_witness(self):
+        # the first failing triple in index order is (u, v, u): h(uvu) = e, h(u)h(v)h(u) = 0
         dom, cod, h = gap_witness_model()
-        rep = is_n_ring(h, 3, sample_seed=0)
-        assert not rep.ok
-        assert rep.witness is not None and len(rep.witness) == 3
+        eu, ev = [0] * dom.dim, [0] * dom.dim
+        eu[0] = ev[1] = 1
+        assert is_n_ring(h, 3) == PredicateResult(False, 5 ** 42, True, (eu, ev, eu))
 
 
 class TestExampleCatalogue:
