@@ -190,7 +190,7 @@ def evaluate(
 
     variables = sorted(set(ident.lhs.variables()) | set(ident.rhs.variables()))
     space = ring_a.size ** len(variables)
-    blocks, exhaustive = ring_a.assignments(len(variables), max_assignments, sample_seed, max_assignments)
+    blocks, exhaustive = ring_a.assignments(len(variables), max_assignments, sample_seed)
     lhs_terms = [(word, residue(coeff, m)) for word, coeff in ident.lhs.terms]
     rhs_terms = [(word, residue(coeff, m)) for word, coeff in ident.rhs.terms]
 

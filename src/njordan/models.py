@@ -30,7 +30,7 @@ from .exact import eliminate, prime_factors
 
 # Most candidate maps one scan enumerates or draws, with no override.
 ENUM_CAP = 10 ** 7
-# Most basis tuples one n-ring check multiplies.
+# Most products one n-ring check forms: d^n basis tuples at n - 1 products each.
 TUPLE_CAP = 10 ** 7
 # Most rows one vectorized check holds at a time: a block of exhaustive
 # assignments, or of (candidate map, element) pairs in a scan.
@@ -103,12 +103,26 @@ def _eliminate_rows(rows: np.ndarray, target: np.ndarray, p: int):
     return eliminate([sparse(r) for r in rows], sparse(target), p)
 
 
-def _tuple_blocks(elems: np.ndarray, k: int) -> Iterator[list[np.ndarray]]:
-    """Every k-tuple of the rows of elems in index order, as k columns, in blocks of at most BLOCK_ROWS rows."""
-    space = len(elems) ** k
-    for start in range(0, space, BLOCK_ROWS):
-        block = _digits(np.arange(start, min(start + BLOCK_ROWS, space)), len(elems), k)
-        yield [elems[col] for col in block.T]
+def _blocks(base: int, width: int, block: int, count: int | None = None, seed: int = 0) -> Iterator[np.ndarray]:
+    """Points of (Z_base)^width as (rows, width) digit arrays, in blocks of at most block rows.
+
+    The one point enumerator: candidate maps, assignments and basis tuples
+    all come from here.  With no count, every point in index order (row i
+    holds the base-``base`` digits of i); with a count (at least 1, so no
+    check passes vacuously), that many seeded uniform draws, made one block
+    at a time.  The draws do not depend on block: a Generator's stream is
+    the same however it is cut.
+    """
+    if count is None:
+        total = base ** width
+        for start in range(0, total, block):
+            yield _digits(np.arange(start, min(start + block, total), dtype=np.int64), base, width)
+        return
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, block):
+        yield rng.integers(0, base, size=(min(block, count - start), width))
 
 
 class FiniteRing:
@@ -219,31 +233,21 @@ class FiniteRing:
     def element(self, idx: int) -> np.ndarray:
         return _digits([idx], self.modulus, self.dim)[0]
 
-    def assignments(
-        self, k: int, cap: int, sample_seed: int | None, sample_count: int
-    ) -> tuple[Iterator[list[np.ndarray]], bool]:
+    def assignments(self, k: int, cap: int, sample_seed: int | None) -> tuple[Iterator[list[np.ndarray]], bool]:
         """Blocks of columns of elements to assign to k variables, and whether they are exhaustive.
 
-        Every k-tuple in index order when the size**k tuples fit under cap;
-        otherwise sample_count seeded uniform draws per column, which needs
-        sample_seed.  Either way in blocks of at most BLOCK_ROWS rows.  The
-        n-Jordan predicate and identity evaluation draw their assignments
-        here.  A sample_count below 1 is refused, so no check passes vacuously.
+        Every k-tuple in index order when the size**k tuples fit under cap
+        (tuple i is the k*d base-m digits of i); otherwise cap seeded uniform
+        draws, which needs sample_seed.  Either way in blocks of at most
+        BLOCK_ROWS rows, each split into k columns of d.  Identity
+        evaluation draws its assignments here.
         """
-        if sample_count < 1:
-            raise ValueError(f"sample count must be at least 1, got {sample_count}")
-        space = self.size ** k
-        if space <= cap:
-            return _tuple_blocks(self.element_vectors(), k), True
-        if sample_seed is None:
+        space, d = self.size ** k, self.dim
+        exhaustive = space <= cap
+        if not exhaustive and sample_seed is None:
             raise GuardError(f"{space} assignments exceed cap {cap}; pass sample_seed to sample")
-        rng = np.random.default_rng(sample_seed)
-        # whole int64 columns keep the seeded stream; each is held in the narrowest type for a residue
-        narrow = np.min_scalar_type(self.modulus - 1)
-        draws = [rng.integers(0, self.modulus, size=(sample_count, self.dim)).astype(narrow) for _ in range(k)]
-        return (
-            [col[s:s + BLOCK_ROWS].astype(np.int64) for col in draws] for s in range(0, sample_count, BLOCK_ROWS)
-        ), False
+        points = _blocks(self.modulus, k * d, BLOCK_ROWS, None if exhaustive else cap, sample_seed or 0)
+        return ([pts[:, v * d:(v + 1) * d] for v in range(k)] for pts in points), exhaustive
 
     def product_batch(self, factors: Iterable[np.ndarray]) -> np.ndarray:
         """Left-to-right ring product of a nonempty sequence of (N, d) batches.
@@ -524,27 +528,18 @@ def _candidates(
 ) -> Iterator[np.ndarray]:
     """Candidate map matrices in blocks of shape (at most block, d_codomain, d_domain).
 
-    Every matrix in index order, or ``sample_count`` (at least 1) seeded
-    uniform draws when a count is given; either number of maps is refused
-    past the enumeration cap unless override is set.  The draws do not
-    depend on block: a Generator's stream is the same however it is cut.
+    Every matrix in index order, or ``sample_count`` seeded uniform draws
+    when a count is given, from _blocks; either number of maps is refused
+    past the enumeration cap unless override is set.
     """
     rows, cols, m = codomain.dim, domain.dim, domain.modulus
-    if sample_count is not None and sample_count < 1:
-        raise ValueError(f"sample count must be at least 1, got {sample_count}")
     total = m ** (rows * cols) if sample_count is None else sample_count
     if total > ENUM_CAP and not override:
         raise GuardError(
             f"{total} candidate maps exceed the enumeration cap {ENUM_CAP}; sample at most that many or pass override"
         )
-    if sample_count is not None:
-        rng = np.random.default_rng(seed)
-        for start in range(0, sample_count, block):
-            yield rng.integers(0, m, size=(min(block, sample_count - start), rows, cols))
-        return
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        yield _digits(idx, m, rows * cols).reshape(-1, rows, cols)
+    for mats in _blocks(m, rows * cols, block, sample_count, seed):
+        yield mats.reshape(-1, rows, cols)
 
 
 def additive_maps(
@@ -617,24 +612,20 @@ def _power_mismatch(
     return (lhs != rhs).any(axis=2)
 
 
-def is_n_jordan(
-    h: AdditiveMap,
-    n: int,
-    max_elements: int = ELEMENT_CAP,
-    sample_seed: int | None = None,
-    sample_count: int = 10 ** 4,
-) -> PredicateResult:
-    """Does h(a^n) = h(a)^n hold for every element a."""
+def is_n_jordan(h: AdditiveMap, n: int) -> PredicateResult:
+    """Does h(a^n) = h(a)^n hold for every element a, checked in index order.
+
+    Domains past ELEMENT_CAP elements are refused.
+    """
     _check_power(n, 1)
     ring_a = h.domain
-    blocks, exhaustive = ring_a.assignments(1, max_elements, sample_seed, sample_count)
+    elems, powers = ring_a.element_vectors(), ring_a.all_powers(n)
 
     def mismatch(cols: list[np.ndarray], start: int) -> np.ndarray:
-        (elems,) = cols
-        powers = ring_a.all_powers(n)[start:start + len(elems)] if exhaustive else ring_a.power_batch(elems, n)
-        return _power_mismatch(h.matrix[None], elems, powers, h.codomain, n)[0]
+        (block,) = cols
+        return _power_mismatch(h.matrix[None], block, powers[start:start + len(block)], h.codomain, n)[0]
 
-    return check_blocks(blocks, mismatch, exhaustive)
+    return check_blocks(([elems[s:s + BLOCK_ROWS]] for s in range(0, ring_a.size, BLOCK_ROWS)), mismatch, True)
 
 
 def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
@@ -647,20 +638,22 @@ def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
     identically 0, and an element that is not a basis vector is a
     combination of basis vectors of smaller index.  With the basis in index order (e_(d-1) is element 1),
     the first failing basis tuple is the witness; ``checked`` counts the
-    size^n tuples the verdict covers.
+    size^n tuples the verdict covers.  A check of more than TUPLE_CAP
+    products is refused.
     """
     _check_power(n, 2)
     d = h.domain.dim
-    if d ** n > TUPLE_CAP:
-        raise GuardError(f"{d}^{n} basis tuples exceed cap {TUPLE_CAP}")
+    if d ** n * (n - 1) > TUPLE_CAP:
+        raise GuardError(f"{d}^{n} basis tuples exceed cap {TUPLE_CAP} at {n - 1} products each")
 
     def mismatch(cols: list[np.ndarray], _start: int) -> np.ndarray:
         lhs = h.apply_batch(h.domain.product_batch(cols))
         rhs = h.codomain.product_batch(h.apply_batch(c) for c in cols)
         return (lhs != rhs).any(axis=1)
 
-    basis = check_blocks(_tuple_blocks(np.eye(d, dtype=np.int64)[::-1], n), mismatch, True)
-    return PredicateResult(basis.ok, h.domain.size ** n, True, basis.witness)
+    basis = np.eye(d, dtype=np.int64)[::-1]
+    found = check_blocks(([basis[col] for col in idx.T] for idx in _blocks(d, n, BLOCK_ROWS)), mismatch, True)
+    return PredicateResult(found.ok, h.domain.size ** n, True, found.witness)
 
 
 def recheck_jordan_witness(h: AdditiveMap, n: int, element: list[int]) -> bool:
@@ -726,9 +719,9 @@ def _predicate(name: str, h: AdditiveMap, n: int) -> tuple[bool, dict]:
     """The second check of a named predicate, for a map that passed search's filter.
 
     The filter has already checked the first condition, h(a^p) = h(a)^p, on
-    every element of a domain of at most 4096 elements.  An exhaustive
-    is_n_jordan would check exactly the same thing, so its report is
-    PredicateResult(True, domain.size, True) and is not computed again.
+    every element of a domain of at most 4096 elements.  is_n_jordan would
+    check exactly the same thing, so its report is PredicateResult(True,
+    domain.size, True) and is not computed again.
     """
     _, first_key, second_key, second = _PREDICATES[name]
     result = second(h, n)

@@ -23,9 +23,10 @@ import pytest
 
 from njordan import cstar_num, derivation, models
 from njordan.derivation import BUILTIN_SCRIPTS, InSpan, NotInSpan
-from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, parse_expr, var_id
+from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, parse_expr, var_id
 from njordan.identities import (
     SEED_VAR,
+    HIdentity,
     combine,
     evaluate,
     parse_identity,
@@ -243,6 +244,26 @@ def test_criterion_8_soundness_fuzz(acceptance_log):
         assert violations == 0
 
     _report(acceptance_log, "8 (derived identities hold on models)", body)
+
+
+def test_soundness_fuzz_kills_right_coefficient_mutants():
+    """Criterion 8 cannot fail: its one map is zero, so both sides vanish.
+    On the four nonzero cube maps Z_5^2 -> Z_5 every derived identity with
+    a nonzero right side must hold exhaustively, and bumping its first
+    right coefficient by 1 must break it on every map."""
+    pair, z5 = models.ring_from_spec("zm:5^2"), models.make_zm(5)
+    maps = [models.AdditiveMap.from_index(pair, z5, i) for i in (1, 4, 5, 20)]
+    assert all(h.matrix.any() and models.is_n_jordan(h, 3).ok for h in maps)
+    rng = random.Random(0)
+    idents = [ident for ident in (_random_chain(rng) for _ in range(40)) if not ident.rhs.is_zero()]
+    assert len(idents) == 37
+    for ident in idents:
+        (word, coeff), *rest = ident.rhs.terms
+        mutant = HIdentity(ident.lhs, FreePoly.from_terms([(word, coeff + 1), *rest], COMMUTATIVE))
+        for h in maps:
+            rep = evaluate(ident, pair, z5, h)
+            assert rep.ok and rep.exhaustive, (str(ident), h.index)
+            assert not evaluate(mutant, pair, z5, h).ok, (str(mutant), h.index)
 
 
 def test_criterion_9_functional_sweep_contractive(acceptance_log):

@@ -302,6 +302,18 @@ class TestSearchCommand:
         assert out == ""
         assert message in err
 
+    def test_ring_check_past_the_product_bound_exits_two_quickly(self, capsys):
+        # 2^23 basis tuples at 22 products each, for the first map that passes the filter
+        start = time.perf_counter()
+        code, out, err = run(
+            ["search", "--domain", "zm:5^2", "--codomain", "zm:5", "--n", "23", "--predicate", "njordan_not_nring"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "2^23 basis tuples exceed cap 10000000 at 22 products each" in err
+
     def test_ring_check_past_the_sweep_bound_is_exact(self, tmp_path, capsys):
         # every additive map Z_2^12 -> Z_2 is Jordan; the ring maps are 0 and the 12 coordinate projections
         out_json = tmp_path / "hits.json"

@@ -10,6 +10,8 @@ import pytest
 
 from njordan import models
 from njordan.errors import GuardError
+from njordan.freealg import NONCOMMUTATIVE
+from njordan.identities import evaluate, seed
 from njordan.models import (
     AdditiveMap,
     PredicateResult,
@@ -270,14 +272,7 @@ class TestAdditiveMaps:
 
     @pytest.mark.parametrize("count", [0, -4])
     def test_sample_counts_below_one_are_refused(self, count):
-        # h fails both predicates exhaustively, so checking no assignment must not pass
         pair = ring_from_spec("zm:5^2")
-        h = AdditiveMap(pair, pair, [[2, 0], [0, 0]])
-        assert not is_n_jordan(h, 2).ok
-        with pytest.raises(ValueError, match="sample count must be at least 1"):
-            is_n_jordan(h, 2, 1, sample_seed=1, sample_count=count)
-        with pytest.raises(ValueError, match="sample count must be at least 1"):
-            is_n_jordan(h, 2, sample_count=count)
         with pytest.raises(ValueError, match="sample count must be at least 1"):
             list(additive_maps(pair, pair, count))
 
@@ -292,13 +287,16 @@ class TestAdditiveMaps:
                 check(h, models.MAX_POWER + 1)
         with pytest.raises(GuardError, match=r"2\^24 basis tuples exceed"):
             is_n_ring(h, 24)
+        # 2^20 tuples fit under the cap, but not at 19 products each
+        with pytest.raises(GuardError, match=r"2\^20 basis tuples exceed cap 10000000 at 19 products each"):
+            is_n_ring(h, 20)
         assert is_n_ring(identity_map(make_zm(5)), models.MAX_POWER).ok
 
-    def test_jordan_predicate_samples_past_the_element_table(self):
+    def test_jordan_predicate_refuses_past_the_element_table(self):
         ring = ring_from_spec("zm:5^10")
         assert ring.size > models.ELEMENT_CAP
-        rep = is_n_jordan(identity_map(ring), 3, sample_seed=1, sample_count=100)
-        assert (rep.ok, rep.checked, rep.exhaustive) == (True, 100, False)
+        with pytest.raises(GuardError, match=f"{ring.size} elements exceed the materialization cap"):
+            is_n_jordan(identity_map(ring), 3)
 
     def test_transpose_is_antimultiplicative_jordan(self):
         ring, t = transpose_map(2, 2)
@@ -387,7 +385,7 @@ class TestSearch:
 class TestGapWitness:
     def test_map_is_3_jordan_on_samples(self):
         dom, cod, h = gap_witness_model()
-        rep = is_n_jordan(h, 3, sample_seed=0)
+        rep = evaluate(seed(3, NONCOMMUTATIVE), dom, cod, h, max_assignments=10 ** 4, sample_seed=0)
         assert rep.ok and not rep.exhaustive and rep.checked == 10 ** 4
 
     def test_cube_kernel_argument_is_exhaustive_on_the_letter_plane(self):
