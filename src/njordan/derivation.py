@@ -738,54 +738,3 @@ def verify_certificate(cert: Certificate, target: HIdentity | str | None = None)
     # Congruence is tested here with plain integer arithmetic, not exact.residue,
     # so the verifier shares no arithmetic with the eliminator it checks.
     return all(c.denominator % p and c.numerator % p == 0 for _, c in terms)
-
-
-# --- stock experiments ----------------------------------------------------------
-
-STOCK_TARGETS: tuple[tuple[str, int, str, int], ...] = (
-    # (name, n, target text, coeff_range)
-    ("single_product_n3", 3, "h(x*y*z) = H(x)*H(y)*H(z)", 1),
-    (
-        "symmetrized_product_n3",
-        3,
-        "h(x*y*z + x*z*y + y*x*z + y*z*x + z*x*y + z*y*x) = 6*H(x)*H(y)*H(z)",
-        1,
-    ),
-    ("printed_eq11", 3, "h(y*x*z + z*x*y + 2*x*y*z + 2*y*z*x) = 6*H(x)*H(y)*H(z)", 1),
-    ("printed_eq14", 3, "h(y*x^2 - x^2*y) = 0", 1),
-    ("printed_eq15", 3, "h(y*x*z - x*z*y) = 0", 1),
-    ("symmetrized_eq15", 3, "h(y*x*z + y*z*x - x*z*y - z*x*y) = 0", 1),
-    ("printed_eq18", 3, "h(y*x^2) = H(y)*H(x)^2", 1),
-    ("polarized_eq18", 3, "h(y*x*z + y*z*x) = 2*H(y)*H(x)*H(z)", 1),
-    ("single_product_n2", 2, "h(x*y) = H(x)*H(y)", 2),
-    ("pair_n2", 2, "h(x*y + y*x) = 2*H(x)*H(y)", 2),
-)
-
-
-def stock_experiments() -> list[dict]:
-    """Span probes for the noteworthy targets; outcomes reported, not assumed.
-
-    Includes the open probes: whether the transcribed collapsed statements
-    are themselves linear consequences of the seed instances, and the n=2
-    single-product membership relative to the coefficient-2 basis (a
-    negative there is evidence relative to this basis, not a proof).
-    """
-    out = []
-    for name, n, text, coeff_range in STOCK_TARGETS:
-        target = parse_identity(text, NONCOMMUTATIVE)
-        result = consequence_check(n, target, ("x", "y", "z"), coeff_range)
-        entry = {
-            "name": name,
-            "n": n,
-            "coeff_range": coeff_range,
-            "target": text,
-            "member": result.member,
-            "rank": result.rank,
-            "instances": result.n_instances,
-        }
-        if isinstance(result, InSpan):
-            entry["certificate_size"] = len(result.certificate.instances)
-        else:
-            entry["residual"] = result.residual
-        out.append(entry)
-    return out

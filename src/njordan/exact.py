@@ -3,8 +3,8 @@
 prime_factors is the one primality routine: n is prime exactly when
 prime_factors(n) == {n}.  residue is the one map from the rationals into
 Z_m.  eliminate is the one exact row reduction, over the rationals or over
-GF(p), used for span membership of seed instances and for the unit and the
-nilpotency index of a finite ring.
+GF(p), used for span membership of seed instances and for the nilpotency
+index of a finite ring.
 """
 
 from __future__ import annotations

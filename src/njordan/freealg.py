@@ -380,7 +380,7 @@ class _Parser:
             self.depth -= 1
             return inner
         if kind != "NAME":
-            raise ParseError("expected a variable, number, or parenthesized expression", at)
+            raise ParseError("expected a variable or parenthesized expression", at)
         if self.h_heads:
             if val != "H":
                 raise ParseError(f"expected H(<var>), got {val!r}", at)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import GuardError
 from .exact import eliminate, prime_factors
+from .freealg import MAX_DEPTH
 
 # Most candidate maps one scan enumerates or draws, with no override.
 ENUM_CAP = 10 ** 7
@@ -152,7 +153,6 @@ class FiniteRing:
         self.size = modulus ** self.dim
         self._check_associativity()
         self.commutative = bool((struct == struct.transpose(1, 0, 2)).all())
-        self.unit = self._find_unit()
         self._elements: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
 
@@ -181,21 +181,6 @@ class FiniteRing:
         bad = [key[:3] for key, value in diff.items() if value % self.modulus]
         if bad:
             raise ValueError(f"structure table is not associative at basis triple {min(bad)}")
-
-    def _find_unit(self) -> np.ndarray | None:
-        """The unit over a prime modulus, solving u*e_j = e_j and e_i*u = e_i for u."""
-        d, p = self.dim, self.modulus
-        if prime_factors(p) != {p}:
-            return None
-        # row i holds the coefficient of u_i in every condition
-        conditions = np.concatenate(
-            [self.struct.reshape(d, d * d), self.struct.transpose(1, 0, 2).reshape(d, d * d)], axis=1
-        )
-        target = np.tile(np.eye(d, dtype=np.int64).reshape(-1), 2)
-        _, combo, _ = _eliminate_rows(conditions, target, p)
-        if combo is None:
-            return None
-        return np.array([combo.get(i, 0) for i in range(d)], dtype=np.int64)
 
     def mul_batch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Componentwise ring product of two (N, d) batches.
@@ -415,7 +400,13 @@ def gap_witness_model() -> tuple[FiniteRing, FiniteRing, AdditiveMap]:
 
 
 def ring_from_spec(spec: str, override: bool = False) -> FiniteRing:
-    """Parse catalog strings like zm:5, zm:5^2, mat:2x2@2, upper:4@2, fun:upper:4@2,pts:3."""
+    """Parse catalog strings like zm:5, zm:5^2, mat:2x2@2, upper:4@2, fun:upper:4@2,pts:3.
+
+    A spec with more than MAX_DEPTH fun: wrappers is refused before any ring
+    is built, since each wrapper is one level of recursion.
+    """
+    if spec.count("fun:") > MAX_DEPTH:
+        raise GuardError(f"ring spec nests fun: deeper than {MAX_DEPTH}")
     s = spec.strip()
     if s.startswith("fun:"):
         body = s[4:]
@@ -502,10 +493,6 @@ class AdditiveMap:
 
 def negation_map(ring: FiniteRing) -> AdditiveMap:
     return AdditiveMap(ring, ring, (-np.eye(ring.dim, dtype=np.int64)) % ring.modulus)
-
-
-def identity_map(ring: FiniteRing) -> AdditiveMap:
-    return AdditiveMap(ring, ring, np.eye(ring.dim, dtype=np.int64))
 
 
 def transpose_map(k: int, m: int, override: bool = False) -> tuple[FiniteRing, AdditiveMap]:
@@ -654,42 +641,6 @@ def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
     basis = np.eye(d, dtype=np.int64)[::-1]
     found = check_blocks(([basis[col] for col in idx.T] for idx in _blocks(d, n, BLOCK_ROWS)), mismatch, True)
     return PredicateResult(found.ok, h.domain.size ** n, True, found.witness)
-
-
-def recheck_jordan_witness(h: AdditiveMap, n: int, element: list[int]) -> bool:
-    """Confirm a Jordan-predicate violation with plain integer arithmetic.
-
-    Independent of the vectorized path: multiplies through the structure
-    table in pure Python.  Returns True when the witness really violates
-    h(a^n) = h(a)^n.
-    """
-    m = h.domain.modulus
-
-    def ring_mul(ring: FiniteRing, u: list[int], v: list[int]) -> list[int]:
-        out = [0] * ring.dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                for k in range(ring.dim):
-                    out[k] = (out[k] + ui * vj * int(ring.struct[i, j, k])) % m
-        return out
-
-    def ring_pow(ring: FiniteRing, u: list[int], e: int) -> list[int]:
-        out = list(u)
-        for _ in range(e - 1):
-            out = ring_mul(ring, out, u)
-        return out
-
-    def apply(mat: np.ndarray, u: list[int]) -> list[int]:
-        return [int(sum(int(mat[r, c]) * u[c] for c in range(len(u))) % m) for r in range(mat.shape[0])]
-
-    a = [int(x) % m for x in element]
-    lhs = apply(h.matrix, ring_pow(h.domain, a, n))
-    rhs = ring_pow(h.codomain, apply(h.matrix, a), n)
-    return lhs != rhs
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,17 @@ class TestSearchCommand:
         assert out == ""
         assert "2^23 basis tuples exceed cap 10000000 at 22 products each" in err
 
+    @pytest.mark.parametrize("depth,code", [(freealg.MAX_DEPTH, 0), (freealg.MAX_DEPTH + 1, 2), (1500, 2)])
+    def test_function_ring_nesting_is_bounded(self, depth, code, capsys):
+        spec = "fun:" * depth + "zm:5" + ",pts:1" * depth
+        start = time.perf_counter()
+        got, out, err = run(["search", "--domain", spec, "--codomain", "zm:5", "--limit", "1"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err == f"guard refused: ring spec nests fun: deeper than {freealg.MAX_DEPTH}\n"
+
     def test_ring_check_past_the_sweep_bound_is_exact(self, tmp_path, capsys):
         # every additive map Z_2^12 -> Z_2 is Jordan; the ring maps are 0 and the 12 coordinate projections
         out_json = tmp_path / "hits.json"
@@ -451,6 +462,29 @@ CERT_TEXT = st.one_of(
         st.lists(NESTED, max_size=3), st.one_of(st.sampled_from(["1", "-1/2", "1e5", "x"]), SMALL_INTS),
     ),
 )
+# Ring specs of every family, fun: wrappers nested up to 2000 deep, and at most
+# one character replaced by a bad integer, a stray separator or nothing.
+FAMILIES = st.sampled_from(
+    ["zm:{}", "zm:{}^{}", "mat:{}x{}@{}", "upper:{}@{}", "freetrunc:{}d{}@{}", "nilpoly:{}@{}", "bogus:{}"]
+)
+SPEC_FAULTS = st.sampled_from(["", "0", "-3", "700", "x", "1e3", "99999999999999999999", "^", "@", ",pts:"])
+
+
+def _ring_spec(depth, family, ints, pts, fault):
+    spec = "fun:" * depth + family.format(*ints) + (",pts:" + pts) * depth
+    if fault is None:
+        return spec
+    at, token = fault
+    at %= len(spec)
+    return spec[:at] + token + spec[at + 1 :]
+
+
+RING_SPECS = st.builds(
+    _ring_spec,
+    st.one_of(st.integers(0, 2), st.integers(0, 2000)), FAMILIES,
+    st.lists(st.sampled_from(["1", "2", "3", "5"]), min_size=3, max_size=3), st.sampled_from(["1", "2", "5"]),
+    st.one_of(st.none(), st.tuples(st.integers(0, 10 ** 4), SPEC_FAULTS)),
+)
 PROPERTY_SETTINGS = settings(
     max_examples=30, deadline=2000, suppress_health_check=[HealthCheck.too_slow], database=None
 )
@@ -510,3 +544,12 @@ class TestUntrustedInputProperty:
         if sample_count is not None:
             argv += ["--sample-count", sample_count]
         assert _quiet_main(argv) in (0, 1, 2)
+
+    @PROPERTY_SETTINGS
+    @given(RING_SPECS, st.sampled_from(["zm:5", None]))
+    @example("fun:" * 1500 + "zm:5" + ",pts:1" * 1500, "zm:5")
+    def test_ring_specs(self, spec, codomain):
+        # mapped into zm:5, or into the spec's own ring, whose modulus always matches; the
+        # = form keeps argparse from reading a spec that starts with "-" as an option
+        argv = ["search", f"--domain={spec}", f"--codomain={codomain or spec}", "--limit", 1, "--sample-count", 3]
+        assert _quiet_main(argv) in (0, 2)

@@ -11,6 +11,7 @@ from njordan.cstar_num import (
     DiagAlgebra,
     LinearMapC,
     check_corollary_2_6,
+    check_step2,
     check_theorem_2_7,
     classify_njordan_functionals,
     coordinate_star_map,
@@ -157,6 +158,21 @@ class TestContractivityChecks:
     def test_whole_equals_componentwise_reduction(self):
         maps = random_linear_maps(2, 2, 1000, seed=0)
         assert all(step2_reduction_check(h, 3) for h in maps)
+
+    def test_step2_draws_one_batch_for_all_its_maps(self, monkeypatch):
+        draws = []
+        samples = DiagAlgebra.samples
+
+        def recording(self, count, seed=0):
+            draws.append((self.k, count, seed))
+            return samples(self, count, seed)
+
+        monkeypatch.setattr(DiagAlgebra, "samples", recording)
+        assert check_step2(3, 2, 3, 20, 64, seed=7)["equivalence_held"] == 20
+        assert draws == [(3, 64, 7)]
+        # the batch that step2_reduction_check draws for each of those maps alone
+        step2_reduction_check(random_linear_maps(3, 2, 1, seed=7)[0], 3, 64, 7)
+        assert draws == [(3, 64, 7)] * 2
 
     def test_reduction_check_is_seeded(self):
         h = random_linear_maps(2, 2, 1, seed=5)[0]

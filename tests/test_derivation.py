@@ -22,7 +22,6 @@ from njordan.derivation import (
     consequence_check,
     generate_instances,
     replay,
-    stock_experiments,
     trace_to_json,
     verify_certificate,
 )
@@ -174,6 +173,7 @@ SPAN_BATTERY_N3_C1 = [
     ("h(3*y*x^2 + x^2*y + 2*x*y*x) = 6*H(x)^2*H(y)", False),
     ("h(x*y*x + 2*y*x^2) = 3*H(x)^2*H(y)", False),
     ("h(y*x^2 - x^2*y) = 0", False),
+    ("h(y*x*z - x*z*y) = 0", False),
     ("h(y*x*z + y*z*x - x*z*y - z*x*y) = 0", False),
     ("h(y*x*z + y*z*x - x*z*y - z*x*y + x*y*z - z*y*x) = 0", False),
     ("h(x*y*x + y*x^2) = 2*H(x)^2*H(y)", False),
@@ -370,26 +370,3 @@ class TestCertificates:
             result = consequence_check(3, i2s(target), ("x", "y", "z"), 1)
             assert isinstance(result, InSpan), i2s(target)
             assert verify_certificate(result.certificate)
-
-
-class TestStockExperiments:
-    def test_catalogue_verdicts(self):
-        rows = {e["name"]: e for e in stock_experiments()}
-        expected = {
-            "single_product_n3": False,
-            "symmetrized_product_n3": True,
-            "printed_eq11": False,
-            "printed_eq14": False,
-            "printed_eq15": False,
-            "symmetrized_eq15": False,
-            "printed_eq18": False,
-            "polarized_eq18": False,
-            "single_product_n2": False,
-            "pair_n2": True,
-        }
-        assert {k: v["member"] for k, v in rows.items()} == expected
-        for row in rows.values():
-            if row["member"]:
-                assert row["certificate_size"] > 0
-            else:
-                assert row["residual"]

@@ -187,8 +187,8 @@ class TestSubstituteLinear:
             substitute_linear(poly("x"), {var_id("x"): poly("x + 1")})
 
     def test_rejects_fractional_coefficient(self):
-        with pytest.raises(ValueError):
-            substitute_linear(poly("x"), {var_id("x"): poly("x/2")})
+        with pytest.raises(ValueError, match="not integer-linear"):
+            substitute_linear(poly("x"), {var_id("x"): poly("1/2*x")})
 
     def test_rejects_mode_mismatch(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from njordan import models
@@ -157,7 +158,7 @@ class TestParsing:
 class TestModelEvaluation:
     def test_identity_map_satisfies_everything_derived(self):
         z7 = models.make_zm(7)
-        ident_map = models.identity_map(z7)
+        ident_map = models.AdditiveMap(z7, z7, np.eye(z7.dim, dtype=np.int64))
         for text in (
             "h(x*y*z) = H(x)*H(y)*H(z)",
             "h(x^2*y + x*y*x + y*x^2) = 3*H(x)^2*H(y)",
@@ -215,6 +216,6 @@ class TestModelEvaluation:
     def test_noncommutative_codomain_rejected(self):
         m2 = models.matrix_ring(2, 2)
         ident = parse_identity("h(x^2) = H(x)^2", NONCOMMUTATIVE)
-        h = models.identity_map(m2)
+        h = models.AdditiveMap(m2, m2, np.eye(m2.dim, dtype=np.int64))
         with pytest.raises(ValueError):
             evaluate(ident, m2, m2, h)

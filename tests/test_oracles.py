@@ -8,16 +8,17 @@ per-map draws, and the one point enumerator's blocks with Python digits
 and one whole seeded draw, and search, find_njordan_maps and additive_maps
 give the same results with BLOCK_ROWS set to 7, 100 or its default.  The
 one exact eliminator is compared with sympy's rank over Q and prime fields
-on random sparse matrices, and the unit and the nilpotency index it
-computes with their known values on every constructor.  The ring
-constructor's associativity check, a join over the nonzero structure
-constants, is compared with dense d^4 tables on random structure
-constants, and every catalogue ring's table with an independent definition
-of its basis products (matrix units multiplied as numpy matrices, word
-concatenation, exponent sums, componentwise products).  substitute_linear
-is compared with a plain expansion that picks one image term per letter
-and sums in a dict, with no FreePoly arithmetic.  Sampled evaluation runs
-must return their recorded witnesses, and a three-variable witness is
+on random sparse matrices, and the nilpotency index it computes with its
+known value on every constructor, whose known unit is checked by
+multiplication.  The ring constructor's associativity check, a join over
+the nonzero structure constants, is compared with dense d^4 tables on
+random structure constants, and every catalogue ring's table with an
+independent definition of its basis products (matrix units multiplied as
+numpy matrices, word concatenation, exponent sums, componentwise
+products).  substitute_linear is compared with a plain expansion that
+picks one image term per letter and sums in a dict, with no FreePoly
+arithmetic.  Sampled evaluation runs must return their recorded
+witnesses, and a three-variable witness and an is_n_jordan witness are
 confirmed by plain integer arithmetic.  The sparse ring product is
 compared with the dense einsum over the whole structure table, and the
 streamed assignments, exhaustive and sampled, with one-shot columns
@@ -52,7 +53,6 @@ from njordan.models import (
     additive_maps,
     find_njordan_maps,
     gap_witness_model,
-    identity_map,
     is_n_jordan,
     is_n_ring,
     matrix_ring,
@@ -265,8 +265,15 @@ UNIT_AND_NILPOTENCY = [
 
 @pytest.mark.parametrize("spec,unit,index", UNIT_AND_NILPOTENCY)
 def test_unit_and_nilpotency_on_constructor_rings(spec, unit, index):
+    # a listed unit is a two-sided unit of the constructed table; a nilpotent
+    # ring has none
     ring = ring_from_spec(spec)
-    assert (None if ring.unit is None else ring.unit.tolist()) == unit
+    assert (unit is None) == (index is not None)
+    if unit is not None:
+        basis = np.eye(ring.dim, dtype=np.int64)
+        units = np.tile(unit, (ring.dim, 1))
+        assert (ring.mul_batch(units, basis) == basis).all()
+        assert (ring.mul_batch(basis, units) == basis).all()
     assert nilpotency_index(ring) == index
 
 
@@ -382,6 +389,25 @@ def _plain_mul(ring, u, v):
 
 def _plain_apply(h, u):
     return [sum(int(c) * x for c, x in zip(row, u)) % h.domain.modulus for row in h.matrix]
+
+
+def _plain_pow(ring, u, n):
+    """u^n by repeated _plain_mul."""
+    out = u
+    for _ in range(n - 1):
+        out = _plain_mul(ring, out, u)
+    return out
+
+
+def test_witness_recheck_uses_plain_arithmetic():
+    z5 = models.make_zm(5)
+    neg = negation_map(z5)
+    r2 = is_n_jordan(neg, 2)
+    assert r2.witness is not None
+    a = [int(x) for x in r2.witness[0]]
+    for n, violated in ((2, True), (3, False)):
+        lhs, rhs = _plain_apply(neg, _plain_pow(z5, a, n)), _plain_pow(z5, _plain_apply(neg, a), n)
+        assert (lhs != rhs) is violated
 
 
 def test_sampled_evaluation_keeps_its_witness():
@@ -682,6 +708,6 @@ def test_passing_ring_check_multiplies_only_basis_tuples(monkeypatch):
         return mul_batch(self, u, v)
 
     monkeypatch.setattr(FiniteRing, "mul_batch", counting)
-    assert is_n_ring(identity_map(pair), 4) == PredicateResult(True, 25 ** 4, True)
+    assert is_n_ring(AdditiveMap(pair, pair, np.eye(pair.dim, dtype=np.int64)), 4) == PredicateResult(True, 25 ** 4, True)
     # three products of 2^4 basis tuples on each side
     assert sum(rows) <= 2 * 3 * 16
