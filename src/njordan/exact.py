@@ -1,10 +1,10 @@
 """Exact arithmetic shared by the identity calculus and the finite models.
 
 prime_factors is the one primality routine: n is prime exactly when
-prime_factors(n) == {n}.  residue is the one map from the rationals into
-Z_m.  eliminate is the one exact row reduction, over the rationals or over
-GF(p), used for span membership of seed instances and for the nilpotency
-index of a finite ring.
+prime_factors(n) == {n}, decided for every |n| below 2^40.  residue is the
+one map from the rationals into Z_m.  eliminate is the one exact row
+reduction, over the rationals or over GF(p), used for span membership of
+seed instances and for the nilpotency index of a finite ring.
 """
 
 from __future__ import annotations
@@ -13,17 +13,29 @@ from fractions import Fraction
 from math import gcd
 from typing import Hashable, Iterable, Mapping
 
+from .errors import GuardError
+
+# Largest trial divisor: every |n| below its square, 2^40, is factored, and
+# untrusted denominators and moduli past that cannot stall the caller.
+MAX_TRIAL_DIVISOR = 2 ** 20
+
 
 def prime_factors(n: int) -> frozenset[int]:
-    """Set of prime factors of |n|; empty for 0 and 1."""
+    """Set of prime factors of |n|; empty for 0 and 1.
+
+    GuardError when a cofactor is left that has no prime factor up to
+    MAX_TRIAL_DIVISOR but may still be composite.
+    """
     n = abs(n)
     out = set()
     p = 2
     while p * p <= n:
+        if p > MAX_TRIAL_DIVISOR:
+            raise GuardError(f"a {n.bit_length()}-bit number has no prime factor up to {MAX_TRIAL_DIVISOR}")
         while n % p == 0:
             out.add(p)
             n //= p
-        p += 1
+        p += 1 if p == 2 else 2
     if n > 1:
         out.add(n)
     return frozenset(out)

@@ -16,9 +16,11 @@ used for polynomials in the image symbols of an additive map.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
 from math import prod
 from operator import mul
 from typing import Iterable, Iterator, Mapping
@@ -59,12 +61,12 @@ def var_name(vid: int) -> str:
 
 
 def var_id(name: str) -> int:
-    """Id for a display name; raises KeyError for unknown names."""
+    """Id for a display name; ValueError for any name the grammar does not accept."""
     if name in ALPHABET:
         return ALPHABET.index(name)
-    if len(name) > 1 and name[0] == "v" and name[1:].isdigit():
+    if re.fullmatch("v[0-9]+", name):
         return len(ALPHABET) + int(name[1:])
-    raise KeyError(name)
+    raise ValueError(f"unknown variable name {name!r}")
 
 
 def _check_expansion(letters: int) -> None:
@@ -248,161 +250,111 @@ def substitute_linear(p: FreePoly, subst: Mapping[int, FreePoly]) -> FreePoly:
 #   factor  := primary ['^' integer]
 #   primary := var | 'H' '(' var ')' | '(' expr ')'
 #
-# '*' is mandatory between factors; juxtaposed names do not parse.
+# '*' is mandatory between factors; juxtaposed names do not parse.  Integers,
+# names and blanks are ASCII; any other character is a ParseError.
 
-_TOKEN_OPS = set("+-*/^()=")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\n":
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-        elif ch in _TOKEN_OPS:
-            tokens.append(("OP", ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", "", len(text)))
-    return tokens
+_TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)|(?P<OP>[-+*/^()=])|[ \t\n]+|(?P<BAD>.)", re.S)
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], mode: str, h_heads: bool):
-        self.tokens = tokens
+    def __init__(self, text: str, mode: str, h_heads: bool):
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            if m.lastgroup == "BAD":
+                raise ParseError(f"unexpected character {m[0]!r}", m.start())
+            if m.lastgroup:
+                self.tokens.append((m.lastgroup, m[0], m.start()))
+        self.tokens.append(("END", "", len(text)))
         self.pos = 0
         self.mode = mode
         self.h_heads = h_heads
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def accept(self, ops: str) -> str | None:
+        """Take the next token and return it if it is one of the operators ops."""
+        kind, val, _ = self.tokens[self.pos]
+        if kind == "OP" and val in ops:
+            self.pos += 1
+            return val
+        return None
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+    def take(self, kind: str, what: str, value: str | None = None) -> tuple[str, int]:
+        """The next token's text and offset, or ParseError("expected " + what)."""
+        k, val, at = self.tokens[self.pos]
+        if k != kind or (value is not None and val != value):
+            raise ParseError(f"expected {what}", at)
         self.pos += 1
-        return tok
-
-    def expect(self, op: str) -> None:
-        kind, val, at = self.take()
-        if kind != "OP" or val != op:
-            raise ParseError(f"expected {op!r}", at)
+        return val, at
 
     def parse_expr(self) -> FreePoly:
         return FreePoly.from_terms(self._signed_terms(), self.mode)
 
     def _signed_terms(self) -> Iterator[tuple[Word, Fraction]]:
         """The terms of each summand in turn, each summand parsed only when needed."""
-        kind, val, _ = self.peek()
-        negate = kind == "OP" and val == "-"
-        if kind == "OP" and val in "+-":
-            self.take()
-        while True:
+        sign = self.accept("+-") or "+"
+        while sign:
             term = self.parse_term()
-            yield from (-term if negate else term).terms
-            kind, val, _ = self.peek()
-            if not (kind == "OP" and val in "+-"):
-                return
-            self.take()
-            negate = val == "-"
+            yield from (-term if sign == "-" else term).terms
+            sign = self.accept("+-")
 
     def parse_term(self) -> FreePoly:
-        kind, val, at = self.peek()
-        coeff = Fraction(1)
-        have_coeff = False
-        if kind == "INT":
-            self.take()
-            num = int(val)
-            den = 1
-            k2, v2, _ = self.peek()
-            if k2 == "OP" and v2 == "/":
-                self.take()
-                k3, v3, a3 = self.take()
-                if k3 != "INT":
-                    raise ParseError("expected integer denominator", a3)
-                den = int(v3)
-                if den == 0:
-                    raise ParseError("zero denominator", a3)
-            coeff = Fraction(num, den)
-            have_coeff = True
-            kind, val, at = self.peek()
-            if kind == "OP" and val == "*":
-                self.take()
-                kind, val, at = self.peek()
-            elif kind == "NAME" or (kind == "OP" and val == "("):
-                raise ParseError("missing '*' after coefficient", at)
-            else:
-                return FreePoly.from_terms([((), coeff)], self.mode)
+        if self.tokens[self.pos][0] != "INT":
+            return self.parse_factors()
+        num = int(self.take("INT", "integer")[0])
+        den = 1
+        if self.accept("/"):
+            text, at = self.take("INT", "integer denominator")
+            den = int(text)
+            if den == 0:
+                raise ParseError("zero denominator", at)
+        coeff = Fraction(num, den)
+        if self.accept("*"):
+            return self.parse_factors().scale(coeff)
+        kind, val, at = self.tokens[self.pos]
+        if kind == "NAME" or val == "(":
+            raise ParseError("missing '*' after coefficient", at)
+        return FreePoly.from_terms([((), coeff)], self.mode)
+
+    def parse_factors(self) -> FreePoly:
         poly = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "OP" and val == "*":
-                self.take()
-                poly = poly * self.parse_factor()
-            else:
-                break
-        return poly.scale(coeff) if have_coeff else poly
+        while self.accept("*"):
+            poly = poly * self.parse_factor()
+        return poly
 
     def parse_factor(self) -> FreePoly:
         base = self.parse_primary()
-        kind, val, _ = self.peek()
-        if kind == "OP" and val == "^":
-            self.take()
-            k2, v2, a2 = self.take()
-            if k2 != "INT":
-                raise ParseError("expected integer exponent", a2)
-            return base ** int(v2)
-        return base
+        return base ** int(self.take("INT", "integer exponent")[0]) if self.accept("^") else base
 
     def parse_primary(self) -> FreePoly:
-        kind, val, at = self.take()
-        if kind == "OP" and val == "(":
+        if self.accept("("):
             self.depth += 1
             if self.depth > MAX_DEPTH:
                 raise GuardError(f"parentheses nest deeper than {MAX_DEPTH}")
             inner = self.parse_expr()
-            self.expect(")")
+            self.take("OP", "')'", ")")
             self.depth -= 1
             return inner
-        if kind != "NAME":
-            raise ParseError("expected a variable or parenthesized expression", at)
+        name, at = self.take("NAME", "a variable or parenthesized expression")
         if self.h_heads:
-            if val != "H":
-                raise ParseError(f"expected H(<var>), got {val!r}", at)
-            self.expect("(")
-            kind, val, at = self.take()
-            if kind != "NAME":
-                raise ParseError("expected variable name", at)
+            if name != "H":
+                raise ParseError(f"expected H(<var>), got {name!r}", at)
+            self.take("OP", "'('", "(")
+            name, at = self.take("NAME", "variable name")
         try:
-            vid = var_id(val)
-        except KeyError:
-            raise ParseError(f"unknown variable name {val!r}", at) from None
+            vid = var_id(name)
+        except ValueError as exc:
+            raise ParseError(str(exc), at) from None
         if self.h_heads:
-            self.expect(")")
+            self.take("OP", "')'", ")")
         return FreePoly.variable(vid, self.mode)
 
 
 def parse_expr(text: str, mode: str, h_heads: bool = False) -> FreePoly:
     """Parse an expression in the fixed grammar into a canonical FreePoly."""
     _check_mode(mode)
-    parser = _Parser(_tokenize(text), mode, h_heads)
+    parser = _Parser(text, mode, h_heads)
     poly = parser.parse_expr()
-    kind, _, at = parser.peek()
+    kind, _, at = parser.tokens[parser.pos]
     if kind != "END":
         raise ParseError("trailing input", at)
     return poly
@@ -411,15 +363,10 @@ def parse_expr(text: str, mode: str, h_heads: bool = False) -> FreePoly:
 def _word_str(word: Word, h_heads: bool) -> str:
     if not word:
         return "1"
-    runs: list[tuple[int, int]] = []
-    for vid in word:
-        if runs and runs[-1][0] == vid:
-            runs[-1] = (vid, runs[-1][1] + 1)
-        else:
-            runs.append((vid, 1))
     parts = []
-    for vid, count in runs:
+    for vid, run in groupby(word):
         name = f"H({var_name(vid)})" if h_heads else var_name(vid)
+        count = len(list(run))
         parts.append(name if count == 1 else f"{name}^{count}")
     return "*".join(parts)
 

@@ -36,6 +36,7 @@ TUPLE_CAP = 10 ** 7
 # Most rows one vectorized check holds at a time: a block of exhaustive
 # assignments, or of (candidate map, element) pairs in a scan.
 BLOCK_ROWS = 2 ** 15
+# Most int64 cells (elements times dimension) of a cached element or power table.
 ELEMENT_CAP = 2 ** 22
 CONSTRUCTOR_MODULI = (2, 3, 5, 7)
 MAX_MATRIX_SIZE = 4
@@ -206,8 +207,9 @@ class FiniteRing:
 
     def element_vectors(self) -> np.ndarray:
         """All elements as an (size, d) array in index order."""
-        if self.size > ELEMENT_CAP:
-            raise GuardError(f"{self.size} elements exceed the materialization cap {ELEMENT_CAP}")
+        cells = self.size * self.dim
+        if cells > ELEMENT_CAP:
+            raise GuardError(f"{self.size} elements exceed the materialization cap: {cells} cells over {ELEMENT_CAP}")
         if self._elements is None:
             self._elements = _digits(np.arange(self.size, dtype=np.int64), self.modulus, self.dim)
         return self._elements
@@ -602,7 +604,7 @@ def _power_mismatch(
 def is_n_jordan(h: AdditiveMap, n: int) -> PredicateResult:
     """Does h(a^n) = h(a)^n hold for every element a, checked in index order.
 
-    Domains past ELEMENT_CAP elements are refused.
+    Domains whose element table would hold over ELEMENT_CAP cells are refused.
     """
     _check_power(n, 1)
     ring_a = h.domain

@@ -22,6 +22,10 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+# a 100-bit prime: no factor below the trial-division bound, and past its square
+BIG_PRIME = 10 ** 30 + 57
+
+
 class TestReplayCommand:
     def test_passing_script_exits_zero(self, capsys):
         code, out, _ = run(["replay", "--script", "thm2_2_n3"], capsys)
@@ -85,6 +89,32 @@ class TestConsequenceCommand:
         assert time.perf_counter() - start < 1.0
         assert code == expected
         assert ("nest deeper than" in err) == (expected == 2)
+
+    @pytest.mark.parametrize("names", ["x,q", "x,v\u0661", "x,V1", "x,xy"])
+    def test_unknown_variable_names_exit_two(self, names, capsys):
+        code, _, err = run(["consequence", "--n", "2", "--target", "h(x^2) = H(x)^2", "--vars", names], capsys)
+        assert code == 2
+        assert err == f"error: unknown variable name {names.split(',')[1]!r}\n"
+
+    # trial division would run to the square root of a 100-bit prime
+    @pytest.mark.parametrize("extra", [
+        ["--target", f"h(1/{BIG_PRIME}*x^2) = 1/{BIG_PRIME}*H(x)^2"],
+        ["--target", "h(x^2) = H(x)^2", "--field", f"GF({BIG_PRIME})"],
+    ])
+    def test_unfactorable_denominator_or_field_exits_two_quickly(self, extra, capsys):
+        start = time.perf_counter()
+        code, _, err = run(["consequence", "--n", "2", "--vars", "x", *extra], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert "no prime factor up to" in err
+
+    def test_field_prime_past_two_to_the_forty_is_decided(self, capsys):
+        code, out, _ = run(
+            ["consequence", "--n", "2", "--vars", "x", "--target", "h(x^2) = H(x)^2", "--field", "GF(1099511627791)"],
+            capsys,
+        )
+        assert code == 0
+        assert "IN SPAN" in out
 
     def test_coefficient_guard_exits_two_without_override(self, capsys):
         code, _, err = run(
@@ -175,6 +205,18 @@ class TestVerifyCertCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "coefficient exceeds" in err
+
+    def test_unfactorable_coefficient_denominator_exits_two_quickly(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "n": 2, "mode": "nc", "field": "Q", "target": "h(x^2) = H(x)^2",
+            "instances": [{"subst": {"a": "-x"}, "coeff": f"1/{BIG_PRIME}"}],
+        }))
+        start = time.perf_counter()
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert "no prime factor up to" in err
 
     def test_largest_expansion_under_the_cap_verifies(self, tmp_path, capsys):
         path = tmp_path / "cert.json"
@@ -448,8 +490,10 @@ SMALL_INTS = st.integers(-3, 700)
 ATOMS = st.sampled_from(["x", "x*y", "2*x + y", "x^2 - 1/3*y*x", "x*", "1/0*x", "H(x)", ""])
 NESTED = st.builds(
     lambda depth, close, atom, tail: "(" * depth + atom + ")" * close + tail,
-    st.integers(0, 300), st.integers(0, 300), ATOMS, st.text("xyz()+-*^/0123 ", max_size=12),
+    st.integers(0, 300), st.integers(0, 300), ATOMS, st.text("xyz()+-*^/0123 \u00b2\u0661\u00e9\u03b1", max_size=12),
 )
+# grammar names, unknown ASCII names and names with non-ASCII characters
+VAR_NAMES = st.sampled_from(["x", "y", "v3", "q", "", "v", "X", "v\u0661", "\u00e9", "x\u00b2", "H"])
 CERT_TEXT = st.one_of(
     st.builds(lambda depth: "[" * depth, st.integers(1, 3000)),
     st.builds(
@@ -458,8 +502,9 @@ CERT_TEXT = st.one_of(
             "instances": [{"subst": {"a": form}, "coeff": coeff} for form in forms],
         }),
         st.one_of(SMALL_INTS, st.text(max_size=3)), st.sampled_from(["nc", "c", "q"]),
-        st.sampled_from(["Q", "GF(7)", "GF(4)", "R"]), st.builds("h({}) = H(x)^3".format, NESTED),
-        st.lists(NESTED, max_size=3), st.one_of(st.sampled_from(["1", "-1/2", "1e5", "x"]), SMALL_INTS),
+        st.sampled_from(["Q", "GF(7)", "GF(4)", "R", "GF(1099511627791)", f"GF({BIG_PRIME})", "GF(\u0667)"]),
+        st.builds("h({}) = H(x)^3".format, NESTED), st.lists(NESTED, max_size=3),
+        st.one_of(st.sampled_from(["1", "-1/2", "1e5", "x", f"1/{BIG_PRIME}", f"-3/{3 * BIG_PRIME}"]), SMALL_INTS),
     ),
 )
 # Ring specs of every family, fun: wrappers nested up to 2000 deep, and at most
@@ -514,8 +559,17 @@ class TestUntrustedInputProperty:
         assert _quiet_main(argv) in (0, 1, 2)
 
     @PROPERTY_SETTINGS
+    @given(st.lists(VAR_NAMES, max_size=4))
+    @example(["x", "q"])
+    def test_variable_names(self, names):
+        argv = ["consequence", "--n", 2, "--vars", ",".join(names), "--target", "h(x^2) = H(x)^2"]
+        assert _quiet_main(argv) in (0, 1, 2)
+
+    @PROPERTY_SETTINGS
     @given(text=CERT_TEXT)
     @example(text="[" * 3000)
+    @example(text=json.dumps({"n": 2, "mode": "nc", "field": f"GF({BIG_PRIME})", "target": "h(x^2) = H(x)^2",
+                              "instances": [{"subst": {"a": "-x"}, "coeff": "1"}]}))
     def test_certificate_json(self, text, tmp_path_factory):
         path = tmp_path_factory.mktemp("cert") / "cert.json"
         path.write_text(text)

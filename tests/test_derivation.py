@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from njordan import derivation
 from njordan.derivation import (
@@ -26,7 +29,8 @@ from njordan.derivation import (
     verify_certificate,
 )
 from njordan.errors import GuardError
-from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE
+from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, linear_form, parse_expr, to_string
+from njordan.identities import combine, identity_to_string, parse_identity
 
 SYM_SIX = "h(x*y*z + x*z*y + y*x*z + y*z*x + z*x*y + z*y*x) = 6*H(x)*H(y)*H(z)"
 SINGLE = "h(x*y*z) = H(x)*H(y)*H(z)"
@@ -354,8 +358,6 @@ class TestCertificates:
     def test_fuzz_random_members_round_trip(self):
         rng = random.Random(7)
         instances = generate_instances(3, ("x", "y", "z"), 1)
-        from njordan.identities import combine, identity_to_string as i2s
-
         for _ in range(100):
             picks = rng.sample(range(len(instances)), rng.randint(1, 5))
             coeffs = [
@@ -367,6 +369,73 @@ class TestCertificates:
             )
             if target.lhs.is_zero() and target.rhs.is_zero():
                 continue
-            result = consequence_check(3, i2s(target), ("x", "y", "z"), 1)
-            assert isinstance(result, InSpan), i2s(target)
+            result = consequence_check(3, identity_to_string(target), ("x", "y", "z"), 1)
+            assert isinstance(result, InSpan), identity_to_string(target)
             assert verify_certificate(result.certificate)
+
+
+# Certificate mutations: consequence_check's certificate for a random
+# combination of seed instances, with one part changed.  Over Q every change
+# below alters the recombined identity, so verification must fail; over
+# GF(7) only a coefficient change divisible by 7 leaves it intact.
+VARS = ("x", "y", "z")
+INSTANCES = {mode: generate_instances(3, VARS, 1, mode) for mode in (NONCOMMUTATIVE, COMMUTATIVE)}
+DELTAS = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.sampled_from([1, 2, 3, 5]))
+MUTATION_SETTINGS = settings(max_examples=20, deadline=None, database=None)
+
+
+@st.composite
+def fresh_certificates(draw, field: str):
+    mode = draw(st.sampled_from([NONCOMMUTATIVE, COMMUTATIVE]))
+    instances = INSTANCES[mode]
+    picks = draw(st.lists(st.integers(0, len(instances) - 1), min_size=1, max_size=4, unique=True))
+    target = combine([(draw(DELTAS), instances[i].identity) for i in picks])
+    result = consequence_check(3, identity_to_string(target), VARS, 1, field=field, mode=mode)
+    assert isinstance(result, InSpan)
+    assume(result.certificate.instances)
+    return result.certificate
+
+
+def _with_coefficient(cert: Certificate, index: int, delta: Fraction) -> Certificate:
+    instances = list(cert.instances)
+    form, coeff = instances[index % len(instances)]
+    instances[index % len(instances)] = (form, str(Fraction(coeff) + delta))
+    return dataclasses.replace(cert, instances=tuple(instances))
+
+
+class TestCertificateMutation:
+    @MUTATION_SETTINGS
+    @given(fresh_certificates("Q"), st.integers(0, 20), DELTAS)
+    def test_changed_coefficient_is_rejected(self, cert, index, delta):
+        assert verify_certificate(cert)
+        assert not verify_certificate(_with_coefficient(cert, index, delta))
+
+    @MUTATION_SETTINGS
+    @given(fresh_certificates("Q"), st.integers(0, 100), DELTAS)
+    def test_changed_target_coefficient_is_rejected(self, cert, index, delta):
+        target = parse_identity(cert.target, cert.mode)
+        sides = [("lhs", word) for word, _ in target.lhs.terms] + [("rhs", word) for word, _ in target.rhs.terms]
+        side, word = sides[index % len(sides)]
+        old = getattr(target, side)
+        changed = dataclasses.replace(target, **{side: old + FreePoly.from_terms([(word, delta)], old.mode)})
+        assert not verify_certificate(dataclasses.replace(cert, target=identity_to_string(changed)))
+
+    @MUTATION_SETTINGS
+    @given(fresh_certificates("Q"), st.integers(0, 20), st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    def test_replaced_form_is_rejected(self, cert, index, eps):
+        # h(L^n) determines L up to sign, so any other nonzero form changes the sum
+        instances = list(cert.instances)
+        form, coeff = instances[index % len(instances)]
+        new = linear_form(dict(enumerate(eps)), cert.mode)
+        old = parse_expr(form, cert.mode)
+        assume(not new.is_zero() and new not in (old, -old))
+        instances[index % len(instances)] = (to_string(new), coeff)
+        assert not verify_certificate(dataclasses.replace(cert, instances=tuple(instances)))
+
+    @MUTATION_SETTINGS
+    @given(fresh_certificates("GF(7)"), st.integers(0, 20), DELTAS, st.integers(-3, 3).filter(bool))
+    def test_prime_field_rejects_exactly_the_changes_not_divisible_by_p(self, cert, index, delta, k):
+        assert verify_certificate(cert)
+        assert verify_certificate(_with_coefficient(cert, index, 7 * k))
+        assume(delta.numerator % 7)
+        assert not verify_certificate(_with_coefficient(cert, index, delta))

@@ -246,6 +246,56 @@ class TestGrammar:
         for name in ("x", "y", "z", "w", "t", "a", "b", "c"):
             assert var_name(var_id(name)) == name
 
+    def test_var_id_accepts_exactly_the_grammar_names(self):
+        assert var_id("v0") == 8 and var_id("v12") == 20
+        for name in ("q", "", "v", "V1", "xy", "x1", "v1a", "v\u0661", "\u00e9"):
+            with pytest.raises(ValueError, match=f"unknown variable name {name!r}"):
+                var_id(name)
+
+    # One case per error path of the grammar: each message with the offset it names.
+    @pytest.mark.parametrize("text,h_heads,message,position", [
+        ("x @", False, "unexpected character '@'", 2),
+        ("x\r", False, "unexpected character '\\r'", 1),
+        ("x +", False, "expected a variable or parenthesized expression", 3),
+        ("1/x", False, "expected integer denominator", 2),
+        ("1/0*x", False, "zero denominator", 2),
+        ("2x", False, "missing '*' after coefficient", 1),
+        ("2 (x)", False, "missing '*' after coefficient", 2),
+        ("x^y", False, "expected integer exponent", 2),
+        ("(x", False, "expected ')'", 2),
+        ("x)", False, "trailing input", 1),
+        ("q", False, "unknown variable name 'q'", 0),
+        ("G(x)", True, "expected H(<var>), got 'G'", 0),
+        ("H x", True, "expected '('", 2),
+        ("H(1)", True, "expected variable name", 2),
+        ("H(x", True, "expected ')'", 3),
+        ("H(q)", True, "unknown variable name 'q'", 2),
+    ])
+    def test_errors_name_their_position(self, text, h_heads, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text, NONCOMMUTATIVE, h_heads)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+    # Unicode digits and letters are no part of the grammar: int() once read
+    # the superscript two and failed, and the Arabic-Indic one read as 1.
+    @pytest.mark.parametrize("text,position", [
+        ("x^\u00b2", 2), ("2\u00b2*x", 1), ("v\u0661", 1), ("x + \u0663", 4), ("\u00e9", 0), ("x\u00a0+ y", 1),
+    ])
+    def test_non_ascii_text_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError) as info:
+            poly(text)
+        assert info.value.position == position
+
+    @given(st.text(alphabet="xyzvH0123()+-*/^= \t\u00b2\u0661\u00e9\u03b1\u00a0\r", max_size=20),
+           st.sampled_from([NONCOMMUTATIVE, COMMUTATIVE]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_raises_parse_or_guard_error(self, text, mode, h_heads):
+        try:
+            assert isinstance(parse_expr(text, mode, h_heads), FreePoly)
+        except (ParseError, GuardError):
+            pass
+
 
 @st.composite
 def free_polys(draw, mode=NONCOMMUTATIVE):

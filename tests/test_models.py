@@ -283,6 +283,17 @@ class TestAdditiveMaps:
         with pytest.raises(GuardError, match=f"{ring.size} elements exceed the materialization cap"):
             is_n_jordan(AdditiveMap(ring, ring, np.eye(ring.dim, dtype=np.int64)), 3)
 
+    def test_element_cap_counts_cells(self):
+        # zm:2^18 has 2^18 elements under the cap, but 18 * 2^18 cells over it
+        wide = ring_from_spec("zm:2^18")
+        assert wide.size <= models.ELEMENT_CAP < wide.size * wide.dim
+        with pytest.raises(GuardError, match=f"{wide.size} elements exceed the materialization cap"):
+            is_n_jordan(negation_map(wide), 2)
+        assert wide._elements is None and not wide._powers
+        narrow = ring_from_spec("zm:2^17")
+        assert narrow.size * narrow.dim <= models.ELEMENT_CAP
+        assert is_n_jordan(negation_map(narrow), 2).ok
+
     def test_transpose_is_antimultiplicative_jordan(self):
         ring, t = transpose_map(2, 2)
         assert is_n_jordan(t, 2).ok

@@ -8,9 +8,9 @@ per-map draws, and the one point enumerator's blocks with Python digits
 and one whole seeded draw, and search, find_njordan_maps and additive_maps
 give the same results with BLOCK_ROWS set to 7, 100 or its default.  The
 one exact eliminator is compared with sympy's rank over Q and prime fields
-on random sparse matrices, and the nilpotency index it computes with its
-known value on every constructor, whose known unit is checked by
-multiplication.  The ring constructor's associativity check, a join over
+on random sparse matrices, prime_factors with sympy's factorint below
+2^40, and the nilpotency index it computes with its known value on every
+constructor, whose known unit is checked by multiplication.  The ring constructor's associativity check, a join over
 the nonzero structure constants, is compared with dense d^4 tables on
 random structure constants, and every catalogue ring's table with an
 independent definition of its basis products (matrix units multiplied as
@@ -37,12 +37,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from sympy import GF, QQ
+from sympy import GF, QQ, factorint, nextprime
 from sympy.polys.matrices import DomainMatrix
 
 from njordan import models
 from njordan.errors import GuardError
-from njordan.exact import eliminate, residue
+from njordan.exact import MAX_TRIAL_DIVISOR, eliminate, prime_factors, residue
 from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, linear_form, substitute_linear, var_name
 from njordan.identities import evaluate, parse_identity, seed
 from njordan.models import (
@@ -178,6 +178,28 @@ def test_scans_do_not_depend_on_the_block_size(dom, cod, predicate, n, block, mo
     assert all(expected)
     monkeypatch.setattr(models, "BLOCK_ROWS", block)
     assert _scan_results(domain, codomain, predicate, n) == expected
+
+
+def test_prime_factors_matches_sympy_below_two_to_the_forty():
+    rng = random.Random(40)
+    cases = [2, 3, 4, 2 ** 39, 2 ** 40 - 87, nextprime(MAX_TRIAL_DIVISOR) * 7, MAX_TRIAL_DIVISOR ** 2 - 1]
+    cases += [rng.randrange(2, 2 ** 40) for _ in range(10)]
+    primes_below_the_bound = [nextprime(rng.randrange(2 ** 20 - 10 ** 5)) for _ in range(12)]
+    cases += [p * q for p, q in zip(primes_below_the_bound[::2], primes_below_the_bound[1::2])]
+    cases += [nextprime(rng.randrange(2 ** 39, 2 ** 40 - 10 ** 5)) for _ in range(3)]
+    for n in cases:
+        assert prime_factors(n) == set(factorint(n)) == prime_factors(-n), n
+    assert prime_factors(0) == prime_factors(1) == frozenset()
+
+
+def test_prime_factors_refuses_past_the_trial_bound():
+    big = nextprime(2 ** 41)
+    for n in (big, 3 * big, 10 ** 30 + 57):
+        with pytest.raises(GuardError, match=f"no prime factor up to {MAX_TRIAL_DIVISOR}"):
+            prime_factors(n)
+    # past 2^40, but decided: the cofactor left after the small primes is 1
+    assert prime_factors(2 ** 41 * 3 ** 5) == {2, 3}
+    assert prime_factors(nextprime(2 ** 40)) == {nextprime(2 ** 40)}
 
 
 def _sympy_rank(rows: list[dict[int, Fraction]], ncols: int, p: int | None) -> int:
