@@ -564,9 +564,10 @@ def _parse_field(field_spec) -> int | None:
     """None for exact rationals, or the prime p for GF(p)."""
     if field_spec in (None, "Q", "q"):
         return None
-    if not (isinstance(field_spec, str) and field_spec.startswith("GF(") and field_spec.endswith(")")):
+    match = isinstance(field_spec, str) and re.fullmatch(r"GF\(([0-9]+)\)", field_spec)
+    if not match:
         raise ValueError(f"unrecognized field {field_spec!r}; use 'Q' or 'GF(p)'")
-    p = int(field_spec[3:-1])
+    p = int(match[1])
     if prime_factors(p) != {p}:
         raise ValueError(f"{p} is not prime")
     return p

@@ -3,10 +3,11 @@
 A word is a tuple of variable ids.  In noncommutative mode ("nc") words
 multiply by concatenation; in commutative mode ("c") every word is kept
 sorted, so a word doubles as an exponent multiset.  Coefficients are exact
-Fractions and zero coefficients are never stored, which makes the term tuple
-a canonical form: two polynomials are equal iff their representations are
-equal, and terms always sit in graded lexicographic order (shorter words
-first, then id-by-id comparison).
+rationals, stored as int when integral and as Fraction otherwise, and zero
+coefficients are never stored, which makes the term tuple a canonical form:
+two polynomials are equal iff their representations are equal, and terms
+always sit in graded lexicographic order (shorter words first, then id-by-id
+comparison).
 
 The variable alphabet is fixed.  Ids 0..7 display as x, y, z, w, t, a, b, c
 and every later id displays as v0, v1, ...  Expressions round-trip through
@@ -17,12 +18,11 @@ used for polynomials in the image symbols of an additive map.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import groupby
+from itertools import groupby, product
 from math import prod
-from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GuardError
@@ -79,6 +79,12 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _canonical(c) -> int | Fraction:
+    """c as an int when integral, else as a Fraction; other numbers convert through Fraction."""
+    f = c if type(c) in (int, Fraction) else Fraction(c)
+    return f.numerator if f.denominator == 1 else f
+
+
 def grlex_key(word: Word) -> tuple[int, Word]:
     """Sort key implementing graded lexicographic order."""
     return (len(word), word)
@@ -89,10 +95,10 @@ class FreePoly:
     """Canonical sparse polynomial: sorted tuple of (word, coefficient)."""
 
     mode: str
-    terms: tuple[tuple[Word, Fraction], ...]
+    terms: tuple[tuple[Word, int | Fraction], ...]  # exact rationals, stored as int when integral
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[Word, Fraction | int]], mode: str) -> FreePoly:
+    def from_terms(pairs: Iterable[tuple[Word, int | Fraction]], mode: str) -> FreePoly:
         """Build the canonical polynomial from any iterable of term pairs.
 
         This is the one place where terms merge.  Pairs are consumed one at a
@@ -100,7 +106,7 @@ class FreePoly:
         more than EXPANSION_CAP letters.
         """
         _check_mode(mode)
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, int | Fraction] = {}
         letters = 0
         for word, coeff in pairs:
             w = tuple(word)
@@ -115,14 +121,13 @@ class FreePoly:
             if coeff:
                 letters += max(len(w), 1)
                 _check_expansion(letters)
-                acc[w] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                acc[w] = _canonical(coeff)
         ordered = tuple(sorted(acc.items(), key=lambda t: grlex_key(t[0])))
         return FreePoly(mode, ordered)
 
     @staticmethod
     def zero(mode: str) -> FreePoly:
-        _check_mode(mode)
-        return FreePoly(mode, ())
+        return FreePoly.from_terms((), mode)
 
     @staticmethod
     def one(mode: str) -> FreePoly:
@@ -135,19 +140,16 @@ class FreePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, word: Word) -> Fraction:
+    def coeff(self, word: Word) -> int | Fraction:
         w = tuple(sorted(word)) if self.mode == COMMUTATIVE else tuple(word)
         for tw, tc in self.terms:
             if tw == w:
                 return tc
-        return Fraction(0)
+        return 0
 
     def variables(self) -> tuple[int, ...]:
         """Sorted ids occurring in any word."""
-        seen: set[int] = set()
-        for w, _ in self.terms:
-            seen.update(w)
-        return tuple(sorted(seen))
+        return tuple(sorted({vid for w, _ in self.terms for vid in w}))
 
     def degree(self) -> int:
         """Largest word length; 0 for the zero polynomial."""
@@ -170,13 +172,11 @@ class FreePoly:
     def __neg__(self) -> FreePoly:
         return FreePoly(self.mode, tuple((w, -c) for w, c in self.terms))
 
-    def scale(self, factor: Fraction | int) -> FreePoly:
-        f = Fraction(factor)
-        if f == 0:
-            return FreePoly.zero(self.mode)
-        return FreePoly(self.mode, tuple((w, c * f) for w, c in self.terms))
+    def scale(self, factor: int | Fraction) -> FreePoly:
+        f = _canonical(factor)
+        return FreePoly.from_terms(((w, c * f) for w, c in self.terms), self.mode)
 
-    def __mul__(self, other: FreePoly | Fraction | int) -> FreePoly:
+    def __mul__(self, other: FreePoly | int | Fraction) -> FreePoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same_mode(other)
@@ -185,7 +185,7 @@ class FreePoly:
             ((wa + wb, ca * cb) for wa, ca in self.terms for wb, cb in other.terms), self.mode
         )
 
-    def __rmul__(self, other: Fraction | int) -> FreePoly:
+    def __rmul__(self, other: int | Fraction) -> FreePoly:
         return self.scale(other)
 
     def __pow__(self, n: int) -> FreePoly:
@@ -233,10 +233,11 @@ def substitute_linear(p: FreePoly, subst: Mapping[int, FreePoly]) -> FreePoly:
         if not all(len(w) == 1 and c.denominator == 1 for w, c in img.terms):
             raise ValueError(f"substitution image for {var_name(vid)} is not integer-linear: {img}")
 
-    def expanded(word: Word, coeff: Fraction) -> tuple[tuple[Word, Fraction], ...]:
-        factors = [subst[vid] if vid in subst else FreePoly.variable(vid, p.mode) for vid in word]
-        _check_expansion(prod(len(f.terms) for f in factors) * len(word))
-        return reduce(mul, factors, FreePoly.from_terms([((), coeff)], p.mode)).terms
+    def expanded(word: Word, coeff: int | Fraction) -> Iterator[tuple[Word, int | Fraction]]:
+        factors = [subst[vid].terms if vid in subst else (((vid,), 1),) for vid in word]
+        _check_expansion(prod(map(len, factors)) * len(word))
+        for picks in product(*factors):
+            yield tuple(v for (v,), _ in picks), prod((c for _, c in picks), start=coeff)
 
     return FreePoly.from_terms((t for word, coeff in p.terms for t in expanded(word, coeff)), p.mode)
 
@@ -251,7 +252,8 @@ def substitute_linear(p: FreePoly, subst: Mapping[int, FreePoly]) -> FreePoly:
 #   primary := var | 'H' '(' var ')' | '(' expr ')'
 #
 # '*' is mandatory between factors; juxtaposed names do not parse.  Integers,
-# names and blanks are ASCII; any other character is a ParseError.
+# names and blanks are ASCII; any other character is a ParseError, and so is an
+# integer or name longer than int()'s digit limit (4,300 by default).
 
 _TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)|(?P<OP>[-+*/^()=])|[ \t\n]+|(?P<BAD>.)", re.S)
 
@@ -259,9 +261,13 @@ _TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)|(?P<OP>[-+*
 class _Parser:
     def __init__(self, text: str, mode: str, h_heads: bool):
         self.tokens = []
+        limit = sys.get_int_max_str_digits() or len(text)  # 0 means no limit
         for m in _TOKEN.finditer(text):
             if m.lastgroup == "BAD":
                 raise ParseError(f"unexpected character {m[0]!r}", m.start())
+            if m.lastgroup in ("INT", "NAME") and len(m[0]) > limit:
+                what = "integer" if m.lastgroup == "INT" else "name"
+                raise ParseError(f"{what} longer than {limit} characters", m.start())
             if m.lastgroup:
                 self.tokens.append((m.lastgroup, m[0], m.start()))
         self.tokens.append(("END", "", len(text)))
@@ -289,7 +295,7 @@ class _Parser:
     def parse_expr(self) -> FreePoly:
         return FreePoly.from_terms(self._signed_terms(), self.mode)
 
-    def _signed_terms(self) -> Iterator[tuple[Word, Fraction]]:
+    def _signed_terms(self) -> Iterator[tuple[Word, int | Fraction]]:
         """The terms of each summand in turn, each summand parsed only when needed."""
         sign = self.accept("+-") or "+"
         while sign:
@@ -371,27 +377,20 @@ def _word_str(word: Word, h_heads: bool) -> str:
     return "*".join(parts)
 
 
-def _coeff_str(mag: Fraction) -> str:
-    if mag.denominator == 1:
-        return str(mag.numerator)
-    return f"{mag.numerator}/{mag.denominator}"
-
-
 def to_string(p: FreePoly, h_heads: bool = False) -> str:
     """Canonical rendering; parse_expr inverts it exactly."""
     if p.is_zero():
         return "0"
     chunks = []
     for idx, (word, coeff) in enumerate(p.terms):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
+        neg, mag = coeff < 0, abs(coeff)
         ws = _word_str(word, h_heads)
         if not word:
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = ws
         else:
-            body = f"{_coeff_str(mag)}*{ws}"
+            body = f"{mag}*{ws}"
         if idx == 0:
             chunks.append(f"-{body}" if neg else body)
         else:

@@ -108,6 +108,25 @@ class TestConsequenceCommand:
         assert code == 2
         assert "no prime factor up to" in err
 
+    # the left side's text is parsed on its own, so positions count from its first character
+    @pytest.mark.parametrize("target,what,position", [
+        ("h(" + "1" * 5000 + "*x^2) = H(x)^2", "integer", 0),
+        ("h(x^" + "1" * 5000 + ") = H(x)^2", "integer", 2),
+        ("h(v" + "1" * 5000 + "^2) = H(x)^2", "name", 0),
+    ], ids=["coefficient", "exponent", "variable"])
+    def test_integers_past_the_digit_limit_exit_two(self, target, what, position, capsys):
+        code, _, err = run(["consequence", "--n", "2", "--vars", "x", "--target", target], capsys)
+        assert code == 2
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: {what} longer than {limit} characters (at position {position})\n"
+
+    @pytest.mark.parametrize("field", ["GF( 7 )", "GF(+7)", "GF(0_7)", "GF(\u0667)", "GF(7.0)"])
+    def test_field_other_than_ascii_digits_exits_two(self, field, capsys):
+        code, _, err = run(["consequence", "--n", "2", "--vars", "x", "--target", "h(x^2) = H(x)^2",
+                            "--field", field], capsys)
+        assert code == 2
+        assert err == f"error: unrecognized field {field!r}; use 'Q' or 'GF(p)'\n"
+
     def test_field_prime_past_two_to_the_forty_is_decided(self, capsys):
         code, out, _ = run(
             ["consequence", "--n", "2", "--vars", "x", "--target", "h(x^2) = H(x)^2", "--field", "GF(1099511627791)"],
@@ -169,6 +188,19 @@ class TestVerifyCertCommand:
         path = self.fresh_cert(tmp_path, capsys)
         payload = json.loads(open(path).read())
         payload["instances"][0]["coeff"] = "7"
+        open(path, "w").write(json.dumps(payload))
+        code, out, _ = run(["verify-cert", path], capsys)
+        assert code == 1
+        assert "INVALID" in out
+
+    @pytest.mark.parametrize("field", ["GF( 7 )", "GF(+7)", "GF(0_7)", "GF(\u0667)"])
+    def test_field_other_than_ascii_digits_is_invalid(self, field, tmp_path, capsys):
+        path = self.fresh_cert(tmp_path, capsys)
+        payload = json.loads(open(path).read())
+        payload["field"] = "GF(7)"
+        open(path, "w").write(json.dumps(payload))
+        assert run(["verify-cert", path], capsys)[0] == 0
+        payload["field"] = field
         open(path, "w").write(json.dumps(payload))
         code, out, _ = run(["verify-cert", path], capsys)
         assert code == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from njordan.freealg import (
     var_id,
     var_name,
 )
+from njordan.identities import SEED_VAR, combine, seed, substitute
 
 
 def poly(text: str, mode: str = NONCOMMUTATIVE) -> FreePoly:
@@ -287,6 +289,20 @@ class TestGrammar:
             poly(text)
         assert info.value.position == position
 
+    # int() would refuse these digit strings with a bare ValueError and no position.
+    @pytest.mark.parametrize("text,what,position", [
+        ("1" * 5000 + "*x", "integer", 0),
+        ("x^" + "1" * 5000, "integer", 2),
+        ("v" + "1" * 5000, "name", 0),
+        ("x + 1/" + "1" * 5000, "integer", 6),
+    ], ids=["coefficient", "exponent", "variable", "denominator"])
+    def test_integers_past_the_digit_limit_are_parse_errors(self, text, what, position):
+        with pytest.raises(ParseError) as info:
+            poly(text)
+        limit = sys.get_int_max_str_digits()
+        assert str(info.value) == f"{what} longer than {limit} characters (at position {position})"
+        assert info.value.position == position
+
     @given(st.text(alphabet="xyzvH0123()+-*/^= \t\u00b2\u0661\u00e9\u03b1\u00a0\r", max_size=20),
            st.sampled_from([NONCOMMUTATIVE, COMMUTATIVE]), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -330,3 +346,46 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_abelianize_is_ring_map_on_squares(self, p):
         assert abelianize(p * p) == abelianize(p) * abelianize(p)
+
+
+def assert_canonical_coefficients(p: FreePoly) -> None:
+    """Each coefficient is an int when integral and a Fraction otherwise."""
+    for _, c in p.terms:
+        assert type(c) is (int if c.denominator == 1 else Fraction), (p.terms, c)
+
+
+class TestIntCoefficients:
+    @given(free_polys(), free_polys(),
+           st.fractions(min_value=-4, max_value=4, max_denominator=6),
+           st.integers(min_value=0, max_value=3),
+           st.dictionaries(st.integers(0, 3), st.dictionaries(st.integers(0, 4), st.integers(-2, 2), max_size=3),
+                           max_size=3),
+           st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    @settings(max_examples=80, deadline=None)
+    def test_every_operation_stores_int_exactly_when_integral(self, p, q, k, n, images, weight):
+        subst = {v: linear_form(img, NONCOMMUTATIVE) for v, img in images.items()}
+        inst = [substitute(seed(3, NONCOMMUTATIVE), {SEED_VAR: f}) for f in [poly("x + y"), *subst.values()]]
+        combined = combine([(k, inst[0])] + [(weight, i) for i in inst])
+        for made in (
+            parse_expr(to_string(p), NONCOMMUTATIVE),
+            FreePoly.from_terms(p.terms + q.terms, NONCOMMUTATIVE),
+            p.scale(k), k * p, -p, p * q, p ** n,
+            substitute_linear(p, subst),
+            combined.lhs, combined.rhs,
+        ):
+            assert_canonical_coefficients(made)
+
+    def test_integral_fraction_and_int_give_one_polynomial(self):
+        from_fraction = FreePoly.from_terms([((0,), Fraction(2)), ((1,), Fraction(6, 3))], NONCOMMUTATIVE)
+        from_int = FreePoly.from_terms([((0,), 2), ((1,), 2)], NONCOMMUTATIVE)
+        assert from_fraction == from_int
+        assert hash(from_fraction) == hash(from_int)
+        assert from_fraction.terms == (((0,), 2), ((1,), 2))
+        assert_canonical_coefficients(from_fraction)
+
+    def test_other_numbers_convert_through_fraction(self):
+        p = FreePoly.from_terms([((0,), 0.1), ((1,), 2.0), ((2,), True)], NONCOMMUTATIVE)
+        assert p.terms == (((0,), Fraction(0.1)), ((1,), 2), ((2,), 1))
+        assert_canonical_coefficients(p)
+        assert poly("4*x").scale(0.25).terms == (((0,), 1),)
+        assert_canonical_coefficients(poly("4*x").scale(0.25))
