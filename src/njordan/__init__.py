@@ -1,6 +1,6 @@
 """Verification toolkit for additive maps that preserve n-th powers."""
 
-from __future__ import annotations
+import types
 
 from .errors import GuardError
 from .freealg import (
@@ -65,55 +65,7 @@ from .cstar_num import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHABET",
-    "AdditiveMap",
-    "BUILTIN_SCRIPTS",
-    "COMMUTATIVE",
-    "Certificate",
-    "DerivationScript",
-    "DiagAlgebra",
-    "FiniteRing",
-    "FreePoly",
-    "GuardError",
-    "HIdentity",
-    "InSpan",
-    "LinearMapC",
-    "NONCOMMUTATIVE",
-    "NotInSpan",
-    "ParseError",
-    "SearchHit",
-    "Trace",
-    "abelianize",
-    "check_corollary_2_6",
-    "check_theorem_2_7",
-    "classify_njordan_functionals",
-    "combine",
-    "consequence_check",
-    "evaluate",
-    "gap_witness_model",
-    "generate_instances",
-    "identity_to_string",
-    "is_homogeneous",
-    "is_n_jordan",
-    "is_n_ring",
-    "linear_form",
-    "make_zm",
-    "matrix_ring",
-    "op_norm_sup",
-    "paper_examples",
-    "parse_expr",
-    "parse_identity",
-    "replay",
-    "ring_from_spec",
-    "search",
-    "seed",
-    "step2_reduction_check",
-    "strict_upper",
-    "substitute",
-    "substitute_linear",
-    "to_string",
-    "trace_to_json",
-    "trace_to_text",
-    "verify_certificate",
-]
+# The public API is every name imported above; the submodules are not part of it.
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, types.ModuleType))
+)

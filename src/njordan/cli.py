@@ -13,7 +13,7 @@ import sys
 
 from . import cstar_num, derivation, models
 from .errors import GuardError
-from .freealg import NONCOMMUTATIVE, ParseError
+from .freealg import NONCOMMUTATIVE, ParseError, read_int
 
 JSON_KW = {"indent": 2, "sort_keys": True}
 
@@ -126,7 +126,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     elif args.check == "theorem27":
         perm = None
         if args.perm:
-            perm = tuple(int(x) for x in args.perm.split(","))
+            perm = tuple(read_int(x) for x in args.perm.split(","))
         h = cstar_num.coordinate_star_map(args.k, perm)
         report = cstar_num.check_theorem_2_7(h, args.power, args.samples, args.seed)
     else:
@@ -150,6 +150,14 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _integer(text: str) -> int:
+    """The type of every integer option: read_int, with its message as argparse's error."""
+    try:
+        return read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="njordan",
@@ -163,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.set_defaults(func=_cmd_replay)
 
     p_cons = sub.add_parser("consequence", help="span membership for a target identity")
-    p_cons.add_argument("--n", type=int, required=True)
+    p_cons.add_argument("--n", type=_integer, required=True)
     p_cons.add_argument("--target", required=True)
     p_cons.add_argument("--vars", default="x,y,z")
-    p_cons.add_argument("--coeff-range", type=int, default=1, dest="coeff_range")
+    p_cons.add_argument("--coeff-range", type=_integer, default=1, dest="coeff_range")
     p_cons.add_argument("--field", default="Q")
     p_cons.add_argument("--mode", choices=("nc", "c"), default=NONCOMMUTATIVE)
     p_cons.add_argument("--cert", metavar="PATH")
@@ -177,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="scan additive maps between finite rings")
     p_search.add_argument("--domain", required=True)
     p_search.add_argument("--codomain", required=True)
-    p_search.add_argument("--n", type=int, default=3)
+    p_search.add_argument("--n", type=_integer, default=3)
     p_search.add_argument("--predicate", default="jordan_not_ring", choices=models.PREDICATES)
-    p_search.add_argument("--limit", type=int, default=10)
-    p_search.add_argument("--sample-count", type=int, default=None, dest="sample_count")
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument("--limit", type=_integer, default=10)
+    p_search.add_argument("--sample-count", type=_integer, default=None, dest="sample_count")
+    p_search.add_argument("--seed", type=_integer, default=0)
     p_search.add_argument("--json", metavar="PATH")
     p_search.add_argument("--unsafe-override", action="store_true", dest="unsafe_override")
     p_search.set_defaults(func=_cmd_search)
@@ -192,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("norm", help="numeric contractivity checks")
     p_norm.add_argument("check", choices=("corollary26", "theorem27", "step2"))
-    p_norm.add_argument("--m", type=int, default=2)
-    p_norm.add_argument("--k", type=int, default=2)
-    p_norm.add_argument("--n", type=int, default=3)
-    p_norm.add_argument("--power", type=int, default=1)
+    p_norm.add_argument("--m", type=_integer, default=2)
+    p_norm.add_argument("--k", type=_integer, default=2)
+    p_norm.add_argument("--n", type=_integer, default=3)
+    p_norm.add_argument("--power", type=_integer, default=1)
     p_norm.add_argument("--perm", default=None, help="comma separated permutation")
-    p_norm.add_argument("--count", type=int, default=1000)
-    p_norm.add_argument("--samples", type=int, default=cstar_num.DEFAULT_SAMPLES)
-    p_norm.add_argument("--seed", type=int, default=0)
+    p_norm.add_argument("--count", type=_integer, default=1000)
+    p_norm.add_argument("--samples", type=_integer, default=cstar_num.DEFAULT_SAMPLES)
+    p_norm.add_argument("--seed", type=_integer, default=0)
     p_norm.add_argument("--json", metavar="PATH")
     p_norm.set_defaults(func=_cmd_norm)
 

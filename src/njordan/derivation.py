@@ -40,6 +40,7 @@ from .freealg import (
     FreePoly,
     linear_form,
     parse_expr,
+    read_int,
     to_string,
     var_id,
 )
@@ -567,7 +568,7 @@ def _parse_field(field_spec) -> int | None:
     match = isinstance(field_spec, str) and re.fullmatch(r"GF\(([0-9]+)\)", field_spec)
     if not match:
         raise ValueError(f"unrecognized field {field_spec!r}; use 'Q' or 'GF(p)'")
-    p = int(match[1])
+    p = read_int(match[1])
     if prime_factors(p) != {p}:
         raise ValueError(f"{p} is not prime")
     return p
@@ -606,8 +607,10 @@ class Certificate:
             instances = tuple(
                 (entry["subst"]["a"], str(entry["coeff"])) for entry in data["instances"]
             )
+            if type(data["n"]) is not int:
+                raise ValueError(f"certificate n must be a JSON integer, got {type(data['n']).__name__}")
             return Certificate(
-                n=int(data["n"]),
+                n=data["n"],
                 mode=str(data["mode"]),
                 field=str(data["field"]),
                 target=str(data["target"]),
@@ -619,7 +622,7 @@ class Certificate:
     @staticmethod
     def from_json(text: str) -> "Certificate":
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_int=read_int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"certificate is not valid JSON: {exc}") from exc
         except RecursionError as exc:

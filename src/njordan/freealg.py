@@ -13,6 +13,9 @@ The variable alphabet is fixed.  Ids 0..7 display as x, y, z, w, t, a, b, c
 and every later id displays as v0, v1, ...  Expressions round-trip through
 ``parse_expr`` / ``to_string``; the same grammar with ``H(<var>)`` heads is
 used for polynomials in the image symbols of an additive map.
+
+``read_int`` is the one reader of an integer in any other outside text:
+ring specs, options, ``GF(p)``, ``v<digits>`` names and certificate JSON.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def var_id(name: str) -> int:
     if name in ALPHABET:
         return ALPHABET.index(name)
     if re.fullmatch("v[0-9]+", name):
-        return len(ALPHABET) + int(name[1:])
+        return len(ALPHABET) + read_int(name[1:])
     raise ValueError(f"unknown variable name {name!r}")
 
 
@@ -253,15 +256,33 @@ def substitute_linear(p: FreePoly, subst: Mapping[int, FreePoly]) -> FreePoly:
 #
 # '*' is mandatory between factors; juxtaposed names do not parse.  Integers,
 # names and blanks are ASCII; any other character is a ParseError, and so is an
-# integer or name longer than int()'s digit limit (4,300 by default).
+# integer or name longer than digit_limit(): INT tokens are what read_int accepts.
 
 _TOKEN = re.compile(r"(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)|(?P<OP>[-+*/^()=])|[ \t\n]+|(?P<BAD>.)", re.S)
+
+
+def digit_limit() -> int | None:
+    """Most characters of an integer or name in outside text: int()'s digit limit, 4,300 by default; None when off."""
+    return sys.get_int_max_str_digits() or None
+
+
+def read_int(text: str) -> int:
+    """The integer spelled by untrusted text: exactly an optional '-' and ASCII digits, within digit_limit().
+
+    Anything else is a ValueError that quotes at most the text's first 40 characters.
+    """
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"expected an integer (an optional '-' and ASCII digits), got {shown}")
+    if (limit := digit_limit()) and len(text.lstrip("-")) > limit:
+        raise ValueError(f"integer longer than {limit} digits: {shown}")
+    return int(text)
 
 
 class _Parser:
     def __init__(self, text: str, mode: str, h_heads: bool):
         self.tokens = []
-        limit = sys.get_int_max_str_digits() or len(text)  # 0 means no limit
+        limit = digit_limit() or len(text)
         for m in _TOKEN.finditer(text):
             if m.lastgroup == "BAD":
                 raise ParseError(f"unexpected character {m[0]!r}", m.start())

@@ -18,6 +18,7 @@ real or complex algebras that motivate the example constructions.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, islice, product as cartesian_product
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import GuardError
 from .exact import eliminate, prime_factors
-from .freealg import MAX_DEPTH
+from .freealg import MAX_DEPTH, read_int
 
 # Most candidate maps one scan enumerates or draws, with no override.
 ENUM_CAP = 10 ** 7
@@ -91,18 +92,6 @@ def _index(digits, m: int) -> int:
     for d in digits:
         index = index * m + int(d) % m
     return index
-
-
-def _eliminate_rows(rows: np.ndarray, target: np.ndarray, p: int):
-    """exact.eliminate over GF(p) on the rows of an integer array.
-
-    Coordinates are column positions, so pivots follow column order.
-    """
-
-    def sparse(vec: np.ndarray) -> dict[int, int]:
-        return {int(i): int(vec[i]) for i in np.flatnonzero(vec)}
-
-    return eliminate([sparse(r) for r in rows], sparse(target), p)
 
 
 def _blocks(base: int, width: int, block: int, count: int | None = None, seed: int = 0) -> Iterator[np.ndarray]:
@@ -261,18 +250,20 @@ class FiniteRing:
 
 
 def nilpotency_index(ring: FiniteRing) -> int | None:
-    """Smallest k with every k-fold product zero, via the ranks of A^k; None if none."""
-    p = ring.modulus
+    """Smallest k with every k-fold product zero, via the ranks of A^k over GF(p); None if none."""
+    p, d = ring.modulus, ring.dim
     if prime_factors(p) != {p}:
         raise GuardError("nilpotency index needs a prime modulus")
-    basis = np.eye(ring.dim, dtype=np.int64)
-    span = basis  # independent rows spanning A^(k-1)
+    eye = np.eye(d, dtype=np.int64)
+    span = eye  # independent rows spanning A^(k-1)
     for k in count(2):  # the rank of A^k falls at every step, so this ends by k = d + 1
-        prods = np.concatenate([ring.mul_batch(np.tile(e, (span.shape[0], 1)), span) for e in basis])
-        independent, _, _ = _eliminate_rows(prods, np.zeros(ring.dim, dtype=np.int64), p)
+        # A^k is spanned by e_i s for every basis vector e_i and row s, all in one batch
+        r = span.shape[0]
+        prods = ring.mul_batch(np.tile(eye, (r, 1)), np.repeat(span, d, axis=0))
+        independent, _, _ = eliminate(({int(i): int(row[i]) for i in np.flatnonzero(row)} for row in prods), {}, p)
         if not independent:
             return k
-        if len(independent) == span.shape[0]:
+        if len(independent) == r:
             return None  # A^k = A^(k-1), since A^k lies inside A^(k-1)
         span = prods[independent]
 
@@ -304,8 +295,16 @@ def _matrix_unit(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int] | No
 
 def make_zm(m: int, override: bool = False) -> FiniteRing:
     """The ring Z_m."""
+    return _zm_power(m, 1, override)
+
+
+def _zm_power(m: int, k: int, override: bool = False) -> FiniteRing:
+    """The ring (Z_m)^k with componentwise product: k orthogonal idempotents."""
+    if k < 1:
+        raise ValueError("power must be positive")
     _guard_modulus(m, override)
-    return _monomial(f"zm:{m}", m, [0], lambda a, b: 0)
+    _check_dim(k)
+    return _monomial(f"zm:{m}^{k}" if k > 1 else f"zm:{m}", m, range(k), lambda i, j: i if i == j else None)
 
 
 def _direct_sum(name: str, modulus: int, blocks: list[np.ndarray]) -> FiniteRing:
@@ -401,48 +400,39 @@ def gap_witness_model() -> tuple[FiniteRing, FiniteRing, AdditiveMap]:
     return dom, cod, AdditiveMap(dom, cod, mat)
 
 
-def ring_from_spec(spec: str, override: bool = False) -> FiniteRing:
-    """Parse catalog strings like zm:5, zm:5^2, mat:2x2@2, upper:4@2, fun:upper:4@2,pts:3.
+def _square_matrix_ring(r: int, c: int, m: int, override: bool = False) -> FiniteRing:
+    """matrix_ring for the spec mat:<r>x<c>@<m>, whose two sizes must agree."""
+    if r != c:
+        raise ValueError("matrix rings must be square")
+    return matrix_ring(r, m, override)
 
-    A spec with more than MAX_DEPTH fun: wrappers is refused before any ring
-    is built, since each wrapper is one level of recursion.
+
+_INT = "(-?[0-9]+)"
+# The ring-spec grammar: each family's whole-spec pattern, and the constructor
+# that takes its integers, each read by read_int, then override.
+_RING_SPECS = (
+    (f"zm:{_INT}", make_zm),
+    (rf"zm:{_INT}\^{_INT}", _zm_power),
+    (f"mat:{_INT}x{_INT}@{_INT}", _square_matrix_ring),
+    (f"upper:{_INT}@{_INT}", strict_upper),
+    (f"freetrunc:{_INT}d{_INT}@{_INT}", truncated_free),
+    (f"nilpoly:{_INT}@{_INT}", lambda d, m, override: truncated_poly(m, d, override)),
+)
+
+
+def ring_from_spec(spec: str, override: bool = False) -> FiniteRing:
+    """A ring from a spec of _RING_SPECS, or fun:<spec>,pts:<n> around one, e.g. fun:upper:4@2,pts:3.
+
+    The grammar decides syntax and the constructors decide range.  More than
+    MAX_DEPTH fun: wrappers, each one level of recursion, are refused first.
     """
     if spec.count("fun:") > MAX_DEPTH:
         raise GuardError(f"ring spec nests fun: deeper than {MAX_DEPTH}")
-    s = spec.strip()
-    if s.startswith("fun:"):
-        body = s[4:]
-        if ",pts:" not in body:
-            raise ValueError(f"function ring spec needs ,pts:<n>: {spec!r}")
-        inner, pts = body.rsplit(",pts:", 1)
-        return function_ring(ring_from_spec(inner, override), int(pts), override)
-    if s.startswith("zm:"):
-        mstr, power, kstr = s[3:].partition("^")
-        m, k = int(mstr), int(kstr) if power else 1
-        if k < 1:
-            raise ValueError("power must be positive")
-        _guard_modulus(m, override)
-        _check_dim(k)
-        name = f"zm:{m}^{k}" if k > 1 else f"zm:{m}"
-        return _monomial(name, m, range(k), lambda i, j: i if i == j else None)
-    if s.startswith("mat:"):
-        body = s[4:]
-        shape, mstr = body.split("@", 1)
-        r, c = shape.split("x", 1)
-        if r != c:
-            raise ValueError("matrix rings must be square")
-        return matrix_ring(int(r), int(mstr), override)
-    if s.startswith("upper:"):
-        body = s[6:]
-        kstr, mstr = body.split("@", 1)
-        return strict_upper(int(kstr), int(mstr), override)
-    if s.startswith("freetrunc:"):
-        body, mstr = s[10:].split("@", 1)
-        lstr, dstr = body.split("d", 1)
-        return truncated_free(int(lstr), int(dstr), int(mstr), override)
-    if s.startswith("nilpoly:"):
-        dstr, mstr = s[8:].split("@", 1)
-        return truncated_poly(int(mstr), int(dstr), override)
+    if fun := re.fullmatch(f"fun:(.+),pts:{_INT}", spec, re.S):
+        return function_ring(ring_from_spec(fun[1], override), read_int(fun[2]), override)
+    for pattern, build in _RING_SPECS:
+        if match := re.fullmatch(pattern, spec):
+            return build(*map(read_int, match.groups()), override)
     raise ValueError(f"unrecognized ring spec {spec!r}")
 
 

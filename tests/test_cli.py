@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from njordan import cstar_num, freealg, models
-from njordan.cli import main
+from njordan.cli import _integer, build_parser, main
 
 
 def run(argv, capsys):
@@ -514,6 +515,78 @@ class TestNormCommand:
         assert "at least 1" in err
 
 
+# Python's own wording for an integer it cannot read, or a spec it cannot split.
+PYTHON_INT_WORDING = ("invalid literal for int()", "Exceeds the limit", "not enough values to unpack")
+DIGITS_5000 = "7" * 5000
+
+
+def exit_code_and_stderr(argv, capsys):
+    """main's exit code, also when argparse refuses an option value by raising SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestOneIntegerReader:
+    @pytest.mark.parametrize("argv", [
+        ["search", "--domain", "zm:\u0665", "--codomain", "zm:5"],
+        ["search", "--domain", "zm:+5", "--codomain", "zm:5"],
+        ["search", "--domain", "zm:5^0_2", "--codomain", "zm:5"],
+        ["search", "--domain", "mat:2x2@ 5", "--codomain", "zm:5"],
+        ["search", "--domain", "upper:3", "--codomain", "zm:5"],
+        ["search", "--domain", "mat:2x2@5@", "--codomain", "zm:5"],
+        ["search", "--domain", "zm:5^", "--codomain", "zm:5"],
+        ["search", "--domain", f"fun:zm:5,pts:{DIGITS_5000}", "--codomain", "zm:5"],
+        ["norm", "step2", "--n", "\u0663"],
+        ["norm", "theorem27", "--k", "3", "--perm", "1,2,"],
+        ["consequence", "--n", "2", "--target", "h(x^2) = H(x)^2", "--vars", f"x,v{DIGITS_5000}"],
+        ["consequence", "--n", "2", "--target", "h(x^2) = H(x)^2", "--field", f"GF({DIGITS_5000})"],
+    ], ids=["zm-arabic-indic", "zm-plus", "zm-underscore", "mat-blank", "upper-no-modulus", "mat-trailing-at",
+            "zm-empty-power", "fun-5000-digit-points", "norm-arabic-indic-n", "perm-trailing-comma",
+            "vars-5000-digit-name", "field-5000-digits"])
+    def test_malformed_integer_exits_two_in_njordans_words(self, argv, capsys):
+        code, err = exit_code_and_stderr(argv, capsys)
+        assert code == 2
+        assert err
+        assert not any(wording in err for wording in PYTHON_INT_WORDING)
+
+    @pytest.mark.parametrize("n", [3.9, "\u0663", "3", True])
+    def test_certificate_n_must_be_a_json_integer(self, n, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        cert = {"n": 3, "mode": "nc", "field": "Q", "target": "h(x^3) = H(x)^3",
+                "instances": [{"subst": {"a": "-x"}, "coeff": "-1"}]}
+        path.write_text(json.dumps(cert))
+        assert run(["verify-cert", str(path)], capsys)[0] == 0
+        path.write_text(json.dumps({**cert, "n": n}))
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cannot read certificate: certificate n must be a JSON integer")
+
+    def test_certificate_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(f'{{"n": {DIGITS_5000}, "mode": "nc", "field": "Q", "target": "t", "instances": []}}')
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"cannot read certificate: integer longer than {freealg.digit_limit()} digits")
+        assert len(err) < 200
+
+    def test_no_option_reads_integers_with_bare_int(self):
+        # every integer option goes through the reader: a new option declared
+        # with type=int would accept Unicode digits, signs, blanks and underscores
+        parsers, types = [build_parser()], []
+        for parser in parsers:
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                types.append(action.type)
+        assert len(parsers) == 7
+        assert int not in types
+        assert _integer in types
+
+
 # Untrusted input run through main in-process: whatever the text, JSON or
 # integers, the command ends in exit 0, 1 or 2 within the deadline, with no
 # exception escaping.  The integers stay in [-3, 700]; step2's map and sample
@@ -544,7 +617,9 @@ CERT_TEXT = st.one_of(
 FAMILIES = st.sampled_from(
     ["zm:{}", "zm:{}^{}", "mat:{}x{}@{}", "upper:{}@{}", "freetrunc:{}d{}@{}", "nilpoly:{}@{}", "bogus:{}"]
 )
-SPEC_FAULTS = st.sampled_from(["", "0", "-3", "700", "x", "1e3", "99999999999999999999", "^", "@", ",pts:"])
+SPEC_FAULTS = st.sampled_from(
+    ["", "0", "-3", "700", "x", "1e3", "99999999999999999999", "^", "@", ",pts:", "\u0665", "+5", " 5", "5_0", "7" * 5000]
+)
 
 
 def _ring_spec(depth, family, ints, pts, fault):

@@ -18,9 +18,11 @@ from njordan.freealg import (
     FreePoly,
     ParseError,
     abelianize,
+    digit_limit,
     grlex_key,
     linear_form,
     parse_expr,
+    read_int,
     substitute_linear,
     to_string,
     var_id,
@@ -311,6 +313,35 @@ class TestGrammar:
             assert isinstance(parse_expr(text, mode, h_heads), FreePoly)
         except (ParseError, GuardError):
             pass
+
+
+# Digit strings with and without a sign, text over an alphabet that holds every
+# near miss (other signs, blanks, underscores, non-ASCII digits), and digit
+# runs either side of the digit limit.
+INTEGER_TEXT = st.one_of(
+    st.from_regex("-?[0-9]{1,30}", fullmatch=True),
+    st.text(alphabet="-+0123456789 _.\n\u0665\u00b2e", max_size=8),
+    st.builds(lambda sign, n: sign + "7" * n, st.sampled_from(["", "-"]), st.integers(4290, 4310)),
+)
+
+
+class TestReadInt:
+    @given(INTEGER_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_exactly_ascii_digits_within_the_bound(self, text):
+        digits = text[1:] if text.startswith("-") else text
+        if digits and all(ch in "0123456789" for ch in digits) and len(digits) <= digit_limit():
+            assert read_int(text) == int(text)
+        else:
+            with pytest.raises(ValueError) as info:
+                read_int(text)
+            message = str(info.value)
+            assert len(message) < 120
+            assert "int()" not in message and "Exceeds the limit" not in message
+
+    def test_limit_is_the_interpreter_digit_limit(self):
+        assert digit_limit() == sys.get_int_max_str_digits()
+        assert read_int("-" + "9" * digit_limit()) == -int("9" * digit_limit())
 
 
 @st.composite

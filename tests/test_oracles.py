@@ -10,7 +10,8 @@ give the same results with BLOCK_ROWS set to 7, 100 or its default.  The
 one exact eliminator is compared with sympy's rank over Q and prime fields
 on random sparse matrices, prime_factors with sympy's factorint below
 2^40, and the nilpotency index it computes with its known value on every
-constructor, whose known unit is checked by multiplication.  The ring constructor's associativity check, a join over
+constructor, whose known unit is checked by multiplication, and with a
+basis-tuple oracle on tables conjugated by random GF(p) basis changes.  The ring constructor's associativity check, a join over
 the nonzero structure constants, is compared with dense d^4 tables on
 random structure constants, and every catalogue ring's table with an
 independent definition of its basis products (matrix units multiplied as
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from sympy import GF, QQ, factorint, nextprime
+from sympy import GF, QQ, Matrix, factorint, nextprime
 from sympy.polys.matrices import DomainMatrix
 
 from njordan import models
@@ -282,6 +283,7 @@ UNIT_AND_NILPOTENCY = [
     ("nilpoly:2@5", [1, 0, 0], None),
     ("freetrunc:1d16@5", None, 17),
     ("freetrunc:1d20@5", None, 21),
+    ("freetrunc:1d40@5", None, 41),
 ]
 
 
@@ -297,6 +299,55 @@ def test_unit_and_nilpotency_on_constructor_rings(spec, unit, index):
         assert (ring.mul_batch(units, basis) == basis).all()
         assert (ring.mul_batch(basis, units) == basis).all()
     assert nilpotency_index(ring) == index
+
+
+def _nilpotency_oracle(ring):
+    """Smallest k with every product of k basis vectors zero, or None if there is none up to d + 1.
+
+    Each step multiplies every distinct nonzero product of k - 1 basis
+    vectors by each basis vector on the right through the dense table.
+    """
+    d, m = ring.dim, ring.modulus
+    level = np.eye(d, dtype=np.int64)
+    for k in range(2, d + 2):
+        prods = np.einsum("ni,ijk->njk", level, ring.struct).reshape(-1, d) % m
+        level = np.unique(prods[prods.any(axis=1)], axis=0)
+        if not len(level):
+            return k
+    return None
+
+
+def _conjugated(ring, rng):
+    """The ring's table in the basis f = P e for a random invertible P over GF(p)."""
+    d, p = ring.dim, ring.modulus
+    while True:
+        P = rng.integers(0, p, (d, d))
+        M = Matrix(P.tolist())
+        if M.det() % p:
+            break
+    Q = np.array(M.inv_mod(p).tolist(), dtype=np.int64)
+    # f_a f_b = sum P[a,i] P[b,j] c[i,j,k] e_k, and e_k = sum Q[k,c] f_c with Q = P^-1
+    return FiniteRing(f"conj({ring.name})", p, np.einsum("ai,bj,ijk,kc->abc", P, P, ring.struct, Q) % p)
+
+
+# Constructor tables are monomial (each basis product is 0 or one basis
+# vector); a random basis change makes them dense.  Rings above dimension 9
+# are left out: their dense tables exceed the associativity join bound.
+CONJUGATED = [(spec, index) for spec, _, index in UNIT_AND_NILPOTENCY if ring_from_spec(spec).dim <= 9] + [
+    ("freetrunc:1d8@3", 9), ("freetrunc:2d2@5", 3), ("fun:upper:3@2,pts:3", 3), ("nilpoly:5@7", None),
+]
+
+
+@pytest.mark.parametrize("spec,index", CONJUGATED)
+def test_nilpotency_index_after_a_random_basis_change_matches_the_tuple_oracle(spec, index):
+    ring = ring_from_spec(spec)
+    assert _nilpotency_oracle(ring) == index
+    rng = np.random.default_rng(len(spec))
+    conjugates = [_conjugated(ring, rng) for _ in range(3)]
+    for conj in conjugates:
+        assert nilpotency_index(conj) == _nilpotency_oracle(conj) == index
+    # some basis product is a combination of two or more basis vectors
+    assert ring.dim < 3 or any(((c.struct != 0).sum(axis=2) > 1).any() for c in conjugates)
 
 
 def _first_nonassociative_triple(struct, m):
