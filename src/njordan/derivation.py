@@ -40,6 +40,7 @@ from .freealg import (
     FreePoly,
     linear_form,
     parse_expr,
+    quote,
     read_int,
     to_string,
     var_id,
@@ -60,6 +61,7 @@ MAX_COEFF = 2
 # Longest certificate coefficient text, and largest decimal exponent in it:
 # Fraction("1e10000000") alone builds a ten-million-digit integer.
 MAX_COEFF_DIGITS = 1000
+_COEFF = re.compile(r"-?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
 
 
 # --- script steps -------------------------------------------------------------
@@ -512,10 +514,22 @@ BUILTIN_SCRIPTS: dict[str, DerivationScript] = {
 
 @dataclass(frozen=True)
 class Instance:
-    """One substitution instance of the seed: h(L^n) = H(L)^n for linear L."""
+    """One substitution instance of the seed: h(L^n) = H(L)^n for linear L.
 
-    expr: str
-    identity: HIdentity
+    Only the linear form L is kept; the identity is expanded on each access,
+    so a list of instances stays small whatever the seed's degree.
+    """
+
+    form: FreePoly
+    base: HIdentity
+
+    @property
+    def expr(self) -> str:
+        return to_string(self.form)
+
+    @property
+    def identity(self) -> HIdentity:
+        return substitute(self.base, {SEED_VAR: self.form})
 
 
 def generate_instances(
@@ -531,7 +545,8 @@ def generate_instances(
     its member whose first nonzero entry is negative, its lexicographically
     smaller one (the negation of an instance is a scalar multiple, so nothing
     is lost).  Enumeration order is the lexicographic order of the kept
-    vectors.
+    vectors.  ValueError unless the variables are distinct and at least one;
+    every check runs here, and no instance is expanded here.
     """
     if (len(variables) > MAX_VARS or coeff_range > MAX_COEFF) and not override:
         raise GuardError(
@@ -541,13 +556,17 @@ def generate_instances(
     if coeff_range < 1:
         raise ValueError("coefficient range must be at least 1")
     ids = [var_id(v) for v in variables]
+    if not ids:
+        raise ValueError("at least one variable is needed")
+    if len(set(ids)) < len(ids):
+        repeated = next(v for k, v in enumerate(variables) if ids[k] in ids[:k])
+        raise ValueError(f"variable {quote(repeated)} is repeated")
     base = seed(n, mode)
-    out = []
-    for eps in itertools.product(range(-coeff_range, coeff_range + 1), repeat=len(ids)):
-        if next((e for e in eps if e), 0) < 0:
-            form = linear_form({v: e for v, e in zip(ids, eps) if e}, mode)
-            out.append(Instance(to_string(form), substitute(base, {SEED_VAR: form})))
-    return out
+    return [
+        Instance(linear_form({v: e for v, e in zip(ids, eps) if e}, mode), base)
+        for eps in itertools.product(range(-coeff_range, coeff_range + 1), repeat=len(ids))
+        if next((e for e in eps if e), 0) < 0
+    ]
 
 
 # (side, word length, word): side 0 holds the left words and side 1 the right
@@ -687,6 +706,7 @@ def consequence_check(
     p = _parse_field(field)
     field_tag = "Q" if p is None else f"GF({p})"
     instances = generate_instances(n, variables, coeff_range, target.mode, override=override)
+    # One instance is expanded at a time; eliminate keeps only its reduced rows.
     vectors = (_identity_vector(inst.identity) for inst in instances)
     independent, combo, residual = eliminate(vectors, _identity_vector(target), p)
     rank = len(independent)
@@ -704,10 +724,16 @@ def consequence_check(
 
 
 def _coefficient(text: str) -> Fraction:
-    """An untrusted certificate coefficient, refused past MAX_COEFF_DIGITS digits."""
+    """An untrusted certificate coefficient, refused past MAX_COEFF_DIGITS digits.
+
+    Within the bound, ValueError unless the text is an optional '-' and ASCII
+    digits spelling an integer, a fraction p/q or a decimal with an exponent.
+    """
     exponent = re.search(r"e([-+]?\d[\d_]*)", text, re.IGNORECASE)
     if len(text) > MAX_COEFF_DIGITS or (exponent and abs(int(exponent.group(1))) > MAX_COEFF_DIGITS):
         raise GuardError(f"certificate coefficient exceeds {MAX_COEFF_DIGITS} digits")
+    if not _COEFF.fullmatch(text):
+        raise ValueError(f"certificate coefficient {quote(text)} is not an ASCII rational")
     return Fraction(text)
 
 

@@ -69,7 +69,7 @@ def var_id(name: str) -> int:
         return ALPHABET.index(name)
     if re.fullmatch("v[0-9]+", name):
         return len(ALPHABET) + read_int(name[1:])
-    raise ValueError(f"unknown variable name {name!r}")
+    raise ValueError(f"unknown variable name {quote(name)}")
 
 
 def _check_expansion(letters: int) -> None:
@@ -266,16 +266,20 @@ def digit_limit() -> int | None:
     return sys.get_int_max_str_digits() or None
 
 
+def quote(text: str) -> str:
+    """repr of untrusted text for an error message, cut to its first 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 def read_int(text: str) -> int:
     """The integer spelled by untrusted text: exactly an optional '-' and ASCII digits, within digit_limit().
 
-    Anything else is a ValueError that quotes at most the text's first 40 characters.
+    Anything else is a ValueError that quotes the text through quote().
     """
-    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
     if not re.fullmatch("-?[0-9]+", text):
-        raise ValueError(f"expected an integer (an optional '-' and ASCII digits), got {shown}")
+        raise ValueError(f"expected an integer (an optional '-' and ASCII digits), got {quote(text)}")
     if (limit := digit_limit()) and len(text.lstrip("-")) > limit:
-        raise ValueError(f"integer longer than {limit} digits: {shown}")
+        raise ValueError(f"integer longer than {limit} digits: {quote(text)}")
     return int(text)
 
 

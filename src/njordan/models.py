@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GuardError
 from .exact import eliminate, prime_factors
-from .freealg import MAX_DEPTH, read_int
+from .freealg import MAX_DEPTH, quote, read_int
 
 # Most candidate maps one scan enumerates or draws, with no override.
 ENUM_CAP = 10 ** 7
@@ -433,7 +433,7 @@ def ring_from_spec(spec: str, override: bool = False) -> FiniteRing:
     for pattern, build in _RING_SPECS:
         if match := re.fullmatch(pattern, spec):
             return build(*map(read_int, match.groups()), override)
-    raise ValueError(f"unrecognized ring spec {spec!r}")
+    raise ValueError(f"unrecognized ring spec {quote(spec)}")
 
 
 # --- additive maps -----------------------------------------------------------

@@ -8,6 +8,7 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -96,6 +97,21 @@ class TestConsequenceCommand:
         code, _, err = run(["consequence", "--n", "2", "--target", "h(x^2) = H(x)^2", "--vars", names], capsys)
         assert code == 2
         assert err == f"error: unknown variable name {names.split(',')[1]!r}\n"
+
+    @pytest.mark.parametrize("names,message", [
+        ("x,x", "variable 'x' is repeated"),
+        ("x,y,x", "variable 'x' is repeated"),
+        (",", "at least one variable is needed"),
+    ])
+    def test_repeated_or_missing_variables_exit_two(self, names, message, capsys):
+        code, out, err = run(["consequence", "--n", "3", "--target", "h(x^3) = H(x)^3", "--vars", names], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_long_unknown_variable_name_is_quoted_to_forty_characters(self, capsys):
+        name = "q" * 1000
+        code, _, err = run(["consequence", "--n", "2", "--target", "h(x^2) = H(x)^2", "--vars", f"x,{name}"], capsys)
+        assert code == 2
+        assert err == f"error: unknown variable name {name[:40]!r}...\n"
 
     # trial division would run to the square root of a 100-bit prime
     @pytest.mark.parametrize("extra", [
@@ -206,6 +222,18 @@ class TestVerifyCertCommand:
         code, out, _ = run(["verify-cert", path], capsys)
         assert code == 1
         assert "INVALID" in out
+
+    # Fraction reads each of these, "-1_0" as -10, and verified it as that value
+    @pytest.mark.parametrize("coeff", ["-\u0661", " -1 ", "-1_0", "+1"])
+    def test_coefficient_outside_the_ascii_grammar_is_invalid(self, coeff, tmp_path, capsys):
+        value = int(Fraction(coeff))
+        path = tmp_path / "cert.json"
+        cert = {"n": 3, "mode": "nc", "field": "Q", "target": f"h({-value}*x^3) = {-value}*H(x)^3",
+                "instances": [{"subst": {"a": "-x"}, "coeff": coeff}]}
+        for text, code in ((str(value), 0), (coeff, 1)):
+            cert["instances"][0]["coeff"] = text
+            path.write_text(json.dumps(cert))
+            assert run(["verify-cert", str(path)], capsys)[0] == code
 
     def test_truncated_file_exits_two(self, tmp_path, capsys):
         path = self.fresh_cert(tmp_path, capsys)
@@ -564,6 +592,12 @@ class TestOneIntegerReader:
         assert code == 2
         assert out == ""
         assert err.startswith("cannot read certificate: certificate n must be a JSON integer")
+
+    def test_long_unrecognized_ring_spec_is_quoted_to_forty_characters(self, capsys):
+        spec = "zm:" + "\u0665" * 1000
+        code, err = exit_code_and_stderr(["search", "--domain", spec, "--codomain", "zm:5"], capsys)
+        assert code == 2
+        assert err == f"error: unrecognized ring spec {spec[:40]!r}...\n"
 
     def test_certificate_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cert.json"

@@ -5,13 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from njordan import derivation
+from njordan import derivation, exact
 from njordan.derivation import (
     BUILTIN_SCRIPTS,
     AssertEquals,
@@ -30,7 +31,7 @@ from njordan.derivation import (
 )
 from njordan.errors import GuardError
 from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, linear_form, parse_expr, to_string
-from njordan.identities import combine, identity_to_string, parse_identity
+from njordan.identities import SEED_VAR, combine, identity_to_string, parse_identity, seed, substitute
 
 SYM_SIX = "h(x*y*z + x*z*y + y*x*z + y*z*x + z*x*y + z*y*x) = 6*H(x)*H(y)*H(z)"
 SINGLE = "h(x*y*z) = H(x)*H(y)*H(z)"
@@ -439,3 +440,57 @@ class TestCertificateMutation:
         assert verify_certificate(_with_coefficient(cert, index, 7 * k))
         assume(delta.numerator % 7)
         assert not verify_certificate(_with_coefficient(cert, index, delta))
+
+
+# The materialised oracle: every instance expanded from its printed linear
+# form into a list of vectors before elimination starts, as consequence_check
+# did before it streamed them.
+EXTRA_TARGETS = [SINGLE, "h(y*x^2 - x^2*y) = 0", "h(x*y*z) = 0"]
+
+
+def _materialised(n, target, variables, coeff_range, field, mode):
+    instances = generate_instances(n, variables, coeff_range, mode)
+    base = seed(n, mode)
+    expanded = [substitute(base, {SEED_VAR: parse_expr(inst.expr, mode)}) for inst in instances]
+    vectors = [derivation._identity_vector(ident) for ident in expanded]
+    p = derivation._parse_field(field)
+    independent, combo, residual = exact.eliminate(vectors, derivation._identity_vector(target), p)
+    return instances, len(independent), combo, residual
+
+
+class TestStreamedSpanCheck:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        st.sampled_from([NONCOMMUTATIVE, COMMUTATIVE]),
+        st.sampled_from(["Q", "GF(7)"]),
+        st.sampled_from([("x", "y"), VARS]),
+        st.integers(1, 2),
+        st.lists(st.tuples(st.integers(0, len(INSTANCES[COMMUTATIVE]) - 1), DELTAS), min_size=1, max_size=4),
+        st.lists(st.sampled_from(EXTRA_TARGETS), max_size=1),
+    )
+    def test_matches_the_materialised_elimination(self, mode, field, variables, coeff_range, picks, extra):
+        instances = INSTANCES[mode]
+        parts = [(c, instances[i].identity) for i, c in picks]
+        parts += [(1, parse_identity(text, mode)) for text in extra]
+        target = combine(parts)
+        assume(not (target.lhs.is_zero() and target.rhs.is_zero()))
+        result = consequence_check(3, target, variables, coeff_range, field=field, mode=mode)
+        kept, rank, combo, residual = _materialised(3, target, variables, coeff_range, field, mode)
+        assert (result.rank, result.n_instances, result.member) == (rank, len(kept), combo is not None)
+        if combo is None:
+            assert result.residual == derivation._residual_string(residual, mode)
+        else:
+            expected = tuple((kept[i].expr, str(combo[i])) for i in sorted(combo))
+            assert result.certificate.instances == expected
+
+    def test_peak_memory_holds_one_expanded_instance(self):
+        # 312 instances of about 291 terms each: expanding them all first peaked at 7.4 MiB
+        target = "h(x*y*z*w + y*x*z*w) = H(x)*H(y)*H(z)*H(w) + H(y)*H(x)*H(z)*H(w)"
+        tracemalloc.start()
+        try:
+            result = consequence_check(4, target, "xyzw", 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.rank, result.n_instances) == (35, 312)
+        assert peak < 2 * 2 ** 20
