@@ -2,7 +2,11 @@
 
 Exit codes: 0 success / verified, 1 a check failed (failed assertion,
 target not in span, invalid certificate, unexpected counterexample),
-2 usage or guard errors.
+2 usage or guard errors, bad input, or an output file that cannot be written.
+
+A subcommand only computes: it prints its report and returns its exit code
+with the payload for ``--json`` (None if it has none).  ``main`` alone writes
+``--json`` and turns every refusal into exit 2 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -10,36 +14,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 from . import cstar_num, derivation, models
 from .errors import GuardError
-from .freealg import NONCOMMUTATIVE, ParseError, read_int
-
-JSON_KW = {"indent": 2, "sort_keys": True}
+from .freealg import NONCOMMUTATIVE, quote, read_int
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(payload, str):
-            fh.write(payload)
-        else:
-            fh.write(json.dumps(payload, **JSON_KW) + "\n")
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
+def _cmd_replay(args: argparse.Namespace) -> tuple[int, dict]:
     script = derivation.BUILTIN_SCRIPTS.get(args.script)
     if script is None:
         names = ", ".join(sorted(derivation.BUILTIN_SCRIPTS))
-        print(f"unknown script {args.script!r}; available: {names}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown script {quote(args.script)}; available: {names}")
     trace = derivation.replay(script)
     sys.stdout.write(derivation.trace_to_text(trace))
-    if args.json:
-        _write_json(args.json, derivation.trace_to_json(trace))
-    return 1 if trace.failed else 0
+    return (1 if trace.failed else 0), asdict(trace)
 
 
-def _cmd_consequence(args: argparse.Namespace) -> int:
+def _cmd_consequence(args: argparse.Namespace) -> tuple[int, dict]:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     result = derivation.consequence_check(
         args.n,
@@ -50,41 +47,30 @@ def _cmd_consequence(args: argparse.Namespace) -> int:
         mode=args.mode,
         override=args.unsafe_override,
     )
-    if isinstance(result, derivation.InSpan):
-        verified = derivation.verify_certificate(result.certificate)
-        payload = {
-            "member": True,
-            "rank": result.rank,
-            "instances": result.n_instances,
-            "certificate": result.certificate.to_dict(),
-            "verified": verified,
-        }
+    if isinstance(result, derivation.NotInSpan):
         print(
-            f"IN SPAN: rank {result.rank}, {result.n_instances} instances,"
-            f" certificate uses {len(result.certificate.instances)} of them,"
-            f" independent verification {'passed' if verified else 'FAILED'}"
+            f"NOT IN SPAN: rank {result.rank} from {result.n_instances} instances;"
+            f" unexplained residual {result.residual}"
         )
-        if args.cert:
-            _write_json(args.cert, result.certificate.to_json())
-        if args.json:
-            _write_json(args.json, payload)
-        return 0 if verified else 1
-    payload = {
-        "member": False,
+        return 1, {"member": False, "rank": result.rank, "instances": result.n_instances, "residual": result.residual}
+    verified = derivation.verify_certificate(result.certificate)
+    print(
+        f"IN SPAN: rank {result.rank}, {result.n_instances} instances,"
+        f" certificate uses {len(result.certificate.instances)} of them,"
+        f" independent verification {'passed' if verified else 'FAILED'}"
+    )
+    if args.cert:
+        Path(args.cert).write_text(result.certificate.to_json(), encoding="utf-8")
+    return (0 if verified else 1), {
+        "member": True,
         "rank": result.rank,
         "instances": result.n_instances,
-        "residual": result.residual,
+        "certificate": result.certificate.to_dict(),
+        "verified": verified,
     }
-    print(
-        f"NOT IN SPAN: rank {result.rank} from {result.n_instances} instances;"
-        f" unexplained residual {result.residual}"
-    )
-    if args.json:
-        _write_json(args.json, payload)
-    return 1
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
     domain = models.ring_from_spec(args.domain, args.unsafe_override)
     codomain = models.ring_from_spec(args.codomain, args.unsafe_override)
     hits = models.search(
@@ -97,57 +83,46 @@ def _cmd_search(args: argparse.Namespace) -> int:
         seed=args.seed,
         override=args.unsafe_override,
     )
-    payload = {
+    print(f"{len(hits)} map(s) satisfy {args.predicate} ({domain.name} -> {codomain.name})")
+    for hit in hits:
+        print(f"  index {hit.index}: matrix {hit.matrix}")
+    return 0, {
         "domain": domain.name,
         "codomain": codomain.name,
         "n": args.n,
         "predicate": args.predicate,
         "hits": [hit.to_json() for hit in hits],
     }
-    print(f"{len(hits)} map(s) satisfy {args.predicate} ({domain.name} -> {codomain.name})")
-    for hit in hits:
-        print(f"  index {hit.index}: matrix {hit.matrix}")
-    if args.json:
-        _write_json(args.json, payload)
-    return 0
 
 
-def _cmd_examples(args: argparse.Namespace) -> int:
-    report = models.paper_examples()
-    print(json.dumps(report, **JSON_KW))
-    if args.json:
-        _write_json(args.json, report)
-    return 0 if report["ok"] else 1
+def _report(report: dict) -> tuple[int, dict]:
+    """A check's report, printed as JSON, with exit 0 exactly when it is ok."""
+    sys.stdout.write(_dumps(report))
+    return (0 if report.get("ok") else 1), report
 
 
-def _cmd_norm(args: argparse.Namespace) -> int:
+def _cmd_examples(args: argparse.Namespace) -> tuple[int, dict]:
+    return _report(models.paper_examples())
+
+
+def _cmd_norm(args: argparse.Namespace) -> tuple[int, dict]:
     if args.check == "corollary26":
-        report = cstar_num.check_corollary_2_6(args.m, args.k, args.samples, args.seed)
-    elif args.check == "theorem27":
-        perm = None
-        if args.perm:
-            perm = tuple(read_int(x) for x in args.perm.split(","))
+        return _report(cstar_num.check_corollary_2_6(args.m, args.k, args.samples, args.seed))
+    if args.check == "theorem27":
+        perm = tuple(read_int(x) for x in args.perm.split(",")) if args.perm else None
         h = cstar_num.coordinate_star_map(args.k, perm)
-        report = cstar_num.check_theorem_2_7(h, args.power, args.samples, args.seed)
-    else:
-        report = cstar_num.check_step2(args.m, args.k, args.n, args.count, args.samples, args.seed)
-    print(json.dumps(report, **JSON_KW))
-    if args.json:
-        _write_json(args.json, report)
-    return 0 if report.get("ok") else 1
+        return _report(cstar_num.check_theorem_2_7(h, args.power, args.samples, args.seed))
+    return _report(cstar_num.check_step2(args.m, args.k, args.n, args.count, args.samples, args.seed))
 
 
-def _cmd_verify_cert(args: argparse.Namespace) -> int:
+def _cmd_verify_cert(args: argparse.Namespace) -> tuple[int, None]:
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        cert = derivation.Certificate.from_json(text)
+        cert = derivation.Certificate.from_json(Path(args.path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        print(f"cannot read certificate: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read certificate: {exc}") from exc
     ok = derivation.verify_certificate(cert)
     print(f"certificate for {cert.target}: {'valid' if ok else 'INVALID'}")
-    return 0 if ok else 1
+    return (0 if ok else 1), None
 
 
 def _integer(text: str) -> int:
@@ -165,12 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_replay = sub.add_parser("replay", help="replay a builtin derivation script")
-    p_replay.add_argument("--script", required=True)
-    p_replay.add_argument("--json", metavar="PATH")
-    p_replay.set_defaults(func=_cmd_replay)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p_cons = sub.add_parser("consequence", help="span membership for a target identity")
+    p_replay = command("replay", _cmd_replay, "replay a builtin derivation script")
+    p_replay.add_argument("--script", required=True)
+
+    p_cons = command("consequence", _cmd_consequence, "span membership for a target identity")
     p_cons.add_argument("--n", type=_integer, required=True)
     p_cons.add_argument("--target", required=True)
     p_cons.add_argument("--vars", default="x,y,z")
@@ -178,11 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cons.add_argument("--field", default="Q")
     p_cons.add_argument("--mode", choices=("nc", "c"), default=NONCOMMUTATIVE)
     p_cons.add_argument("--cert", metavar="PATH")
-    p_cons.add_argument("--json", metavar="PATH")
-    p_cons.add_argument("--unsafe-override", action="store_true", dest="unsafe_override")
-    p_cons.set_defaults(func=_cmd_consequence)
 
-    p_search = sub.add_parser("search", help="scan additive maps between finite rings")
+    p_search = command("search", _cmd_search, "scan additive maps between finite rings")
     p_search.add_argument("--domain", required=True)
     p_search.add_argument("--codomain", required=True)
     p_search.add_argument("--n", type=_integer, default=3)
@@ -190,15 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--limit", type=_integer, default=10)
     p_search.add_argument("--sample-count", type=_integer, default=None, dest="sample_count")
     p_search.add_argument("--seed", type=_integer, default=0)
-    p_search.add_argument("--json", metavar="PATH")
-    p_search.add_argument("--unsafe-override", action="store_true", dest="unsafe_override")
-    p_search.set_defaults(func=_cmd_search)
 
-    p_ex = sub.add_parser("examples", help="reproduce the motivating finite examples")
-    p_ex.add_argument("--json", metavar="PATH")
-    p_ex.set_defaults(func=_cmd_examples)
+    p_ex = command("examples", _cmd_examples, "reproduce the motivating finite examples")
 
-    p_norm = sub.add_parser("norm", help="numeric contractivity checks")
+    p_norm = command("norm", _cmd_norm, "numeric contractivity checks")
     p_norm.add_argument("check", choices=("corollary26", "theorem27", "step2"))
     p_norm.add_argument("--m", type=_integer, default=2)
     p_norm.add_argument("--k", type=_integer, default=2)
@@ -208,27 +178,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--count", type=_integer, default=1000)
     p_norm.add_argument("--samples", type=_integer, default=cstar_num.DEFAULT_SAMPLES)
     p_norm.add_argument("--seed", type=_integer, default=0)
-    p_norm.add_argument("--json", metavar="PATH")
-    p_norm.set_defaults(func=_cmd_norm)
 
-    p_vc = sub.add_parser("verify-cert", help="independently verify a certificate file")
-    p_vc.add_argument("path")
-    p_vc.set_defaults(func=_cmd_verify_cert)
+    command("verify-cert", _cmd_verify_cert, "independently verify a certificate file").add_argument("path")
 
+    # Added last, so usage and help list them after each command's own options.
+    for p in (p_replay, p_cons, p_search, p_ex, p_norm):
+        p.add_argument("--json", metavar="PATH")
+    for p in (p_cons, p_search):
+        p.add_argument("--unsafe-override", action="store_true", dest="unsafe_override")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload = args.func(args)
+        if getattr(args, "json", None):
+            Path(args.json).write_text(_dumps(payload), encoding="utf-8")
+        return code
     except GuardError as exc:
-        print(f"guard refused: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = f"guard refused: {exc}"
+    except ValueError as exc:  # ParseError included
+        message = f"error: {exc}"
+    except OSError as exc:
+        message = f"cannot write output: {exc}"
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

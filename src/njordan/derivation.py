@@ -36,8 +36,10 @@ from .errors import GuardError
 from .exact import eliminate, prime_factors
 from .freealg import (
     COMMUTATIVE,
+    EXPANSION_CAP,
     NONCOMMUTATIVE,
     FreePoly,
+    check_expansion,
     linear_form,
     parse_expr,
     quote,
@@ -622,21 +624,19 @@ class Certificate:
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
+        """ValueError unless n is a JSON integer and mode, field, target and each subst.a a string."""
         try:
             instances = tuple(
                 (entry["subst"]["a"], str(entry["coeff"])) for entry in data["instances"]
             )
-            if type(data["n"]) is not int:
-                raise ValueError(f"certificate n must be a JSON integer, got {type(data['n']).__name__}")
-            return Certificate(
-                n=data["n"],
-                mode=str(data["mode"]),
-                field=str(data["field"]),
-                target=str(data["target"]),
-                instances=instances,
-            )
+            fields = [(key, data[key]) for key in ("n", "mode", "field", "target")]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from exc
+        for key, value in fields + [("subst.a", expr) for expr, _ in instances]:
+            kind, name = (int, "integer") if key == "n" else (str, "string")
+            if type(value) is not kind:
+                raise ValueError(f"certificate {key} must be a JSON {name}, got {type(value).__name__}")
+        return Certificate(*(value for _, value in fields), instances)
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
@@ -744,7 +744,9 @@ def verify_certificate(cert: Certificate, target: HIdentity | str | None = None)
     seed, combines with the stored coefficients, and checks the result
     against the target (the embedded one unless an explicit target is
     given): the difference of the combination and the target must vanish,
-    over GF(p) up to congruence of every coefficient.
+    over GF(p) up to congruence of every coefficient.  Every form is parsed
+    first, and GuardError is raised before any is expanded if together they
+    would expand past EXPANSION_CAP letters.
     """
     try:
         if target is None:
@@ -755,11 +757,12 @@ def verify_certificate(cert: Certificate, target: HIdentity | str | None = None)
             expected = target
         p = _parse_field(cert.field)
         base = seed(cert.n, cert.mode)
-        parts = []
-        for expr, coeff in cert.instances:
-            form = parse_expr(expr, cert.mode)
-            parts.append((_coefficient(coeff), substitute(base, {SEED_VAR: form})))
-        diff = combine(parts + [(-1, expected)])
+        parsed = [(_coefficient(coeff), parse_expr(expr, cert.mode)) for expr, coeff in cert.instances]
+        # A form of t terms expands into t^n words of n letters.  Past the cap's bit
+        # length any t >= 2 is over the cap already, so the exponent stops there.
+        exponent = min(cert.n, EXPANSION_CAP.bit_length())
+        check_expansion(sum(len(form.terms) ** exponent * cert.n for _, form in parsed))
+        diff = combine([(c, substitute(base, {SEED_VAR: form})) for c, form in parsed] + [(-1, expected)])
     except (ValueError, ZeroDivisionError):
         return False
     terms = diff.lhs.terms + diff.rhs.terms

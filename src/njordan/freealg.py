@@ -72,7 +72,7 @@ def var_id(name: str) -> int:
     raise ValueError(f"unknown variable name {quote(name)}")
 
 
-def _check_expansion(letters: int) -> None:
+def check_expansion(letters: int) -> None:
     if letters > EXPANSION_CAP:
         raise GuardError(f"expansion exceeds the cap of {EXPANSION_CAP} letters")
 
@@ -123,7 +123,7 @@ class FreePoly:
                 coeff += old
             if coeff:
                 letters += max(len(w), 1)
-                _check_expansion(letters)
+                check_expansion(letters)
                 acc[w] = _canonical(coeff)
         ordered = tuple(sorted(acc.items(), key=lambda t: grlex_key(t[0])))
         return FreePoly(mode, ordered)
@@ -183,7 +183,7 @@ class FreePoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same_mode(other)
-        _check_expansion(len(self.terms) * len(other.terms) * max(self.degree() + other.degree(), 1))
+        check_expansion(len(self.terms) * len(other.terms) * max(self.degree() + other.degree(), 1))
         return FreePoly.from_terms(
             ((wa + wb, ca * cb) for wa, ca in self.terms for wb, cb in other.terms), self.mode
         )
@@ -196,8 +196,8 @@ class FreePoly:
             raise ValueError("negative power")
         # each word of the result has n * degree letters; bounding that first
         # keeps len(terms) ** n small enough to compute
-        _check_expansion(n * max(self.degree(), 1))
-        _check_expansion(len(self.terms) ** n * max(n * self.degree(), 1))
+        check_expansion(n * max(self.degree(), 1))
+        check_expansion(len(self.terms) ** n * max(n * self.degree(), 1))
         out, base = FreePoly.one(self.mode), self
         while n:
             if n & 1:
@@ -238,7 +238,7 @@ def substitute_linear(p: FreePoly, subst: Mapping[int, FreePoly]) -> FreePoly:
 
     def expanded(word: Word, coeff: int | Fraction) -> Iterator[tuple[Word, int | Fraction]]:
         factors = [subst[vid].terms if vid in subst else (((vid,), 1),) for vid in word]
-        _check_expansion(prod(map(len, factors)) * len(word))
+        check_expansion(prod(map(len, factors)) * len(word))
         for picks in product(*factors):
             yield tuple(v for (v,), _ in picks), prod((c for _, c in picks), start=coeff)
 

@@ -30,7 +30,7 @@ from .errors import GuardError
 from .exact import eliminate, prime_factors
 from .freealg import MAX_DEPTH, quote, read_int
 
-# Most candidate maps one scan enumerates or draws, with no override.
+# Most candidate maps one scan enumerates or draws without override.
 ENUM_CAP = 10 ** 7
 # Most products one n-ring check forms: d^n basis tuples at n - 1 products each.
 TUPLE_CAP = 10 ** 7

@@ -6,15 +6,18 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from njordan import cstar_num, freealg, models
+from njordan import cstar_num, derivation, freealg, models
 from njordan.cli import _integer, build_parser, main
 
 
@@ -278,6 +281,52 @@ class TestVerifyCertCommand:
         assert time.perf_counter() - start < 2.0
         assert code == 2
         assert "no prime factor up to" in err
+
+    def test_instances_past_the_cap_together_exit_two_quickly(self, tmp_path, capsys):
+        # each instance alone expands to 7^6 * 6 = 705,894 letters, under the cap;
+        # expanded one after another, three of them took 6 s and 91 MB
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "n": 6, "mode": "nc", "field": "Q", "target": "h(x^6) = H(x)^6",
+            "instances": [{"subst": {"a": "x + y + z + w + t + a + b"}, "coeff": "1"}] * 3,
+        }))
+        start = time.perf_counter()
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"guard refused: expansion exceeds the cap of {freealg.EXPANSION_CAP} letters\n"
+
+    def test_every_instance_of_the_largest_unguarded_class_is_under_the_cap(self, tmp_path, capsys):
+        # n = 4 over four variables with coefficients in -2..2: the 312 instances a
+        # consequence certificate can use without override expand, the target being
+        # wrong, to INVALID rather than a guard refusal
+        instances = derivation.generate_instances(4, "xyzw", derivation.MAX_COEFF)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "n": 4, "mode": "nc", "field": "Q", "target": "h(x^4) = H(x)^4",
+            "instances": [{"subst": {"a": inst.expr}, "coeff": "1"} for inst in instances],
+        }))
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert (len(instances), code, err) == (312, 1, "")
+        assert out.endswith(": INVALID\n")
+
+    @pytest.mark.parametrize("key", ["mode", "field", "target", "subst.a"])
+    @pytest.mark.parametrize("value", [5, None, ["x"], {"b": 1}], ids=["int", "null", "list", "object"])
+    def test_text_fields_must_be_json_strings(self, key, value, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        cert = {"n": 3, "mode": "nc", "field": "Q", "target": "h(x^3) = H(x)^3",
+                "instances": [{"subst": {"a": "-x"}, "coeff": "-1"}]}
+        path.write_text(json.dumps(cert))
+        assert run(["verify-cert", str(path)], capsys)[0] == 0
+        if key == "subst.a":
+            cert["instances"][0]["subst"]["a"] = value
+        else:
+            cert[key] = value
+        path.write_text(json.dumps(cert))
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert (code, out) == (2, "")
+        kind = type(value).__name__
+        assert err == f"error: cannot read certificate: certificate {key} must be a JSON string, got {kind}\n"
 
     def test_largest_expansion_under_the_cap_verifies(self, tmp_path, capsys):
         path = tmp_path / "cert.json"
@@ -543,6 +592,68 @@ class TestNormCommand:
         assert "at least 1" in err
 
 
+# Each command's options in registration order, which is also the order of its
+# usage line and help.
+COMMAND_OPTIONS = {
+    "replay": ["--script", "--json"],
+    "consequence": ["--n", "--target", "--vars", "--coeff-range", "--field", "--mode", "--cert", "--json",
+                    "--unsafe-override"],
+    "search": ["--domain", "--codomain", "--n", "--predicate", "--limit", "--sample-count", "--seed", "--json",
+               "--unsafe-override"],
+    "examples": ["--json"],
+    "norm": ["check", "--m", "--k", "--n", "--power", "--perm", "--count", "--samples", "--seed", "--json"],
+    "verify-cert": ["path"],
+}
+MEMBER, NONMEMBER = TestConsequenceCommand.MEMBER, TestConsequenceCommand.NONMEMBER
+# every way a command writes a file; "{out}" is a path inside a missing directory
+WRITING_COMMANDS = {
+    "replay-json": ["replay", "--script", "n2_comm", "--json", "{out}"],
+    "consequence-json": ["consequence", "--n", "3", "--target", MEMBER, "--json", "{out}"],
+    "consequence-cert": ["consequence", "--n", "3", "--target", MEMBER, "--cert", "{out}"],
+    "nonmember-json": ["consequence", "--n", "3", "--target", NONMEMBER, "--json", "{out}"],
+    "search-json": ["search", "--domain", "zm:5", "--codomain", "zm:5", "--json", "{out}"],
+    "examples-json": ["examples", "--json", "{out}"],
+    "norm-json": ["norm", "corollary26", "--json", "{out}"],
+}
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(argv):
+    """The command line as its own process: exit status and stderr as the shell sees them."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "njordan.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestCommandContract:
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS.keys())
+    def test_unwritable_output_exits_two_with_one_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        code, _, err = run([a.replace("{out}", str(out)) for a in argv], capsys)
+        assert code == 2
+        assert err.startswith("cannot write output: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_each_command_keeps_its_options(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: [opt for action in parser._actions for opt in action.option_strings or [action.dest]
+                   if opt not in ("-h", "--help")]
+            for name, parser in sub.choices.items()
+        }
+        assert options == COMMAND_OPTIONS
+
+    def test_process_exit_status(self, tmp_path):
+        ok = run_process(["replay", "--script", "n2_comm"])
+        assert (ok.returncode, ok.stderr) == (0, "")
+        assert "final PASS" in ok.stdout
+        refused = run_process(["replay", "--script", "n2_comm", "--json", str(tmp_path / "missing" / "x.json")])
+        assert refused.returncode == 2
+        assert refused.stderr.startswith("cannot write output:")
+        assert refused.stderr.count("\n") == 1 and "Traceback" not in refused.stderr
+
+
 # Python's own wording for an integer it cannot read, or a spec it cannot split.
 PYTHON_INT_WORDING = ("invalid literal for int()", "Exceeds the limit", "not enough values to unpack")
 DIGITS_5000 = "7" * 5000
@@ -591,7 +702,7 @@ class TestOneIntegerReader:
         code, out, err = run(["verify-cert", str(path)], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("cannot read certificate: certificate n must be a JSON integer")
+        assert err.startswith("error: cannot read certificate: certificate n must be a JSON integer")
 
     def test_long_unrecognized_ring_spec_is_quoted_to_forty_characters(self, capsys):
         spec = "zm:" + "\u0665" * 1000
@@ -604,7 +715,7 @@ class TestOneIntegerReader:
         path.write_text(f'{{"n": {DIGITS_5000}, "mode": "nc", "field": "Q", "target": "t", "instances": []}}')
         code, out, err = run(["verify-cert", str(path)], capsys)
         assert code == 2
-        assert err.startswith(f"cannot read certificate: integer longer than {freealg.digit_limit()} digits")
+        assert err.startswith(f"error: cannot read certificate: integer longer than {freealg.digit_limit()} digits")
         assert len(err) < 200
 
     def test_no_option_reads_integers_with_bare_int(self):
@@ -633,6 +744,8 @@ NESTED = st.builds(
 )
 # grammar names, unknown ASCII names and names with non-ASCII characters
 VAR_NAMES = st.sampled_from(["x", "y", "v3", "q", "", "v", "X", "v\u0661", "\u00e9", "x\u00b2", "H"])
+# JSON values that are not strings, for the certificate's text fields
+NOT_TEXT = st.sampled_from([5, None, ["x"], {"b": 1}])
 CERT_TEXT = st.one_of(
     st.builds(lambda depth: "[" * depth, st.integers(1, 3000)),
     st.builds(
@@ -640,9 +753,13 @@ CERT_TEXT = st.one_of(
             "n": n, "mode": mode, "field": field, "target": target,
             "instances": [{"subst": {"a": form}, "coeff": coeff} for form in forms],
         }),
-        st.one_of(SMALL_INTS, st.text(max_size=3)), st.sampled_from(["nc", "c", "q"]),
-        st.sampled_from(["Q", "GF(7)", "GF(4)", "R", "GF(1099511627791)", f"GF({BIG_PRIME})", "GF(\u0667)"]),
-        st.builds("h({}) = H(x)^3".format, NESTED), st.lists(NESTED, max_size=3),
+        st.one_of(SMALL_INTS, st.text(max_size=3)), st.one_of(st.sampled_from(["nc", "c", "q"]), NOT_TEXT),
+        st.one_of(
+            st.sampled_from(["Q", "GF(7)", "GF(4)", "R", "GF(1099511627791)", f"GF({BIG_PRIME})", "GF(\u0667)"]),
+            NOT_TEXT,
+        ),
+        st.one_of(st.builds("h({}) = H(x)^3".format, NESTED), NOT_TEXT),
+        st.lists(st.one_of(NESTED, NOT_TEXT), max_size=3),
         st.one_of(st.sampled_from(["1", "-1/2", "1e5", "x", f"1/{BIG_PRIME}", f"-3/{3 * BIG_PRIME}"]), SMALL_INTS),
     ),
 )
@@ -711,6 +828,8 @@ class TestUntrustedInputProperty:
     @example(text="[" * 3000)
     @example(text=json.dumps({"n": 2, "mode": "nc", "field": f"GF({BIG_PRIME})", "target": "h(x^2) = H(x)^2",
                               "instances": [{"subst": {"a": "-x"}, "coeff": "1"}]}))
+    @example(text=json.dumps({"n": 2, "mode": "nc", "field": "Q", "target": "h(x^2) = H(x)^2",
+                              "instances": [{"subst": {"a": 5}, "coeff": "1"}]}))
     def test_certificate_json(self, text, tmp_path_factory):
         path = tmp_path_factory.mktemp("cert") / "cert.json"
         path.write_text(text)
