@@ -12,7 +12,6 @@ with the payload for ``--json`` (None if it has none).  ``main`` alone writes
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -22,8 +21,12 @@ from .errors import GuardError
 from .freealg import NONCOMMUTATIVE, quote, read_int
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(path: str, text: str) -> None:
+    """Write an output file; ValueError, so exit 2, if it cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from exc
 
 
 def _cmd_replay(args: argparse.Namespace) -> tuple[int, dict]:
@@ -60,7 +63,7 @@ def _cmd_consequence(args: argparse.Namespace) -> tuple[int, dict]:
         f" independent verification {'passed' if verified else 'FAILED'}"
     )
     if args.cert:
-        Path(args.cert).write_text(result.certificate.to_json(), encoding="utf-8")
+        _write(args.cert, result.certificate.to_json())
     return (0 if verified else 1), {
         "member": True,
         "rank": result.rank,
@@ -97,12 +100,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _report(report: dict) -> tuple[int, dict]:
     """A check's report, printed as JSON, with exit 0 exactly when it is ok."""
-    sys.stdout.write(_dumps(report))
+    sys.stdout.write(derivation.dumps(report))
     return (0 if report.get("ok") else 1), report
-
-
-def _cmd_examples(args: argparse.Namespace) -> tuple[int, dict]:
-    return _report(models.paper_examples())
 
 
 def _cmd_norm(args: argparse.Namespace) -> tuple[int, dict]:
@@ -166,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--sample-count", type=_integer, default=None, dest="sample_count")
     p_search.add_argument("--seed", type=_integer, default=0)
 
-    p_ex = command("examples", _cmd_examples, "reproduce the motivating finite examples")
+    p_ex = command("examples", lambda _: _report(models.paper_examples()), "reproduce the motivating finite examples")
 
     p_norm = command("norm", _cmd_norm, "numeric contractivity checks")
     p_norm.add_argument("check", choices=("corollary26", "theorem27", "step2"))
@@ -194,14 +193,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload = args.func(args)
         if getattr(args, "json", None):
-            Path(args.json).write_text(_dumps(payload), encoding="utf-8")
+            _write(args.json, derivation.dumps(payload))
         return code
     except GuardError as exc:
         message = f"guard refused: {exc}"
-    except ValueError as exc:  # ParseError included
+    except ValueError as exc:  # ParseError and unwritable output included
         message = f"error: {exc}"
-    except OSError as exc:
-        message = f"cannot write output: {exc}"
     print(message, file=sys.stderr)
     return 2
 

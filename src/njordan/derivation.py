@@ -30,7 +30,7 @@ import json
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GuardError
 from .exact import eliminate, prime_factors
@@ -232,9 +232,14 @@ def replay(script: DerivationScript) -> Trace:
     )
 
 
+def dumps(payload) -> str:
+    """The text of every JSON file njordan writes: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def trace_to_json(trace: Trace) -> str:
     """JSON form; its bytes depend only on the script."""
-    return json.dumps(asdict(trace), indent=2, sort_keys=True) + "\n"
+    return dumps(asdict(trace))
 
 
 def trace_to_text(trace: Trace) -> str:
@@ -548,7 +553,8 @@ def generate_instances(
     smaller one (the negation of an instance is a scalar multiple, so nothing
     is lost).  Enumeration order is the lexicographic order of the kept
     vectors.  ValueError unless the variables are distinct and at least one;
-    every check runs here, and no instance is expanded here.
+    GuardError, override or not, past the expansion bound verify_certificate
+    applies.  Every check runs here, and no instance is expanded here.
     """
     if (len(variables) > MAX_VARS or coeff_range > MAX_COEFF) and not override:
         raise GuardError(
@@ -564,11 +570,21 @@ def generate_instances(
         repeated = next(v for k, v in enumerate(variables) if ids[k] in ids[:k])
         raise ValueError(f"variable {quote(repeated)} is repeated")
     base = seed(n, mode)
-    return [
+    instances = [
         Instance(linear_form({v: e for v, e in zip(ids, eps) if e}, mode), base)
         for eps in itertools.product(range(-coeff_range, coeff_range + 1), repeat=len(ids))
         if next((e for e in eps if e), 0) < 0
     ]
+    _check_instances_expansion(n, (inst.form for inst in instances))
+    return instances
+
+
+def _check_instances_expansion(n: int, forms: Iterable[FreePoly]) -> None:
+    """GuardError if seed-n instances at these forms expand past EXPANSION_CAP letters in all."""
+    # A form of t terms expands into t^n words of n letters.  Past the cap's bit
+    # length any t >= 2 is over the cap already, so the exponent stops there.
+    exponent = min(n, EXPANSION_CAP.bit_length())
+    check_expansion(sum(len(form.terms) ** exponent * n for form in forms))
 
 
 # (side, word length, word): side 0 holds the left words and side 1 the right
@@ -620,7 +636,7 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_dict())
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
@@ -746,7 +762,8 @@ def verify_certificate(cert: Certificate, target: HIdentity | str | None = None)
     given): the difference of the combination and the target must vanish,
     over GF(p) up to congruence of every coefficient.  Every form is parsed
     first, and GuardError is raised before any is expanded if together they
-    would expand past EXPANSION_CAP letters.
+    would expand past EXPANSION_CAP letters, which no certificate drawn from
+    generate_instances does.
     """
     try:
         if target is None:
@@ -758,10 +775,7 @@ def verify_certificate(cert: Certificate, target: HIdentity | str | None = None)
         p = _parse_field(cert.field)
         base = seed(cert.n, cert.mode)
         parsed = [(_coefficient(coeff), parse_expr(expr, cert.mode)) for expr, coeff in cert.instances]
-        # A form of t terms expands into t^n words of n letters.  Past the cap's bit
-        # length any t >= 2 is over the cap already, so the exponent stops there.
-        exponent = min(cert.n, EXPANSION_CAP.bit_length())
-        check_expansion(sum(len(form.terms) ** exponent * cert.n for _, form in parsed))
+        _check_instances_expansion(cert.n, (form for _, form in parsed))
         diff = combine([(c, substitute(base, {SEED_VAR: form})) for c, form in parsed] + [(-1, expected)])
     except (ValueError, ZeroDivisionError):
         return False

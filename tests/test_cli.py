@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from njordan import cstar_num, derivation, freealg, models
 from njordan.cli import _integer, build_parser, main
+from njordan.identities import combine, identity_to_string
 
 
 def run(argv, capsys):
@@ -163,6 +164,26 @@ class TestConsequenceCommand:
         assert code == 2
         assert "guard refused" in err
 
+    def test_seed_power_whose_instances_pass_the_cap_exits_two_before_eliminating(self, capsys):
+        # x, y, z with range 1 at n = 10: the 3-term instances expand to 3^10 * 10
+        # letters each, 2.4 million for the 13 instances together
+        start = time.perf_counter()
+        code, out, err = run(["consequence", "--n", "10", "--target", "h(x^10) = H(x)^10"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"guard refused: expansion exceeds the cap of {freealg.EXPANSION_CAP} letters\n"
+
+    def test_certificate_of_the_largest_accepted_seed_power_verifies(self, capsys):
+        # x, y, z with range 1 at n = 9: the 13 instances expand to 736,263 letters
+        # together, so a certificate over any of them is under verify-cert's bound
+        instances = derivation.generate_instances(9, "xyz", 1)
+        largest = [inst.identity for inst in instances if len(inst.form.terms) == 3][:2]
+        target = identity_to_string(combine([(1, ident) for ident in largest]))
+        code, out, err = run(["consequence", "--n", "9", "--target", target], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("IN SPAN: rank 13, 13 instances, certificate uses 2 of them,")
+        assert out.endswith("independent verification passed\n")
+
     def test_override_lifts_the_guard(self, capsys):
         code, out, _ = run(
             [
@@ -297,9 +318,9 @@ class TestVerifyCertCommand:
         assert err == f"guard refused: expansion exceeds the cap of {freealg.EXPANSION_CAP} letters\n"
 
     def test_every_instance_of_the_largest_unguarded_class_is_under_the_cap(self, tmp_path, capsys):
-        # n = 4 over four variables with coefficients in -2..2: the 312 instances a
-        # consequence certificate can use without override expand, the target being
-        # wrong, to INVALID rather than a guard refusal
+        # n = 4 over four variables with coefficients in -2..2: a certificate over all
+        # 312 instances expands, the target being wrong, to INVALID rather than a
+        # guard refusal
         instances = derivation.generate_instances(4, "xyzw", derivation.MAX_COEFF)
         path = tmp_path / "cert.json"
         path.write_text(json.dumps({
@@ -632,7 +653,7 @@ class TestCommandContract:
         out = tmp_path / "missing" / "out.json"
         code, _, err = run([a.replace("{out}", str(out)) for a in argv], capsys)
         assert code == 2
-        assert err.startswith("cannot write output: [Errno 2] No such file or directory")
+        assert err.startswith("error: cannot write output: [Errno 2] No such file or directory")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_each_command_keeps_its_options(self):
@@ -650,7 +671,7 @@ class TestCommandContract:
         assert "final PASS" in ok.stdout
         refused = run_process(["replay", "--script", "n2_comm", "--json", str(tmp_path / "missing" / "x.json")])
         assert refused.returncode == 2
-        assert refused.stderr.startswith("cannot write output:")
+        assert refused.stderr.startswith("error: cannot write output:")
         assert refused.stderr.count("\n") == 1 and "Traceback" not in refused.stderr
 
 

@@ -164,6 +164,13 @@ class TestInstanceGeneration:
         with pytest.raises(GuardError):
             generate_instances(3, ("x", "y", "z", "w", "t"), 1)
 
+    def test_instances_past_the_cap_together_are_refused_even_with_override(self):
+        # x, y, z with range 1: 736,263 letters together at n = 9, 2.4 million at n = 10
+        assert len(generate_instances(9, ("x", "y", "z"), 1)) == 13
+        for override in (False, True):
+            with pytest.raises(GuardError, match="expansion exceeds the cap"):
+                generate_instances(10, ("x", "y", "z"), 1, override=override)
+
     def test_coefficient_guard_with_override(self):
         with pytest.raises(GuardError):
             generate_instances(3, ("x",), 3)
