@@ -147,7 +147,7 @@ def parse_identity(text: str, mode: str) -> HIdentity:
     return HIdentity(lhs, rhs, primes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalReport:
     """Outcome of checking one identity against a concrete model."""
 
@@ -193,21 +193,28 @@ def evaluate(
     blocks, exhaustive = ring_a.assignments(len(variables), max_assignments, sample_seed)
     lhs_terms = [(word, residue(coeff, m)) for word, coeff in ident.lhs.terms]
     rhs_terms = [(word, residue(coeff, m)) for word, coeff in ident.rhs.terms]
+    # Each term adds a residue times a product of residues, at most (m - 1)^2,
+    # to a sum that starts at most m - 1: this many terms stay under 2^63
+    # between two reductions.  The ring's int64 guard makes it at least 1.
+    per_reduction = (2 ** 63 - m) // (m - 1) ** 2
+
+    def combination(ring: FiniteRing, terms, values: dict, count: int) -> np.ndarray:
+        """sum coeff * product of values over the terms, reduced mod m."""
+        total = np.zeros((count, ring.dim), dtype=np.int64)
+        for t, (word, coeff) in enumerate(terms, 1):
+            total += coeff * ring.product_batch(values[v] for v in word)
+            if t % per_reduction == 0:
+                np.fmod(total, m, out=total)
+        # the sum is nonnegative, where fmod agrees with %
+        return np.fmod(total, m, out=total)
 
     def mismatch(cols: list[np.ndarray], _start: int) -> np.ndarray:
         assign = dict(zip(variables, cols))
         count = cols[0].shape[0] if cols else 1
         # h is Z_m-linear: sum the left side in the domain and apply h once
-        lhs_arg = np.zeros((count, ring_a.dim), dtype=np.int64)
-        for word, coeff in lhs_terms:
-            lhs_arg += coeff * ring_a.product_batch(assign[v] for v in word)
-            lhs_arg %= m
+        lhs = h.apply_batch(combination(ring_a, lhs_terms, assign, count))
         himg = {v: h.apply_batch(vecs) for v, vecs in assign.items()}
-        rhs_val = np.zeros((count, ring_b.dim), dtype=np.int64)
-        for word, coeff in rhs_terms:
-            rhs_val += coeff * ring_b.product_batch(himg[v] for v in word)
-            rhs_val %= m
-        return (h.apply_batch(lhs_arg) != rhs_val).any(axis=1)
+        return (lhs != combination(ring_b, rhs_terms, himg, count)).any(axis=1)
 
     result = check_blocks(blocks, mismatch, exhaustive)
     witness = None if result.ok else dict(zip(map(var_name, variables), result.witness))

@@ -35,8 +35,9 @@ ENUM_CAP = 10 ** 7
 # Most products one n-ring check forms: d^n basis tuples at n - 1 products each.
 TUPLE_CAP = 10 ** 7
 # Most rows one vectorized check holds at a time: a block of exhaustive
-# assignments, or of (candidate map, element) pairs in a scan.
-BLOCK_ROWS = 2 ** 15
+# assignments, or of (candidate map, element) pairs in a scan.  A (rows, 4)
+# int64 block is then 128 KiB, which stays in a core's L2 cache.
+BLOCK_ROWS = 2 ** 12
 # Most int64 cells (elements times dimension) of a cached element or power table.
 ELEMENT_CAP = 2 ** 22
 CONSTRUCTOR_MODULI = (2, 3, 5, 7)
@@ -92,6 +93,21 @@ def _index(digits, m: int) -> int:
     for d in digits:
         index = index * m + int(d) % m
     return index
+
+
+def _residues(x, m: int) -> np.ndarray:
+    """x as an int64 array of residues mod m.
+
+    An int64 array already in [0, m), as every kernel's output is, comes
+    back as it is, uncopied: a range check costs less than int64 %.  Anything
+    else is reduced into a new C-contiguous array.  Read as uint64 a
+    negative int64 is at least 2^63, past any modulus, so one max checks
+    both ends of the range.
+    """
+    x = np.asarray(x)
+    if x.dtype == np.int64 and (x.size == 0 or np.maximum.reduce(x.view(np.uint64), axis=None) < m):
+        return x
+    return np.remainder(x, m, order="C").astype(np.int64, copy=False)
 
 
 def _blocks(base: int, width: int, block: int, count: int | None = None, seed: int = 0) -> Iterator[np.ndarray]:
@@ -173,14 +189,16 @@ class FiniteRing:
             raise ValueError(f"structure table is not associative at basis triple {min(bad)}")
 
     def mul_batch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Componentwise ring product of two (N, d) batches.
+        """Componentwise ring product of two (N, d) batches of any integers.
 
         One pass over the nonzero structure constants, out[k] += c * u[i] * v[j],
-        on (d, N) copies so that each coordinate is one contiguous row.
+        on (d, N) copies so that each coordinate is one contiguous row.  An
+        input already reduced mod m, such as another product, is only copied
+        (after a range check); any other is reduced first.
         """
         m = self.modulus
-        u = np.remainder(np.asarray(u).T, m, order="C")
-        v = np.remainder(np.asarray(v).T, m, order="C")
+        u = np.ascontiguousarray(_residues(np.asarray(u).T, m))
+        v = np.ascontiguousarray(_residues(np.asarray(v).T, m))
         out = np.zeros(u.shape, dtype=np.int64)
         tmp = np.empty(u.shape[1], dtype=np.int64)
         for i, j, k, c in self._terms:
@@ -442,6 +460,8 @@ def ring_from_spec(spec: str, override: bool = False) -> FiniteRing:
 class AdditiveMap:
     """Additive (hence Z_m-linear) map between rings with one modulus."""
 
+    __slots__ = ("domain", "codomain", "matrix")
+
     def __init__(self, domain: FiniteRing, codomain: FiniteRing, matrix: np.ndarray):
         if domain.modulus != codomain.modulus:
             raise ValueError("domain and codomain must share a modulus")
@@ -468,7 +488,9 @@ class AdditiveMap:
         return (self.matrix @ (np.asarray(vec, dtype=np.int64) % self.domain.modulus)) % self.domain.modulus
 
     def apply_batch(self, vecs: np.ndarray) -> np.ndarray:
-        return (vecs % self.domain.modulus) @ self.matrix.T % self.domain.modulus
+        # residues in, so the sums are nonnegative, where fmod agrees with %
+        out = _residues(vecs, self.domain.modulus) @ self.matrix.T
+        return np.fmod(out, self.domain.modulus, out=out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdditiveMap):
@@ -538,7 +560,7 @@ def additive_maps(
             yield AdditiveMap(domain, codomain, mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateResult:
     """Outcome of one predicate check, with a witness when it fails."""
 
@@ -585,8 +607,13 @@ def _power_mismatch(
     block of search candidates alike.
     """
     m = codomain.modulus
-    images = np.einsum("cij,ej->cei", mats, elems) % m
-    lhs = np.einsum("cij,ej->cei", mats, powers) % m
+    transposed = _residues(mats, m).transpose(0, 2, 1)
+    # (C, N, d): every element, and its power, under every map; for these small
+    # dimensions matmul costs a tenth of the same einsum
+    images = _residues(elems, m) @ transposed
+    lhs = _residues(powers, m) @ transposed
+    np.fmod(images, m, out=images)
+    np.fmod(lhs, m, out=lhs)
     rhs = codomain.power_batch(images.reshape(-1, codomain.dim), n).reshape(images.shape)
     return (lhs != rhs).any(axis=2)
 
@@ -635,11 +662,32 @@ def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
     return PredicateResult(found.ok, h.domain.size ** n, True, found.witness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchHit:
+    """A map that passed a named predicate's power filter and failed its second check.
+
+    The map is kept as its index alone, with the (rows, columns) of its
+    matrix and its modulus; ``matrix`` decodes it when read.  The hits of one
+    search share equal reports.
+    """
+
     index: int
-    matrix: list[list[int]]
-    details: dict
+    shape: tuple[int, int]
+    modulus: int
+    predicate: str
+    first: PredicateResult
+    second: PredicateResult
+
+    @property
+    def matrix(self) -> list[list[int]]:
+        rows, cols = self.shape
+        return _digits([self.index], self.modulus, rows * cols).reshape(rows, cols).tolist()
+
+    @property
+    def details(self) -> dict:
+        """Both checks' reports under the predicate's detail keys."""
+        _, first_key, second_key, _ = _PREDICATES[self.predicate]
+        return {first_key: self.first.to_json(), second_key: self.second.to_json()}
 
     def to_json(self) -> dict:
         return {"index": self.index, "matrix": self.matrix, "details": self.details}
@@ -658,18 +706,9 @@ _PREDICATES: dict[str, tuple[int | None, str, str, Callable[[AdditiveMap, int], 
 PREDICATES = tuple(_PREDICATES)
 
 
-def _predicate(name: str, h: AdditiveMap, n: int) -> tuple[bool, dict]:
-    """The second check of a named predicate, for a map that passed search's filter.
-
-    The filter has already checked the first condition, h(a^p) = h(a)^p, on
-    every element of a domain of at most 4096 elements.  is_n_jordan would
-    check exactly the same thing, so its report is PredicateResult(True,
-    domain.size, True) and is not computed again.
-    """
-    _, first_key, second_key, second = _PREDICATES[name]
-    result = second(h, n)
-    first = PredicateResult(True, h.domain.size, True)
-    return not result.ok, {first_key: first.to_json(), second_key: result.to_json()}
+def _predicate(name: str, h: AdditiveMap, n: int) -> PredicateResult:
+    """The second check of a named predicate, for a map that passed search's filter."""
+    return _PREDICATES[name][3](h, n)
 
 
 def _scan(
@@ -720,11 +759,19 @@ def search(
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     _check_power(n, 1)
+    # The filter checks the first condition, h(a^p) = h(a)^p, on every element
+    # of the domain, exactly as is_n_jordan would: one report serves every hit.
+    first = PredicateResult(True, domain.size, True)
+    # A search's second reports take a few distinct values over hundreds of
+    # hits: each hit keeps the first equal report made.
+    seconds: dict[tuple, PredicateResult] = {}
+    shape = (codomain.dim, domain.dim)
     hits: list[SearchHit] = []
     for hmap in _scan(domain, codomain, _PREDICATES[predicate][0] or n, sample_count, seed, override):
-        found, details = _predicate(predicate, hmap, n)
-        if found:
-            hits.append(SearchHit(hmap.index, hmap.matrix.tolist(), details))
+        second = _predicate(predicate, hmap, n)
+        if not second.ok:
+            second = seconds.setdefault((second.checked, tuple(map(tuple, second.witness))), second)
+            hits.append(SearchHit(hmap.index, shape, domain.modulus, predicate, first, second))
             if len(hits) == limit:
                 break
     return hits

@@ -330,6 +330,22 @@ class TestSearch:
         for limit in (1, 3):
             assert search(pair, pair, 3, "njordan_not_jordan", limit=limit) == every[:limit]
 
+    def test_hits_share_equal_second_reports(self):
+        pair = ring_from_spec("zm:5^2")
+        hits = search(pair, pair, 5, "njordan_not_jordan", limit=10 ** 6)
+        assert len(hits) == 616
+        reports = {(h.second.checked, repr(h.second.witness)): h.second for h in hits}
+        assert all(h.second is reports[h.second.checked, repr(h.second.witness)] for h in hits)
+        assert len(reports) < 10
+
+    def test_hit_matrix_decodes_an_index_past_int64(self):
+        ring = matrix_ring(3, 2)
+        index = 2 ** 80 + 2 ** 63 + 5
+        first = PredicateResult(True, ring.size, True)
+        hit = models.SearchHit(index, (ring.dim, ring.dim), 2, "njordan_not_jordan", first, first)
+        assert hit.matrix == AdditiveMap.from_index(ring, ring, index).matrix.tolist()
+        assert hit.to_json()["matrix"] == hit.matrix and len(hit.matrix) == 9
+
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_is_refused(self, limit):
         z5 = make_zm(5)

@@ -6,10 +6,10 @@ search by the named predicate's second check.  Index decoding and the
 seeded map sample are compared with plain Python digit arithmetic and
 per-map draws, and the one point enumerator's blocks with Python digits
 and one whole seeded draw, and search, find_njordan_maps and additive_maps
-give the same results with BLOCK_ROWS set to 7, 100 or its default.  The
-one exact eliminator is compared with sympy's rank over Q and prime fields
-on random sparse matrices, prime_factors with sympy's factorint below
-2^40, and the nilpotency index it computes with its known value on every
+give the same results with BLOCK_ROWS set to 7, 100, 2^15 (the old
+default) or its default.  The one exact eliminator is compared with
+sympy's rank over Q and prime fields on random sparse matrices,
+prime_factors with sympy's factorint below 2^40, and the nilpotency index it computes with its known value on every
 constructor, whose known unit is checked by multiplication, and with a
 basis-tuple oracle on tables conjugated by random GF(p) basis changes.  The ring constructor's associativity check, a join over
 the nonzero structure constants, is compared with dense d^4 tables on
@@ -21,11 +21,14 @@ picks one image term per letter and sums in a dict, with no FreePoly
 arithmetic.  Sampled evaluation runs must return their recorded
 witnesses, and a three-variable witness and an is_n_jordan witness are
 confirmed by plain integer arithmetic.  The sparse ring product is
-compared with the dense einsum over the whole structure table, and the
-streamed assignments, exhaustive and sampled, with one-shot columns
-checked all at once.  The is_n_ring, which decides and finds its first
-witness on the d^n basis tuples alone, is compared with the one-shot sweep
-over all size^n tuples.
+compared with the dense einsum over the whole structure table; it, the
+map kernel and the power filter get unreduced and negative input and
+are compared with oracles that reduce it with % first.  evaluate at the
+largest modulus the int64 guard admits is compared with an oracle that
+reduces after every word, and the streamed assignments, exhaustive and
+sampled, with one-shot columns checked all at once.  The is_n_ring, which
+decides and finds its first witness on the d^n basis tuples alone, is
+compared with the one-shot sweep over all size^n tuples.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def _scan_results(domain: FiniteRing, codomain: FiniteRing, predicate: str, n: i
     ]
 
 
-@pytest.mark.parametrize("block", [7, 100])
+@pytest.mark.parametrize("block", [7, 100, 2 ** 15])
 @pytest.mark.parametrize(
     "dom,cod,predicate,n", [("zm:5^2", "zm:5^2", "njordan_not_jordan", 3), ("mat:2x2@2", "zm:2", "jordan_not_ring", 2)]
 )
@@ -549,14 +552,32 @@ FAMILY_SPECS = [
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
 @pytest.mark.parametrize("rows", [0, 1, 10 ** 5])
 def test_mul_batch_matches_einsum(spec, rows):
+    """The kernels on unreduced and negative entries, against oracles that reduce with %."""
     ring = ring_from_spec(spec)
-    m = ring.modulus
+    m, d = ring.modulus, ring.dim
     rng = np.random.default_rng(rows)
-    # unreduced and negative entries
-    u, v = rng.integers(-3 * m, 3 * m, size=(2, rows, ring.dim))
+    u, v = rng.integers(-3 * m, 3 * m, size=(2, rows, d))
     got = ring.mul_batch(u, v)
-    assert got.shape == (rows, ring.dim)
+    assert got.shape == (rows, d)
     assert (got == _einsum_product(ring, u, v)).all()
+    # and on reduced input, which is what the kernels mostly get
+    assert (ring.mul_batch(u % m, v % m) == got).all()
+
+    mat = rng.integers(-3 * m, 3 * m, size=(d, d))
+    h = AdditiveMap(ring, ring, mat)
+    expected = (u % m) @ (mat % m).T % m
+    assert (h.apply_batch(u) == expected).all()
+    assert (h.apply_batch(u % m) == expected).all()
+
+    # the identity map preserves squares and a random map mostly does not;
+    # each matrix, element and square is shifted by multiples of m, some negative
+    mats = np.stack([np.eye(d, dtype=np.int64), mat % m]) + m * rng.integers(-3, 3, size=(2, d, d))
+    squares = _einsum_product(ring, u, u)
+    lhs = np.einsum("ij,ej->ei", mat % m, squares) % m
+    mask = models._power_mismatch(mats, u, squares + m * rng.integers(-3, 3, size=squares.shape), ring, 2)
+    assert mask.shape == (2, rows)
+    assert not mask[0].any()
+    assert (mask[1] == (lhs != _einsum_product(ring, expected, expected)).any(axis=1)).all()
 
 
 def test_mul_batch_matches_einsum_on_random_tables():
@@ -649,6 +670,22 @@ def _one_shot_evaluate(ident, h, sample=None):
     return witness is None, len(cols[0]), witness and dict(zip(map(var_name, variables), witness))
 
 
+def test_evaluation_reduces_its_sums_before_they_pass_int64():
+    """At the largest zm:m modulus the int64 guard admits, two terms of m - 1
+    times a residue pass 2^63, so evaluate must reduce between them, as the
+    per-word oracle does.  Negation preserves odd powers, so the first
+    identity holds: a sum that wrapped would show as a false mismatch."""
+    m = _largest_modulus(lambda m: f"zm:{m}", 1)
+    ring = ring_from_spec(f"zm:{m}", override=True)
+    h = negation_map(ring)
+    holds = parse_identity("h(-x^3 - x^5 - x^7 - x^9) = -H(x)^3 - H(x)^5 - H(x)^7 - H(x)^9", NONCOMMUTATIVE)
+    fails = parse_identity("h(-x^3 - x^5 - x^7 - x*y) = H(x)^3 + H(x)^5 + H(x)^7 + H(x)*H(y)", NONCOMMUTATIVE)
+    for ident, ok in ((holds, True), (fails, False)):
+        rep = evaluate(ident, ring, ring, h, max_assignments=500, sample_seed=3)
+        assert (rep.ok, rep.checked, rep.witness) == _one_shot_evaluate(ident, h, (3, 500))
+        assert rep.ok == ok
+
+
 def _streamed_maps():
     pair = ring_from_spec("zm:5^2")
     z5 = ring_from_spec("zm:5")
@@ -664,7 +701,7 @@ def _streamed_maps():
     ]
 
 
-@pytest.mark.parametrize("block", [7, 100, models.BLOCK_ROWS, 2 ** 16])
+@pytest.mark.parametrize("block", [7, 100, models.BLOCK_ROWS, 2 ** 15, 2 ** 16])
 def test_streamed_jordan_predicate_matches_one_shot_column(block, monkeypatch):
     monkeypatch.setattr(models, "BLOCK_ROWS", block)
     for h in _streamed_maps():
@@ -672,7 +709,7 @@ def test_streamed_jordan_predicate_matches_one_shot_column(block, monkeypatch):
             assert is_n_jordan(h, n) == _one_shot_jordan(h, n)
 
 
-@pytest.mark.parametrize("block", [1000, models.BLOCK_ROWS, 2 ** 16])
+@pytest.mark.parametrize("block", [1000, models.BLOCK_ROWS, 2 ** 15, 2 ** 16])
 def test_streamed_ring_predicate_matches_one_shot_columns(block, monkeypatch):
     monkeypatch.setattr(models, "BLOCK_ROWS", block)
     for h in _streamed_maps():
@@ -683,7 +720,7 @@ def test_streamed_ring_predicate_matches_one_shot_columns(block, monkeypatch):
             assert is_n_ring(h, 2) == _one_shot_ring(h, 2)
 
 
-@pytest.mark.parametrize("block", [100, models.BLOCK_ROWS, 2 ** 16])
+@pytest.mark.parametrize("block", [100, models.BLOCK_ROWS, 2 ** 15, 2 ** 16])
 def test_streamed_evaluation_matches_one_shot_columns(block, monkeypatch):
     monkeypatch.setattr(models, "BLOCK_ROWS", block)
     texts = [
