@@ -54,12 +54,12 @@ from .models import (
     strict_upper,
 )
 from .cstar_num import (
-    DiagAlgebra,
     LinearMapC,
     check_corollary_2_6,
     check_theorem_2_7,
     classify_njordan_functionals,
     op_norm_sup,
+    sample_batch,
     step2_reduction_check,
 )
 

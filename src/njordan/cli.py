@@ -167,21 +167,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ex = command("examples", lambda _: _report(models.paper_examples()), "reproduce the motivating finite examples")
 
-    p_norm = command("norm", _cmd_norm, "numeric contractivity checks")
-    p_norm.add_argument("check", choices=("corollary26", "theorem27", "step2"))
-    p_norm.add_argument("--m", type=_integer, default=2)
-    p_norm.add_argument("--k", type=_integer, default=2)
-    p_norm.add_argument("--n", type=_integer, default=3)
-    p_norm.add_argument("--power", type=_integer, default=1)
-    p_norm.add_argument("--perm", default=None, help="comma separated permutation")
-    p_norm.add_argument("--count", type=_integer, default=1000)
-    p_norm.add_argument("--samples", type=_integer, default=cstar_num.DEFAULT_SAMPLES)
-    p_norm.add_argument("--seed", type=_integer, default=0)
+    # each norm check has its own parser, so an option it does not read is refused
+    checks = command("norm", _cmd_norm, "numeric contractivity checks").add_subparsers(dest="check", required=True)
+    p_c26 = checks.add_parser("corollary26", help="contractivity sweep over power-preserving maps")
+    p_t27 = checks.add_parser("theorem27", help="norm check of a coordinate permutation")
+    p_s2 = checks.add_parser("step2", help="whole-map versus componentwise power check")
+    for p in (p_c26, p_s2):
+        p.add_argument("--m", type=_integer, default=2)
+    for p in (p_c26, p_t27, p_s2):
+        p.add_argument("--k", type=_integer, default=2)
+    p_t27.add_argument("--power", type=_integer, default=1)
+    p_t27.add_argument("--perm", default=None, help="comma separated permutation")
+    p_s2.add_argument("--n", type=_integer, default=3)
+    p_s2.add_argument("--count", type=_integer, default=1000)
+    for p in (p_c26, p_t27, p_s2):
+        p.add_argument("--samples", type=_integer, default=cstar_num.DEFAULT_SAMPLES)
+        p.add_argument("--seed", type=_integer, default=0)
 
     command("verify-cert", _cmd_verify_cert, "independently verify a certificate file").add_argument("path")
 
     # Added last, so usage and help list them after each command's own options.
-    for p in (p_replay, p_cons, p_search, p_ex, p_norm):
+    for p in (p_replay, p_cons, p_search, p_ex, p_c26, p_t27, p_s2):
         p.add_argument("--json", metavar="PATH")
     for p in (p_cons, p_search):
         p.add_argument("--unsafe-override", action="store_true", dest="unsafe_override")

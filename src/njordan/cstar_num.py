@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FILTER_TOL = 1e-9
-ALGEBRA_TOL = 1e-12
 DEFAULT_SAMPLES = 256
 # Most samples per batch and maps per reduction sweep, with no override.
 MAX_SAMPLES = 10 ** 5
@@ -41,47 +40,18 @@ def _check_count(what: str, count: int, most: int | None = MAX_SAMPLES) -> None:
         raise ValueError(f"{what} {count} exceeds {most}")
 
 
-@dataclass(frozen=True)
-class DiagAlgebra:
-    """Complex k-vectors, pointwise product, sup norm, entrywise conjugation."""
-
-    k: int
-
-    def norm(self, a: np.ndarray) -> float:
-        return float(np.max(np.abs(a))) if self.k else 0.0
-
-    def star(self, a: np.ndarray) -> np.ndarray:
-        return np.conjugate(a)
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a * b
-
-    def samples(self, count: int, seed: int = 0) -> np.ndarray:
-        """(count, k) array with entries uniform over the square [-1,1]^2; count is in [1, MAX_SAMPLES]."""
-        _check_count("sample count", count)
-        rng = np.random.default_rng(seed)
-        return rng.uniform(-1.0, 1.0, (count, self.k)) + 1j * rng.uniform(
-            -1.0, 1.0, (count, self.k)
-        )
-
-    def cstar_identity_defect(self, a: np.ndarray) -> float:
-        """| norm(a* a) - norm(a)^2 |, exactly zero in exact arithmetic."""
-        return abs(self.norm(self.star(a) * a) - self.norm(a) ** 2)
+def sample_batch(m: int, count: int, seed: int = 0) -> np.ndarray:
+    """(count, m) array of points of C^m, entries uniform over the square [-1,1]^2; count is in [1, MAX_SAMPLES]."""
+    _check_count("sample count", count)
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, (count, m)) + 1j * rng.uniform(-1.0, 1.0, (count, m))
 
 
 @dataclass(frozen=True)
 class LinearMapC:
-    """Linear map between DiagAlgebras as a (codomain, domain) complex matrix."""
+    """Linear map from C^m to C^k as a (k, m) complex matrix."""
 
     matrix: np.ndarray
-
-    @property
-    def domain_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.matrix.shape[0]
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         return a @ self.matrix.T
@@ -139,11 +109,20 @@ def _first_bad(lhs: np.ndarray, rhs: np.ndarray) -> tuple[bool, int | None]:
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
+def _power_holds(h: LinearMapC, n: int, batch: np.ndarray, powers: np.ndarray) -> tuple[bool, int | None]:
+    """is_power_jordan's verdict on a batch and its n-th powers, computed once by the caller.
+
+    Callers hold np.errstate(over="ignore", invalid="ignore") around the
+    powers and this call: _first_bad refuses an inf or NaN instead.
+    """
+    return _first_bad(h.apply(powers), h.apply(batch) ** n)
+
+
 def is_power_jordan(h: LinearMapC, n: int, samples: np.ndarray) -> tuple[bool, int | None]:
     """Does h(a^n) = h(a)^n hold on every sample; returns first bad index."""
     # an overflow gives inf or NaN, which _first_bad refuses, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        return _first_bad(h.apply(samples ** n), h.apply(samples) ** n)
+        return _power_holds(h, n, samples, samples ** n)
 
 
 def preserves_star_product(h: LinearMapC, samples: np.ndarray) -> tuple[bool, int | None]:
@@ -170,26 +149,25 @@ def check_corollary_2_6(
     """
     _check_count("m", m, 3)
     _check_count("k", k, 3)
-    functionals = [
-        f for f in classify_njordan_functionals(m, 3) if is_involution_preserving(f)
-    ]
-    dom = DiagAlgebra(m)
-    batch = dom.samples(samples, seed)
+    functionals = [f for f in classify_njordan_functionals(m, 3) if is_involution_preserving(f)]
+    batch = sample_batch(m, samples, seed)
     maps_checked = 0
     max_norm = 0.0
     all_jordan = True
     all_contractive = True
-    for components in itertools.product(functionals, repeat=k):
-        h = LinearMapC(np.vstack([f.matrix for f in components]))
-        ok, _ = is_power_jordan(h, 3, batch)
-        norm = op_norm_sup(h)
-        maps_checked += 1
-        max_norm = max(max_norm, norm)
-        all_jordan = all_jordan and ok
-        all_contractive = all_contractive and norm <= 1.0
     fake = np.zeros((1, m), dtype=complex)
     fake[0, 0] = 2.0
-    fake_rejected = not is_power_jordan(LinearMapC(fake), 3, batch)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cubes = batch ** 3
+        for components in itertools.product(functionals, repeat=k):
+            h = LinearMapC(np.vstack([f.matrix for f in components]))
+            ok, _ = _power_holds(h, 3, batch, cubes)
+            norm = op_norm_sup(h)
+            maps_checked += 1
+            max_norm = max(max_norm, norm)
+            all_jordan = all_jordan and ok
+            all_contractive = all_contractive and norm <= 1.0
+        fake_rejected = not _power_holds(LinearMapC(fake), 3, batch, cubes)[0]
     return {
         "m": m,
         "k": k,
@@ -219,20 +197,16 @@ def step2_reduction_check(
     samples.  Both directions are checked on one shared sample batch and
     its n-th powers, computed once.
     """
-    batch = DiagAlgebra(h.domain_dim).samples(samples, seed)
+    batch = sample_batch(h.matrix.shape[1], samples, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         return _reduction_holds(h, n, batch, batch ** n)
 
 
 def _reduction_holds(h: LinearMapC, n: int, batch: np.ndarray, powers: np.ndarray) -> bool:
     """step2_reduction_check's verdict on a drawn batch and its n-th powers."""
-
-    def holds(f: LinearMapC) -> bool:
-        return _first_bad(f.apply(powers), f.apply(batch) ** n)[0]
-
-    whole = holds(h)
-    componentwise = all([holds(LinearMapC(h.matrix[row : row + 1, :])) for row in range(h.codomain_dim)])
-    return whole == componentwise
+    whole = _power_holds(h, n, batch, powers)[0]
+    rows = [LinearMapC(h.matrix[row : row + 1, :]) for row in range(h.matrix.shape[0])]
+    return whole == all([_power_holds(f, n, batch, powers)[0] for f in rows])
 
 
 def check_theorem_2_7(
@@ -252,7 +226,7 @@ def check_theorem_2_7(
     on every sample and returns the smallest and largest observed slack.
     """
     _check_count("power", power, None)
-    batch = DiagAlgebra(h.domain_dim).samples(samples, seed)
+    batch = sample_batch(h.matrix.shape[1], samples, seed)
 
     def rejected(by: str, witness: int | None) -> dict:
         return {
@@ -275,9 +249,9 @@ def check_theorem_2_7(
 
     norm = op_norm_sup(h)
     exponent = 4 * power + 2
-    # Sup norm per sample, 0 in dimension 0 as in DiagAlgebra.norm.  The
-    # powers are taken on Python floats: numpy's vectorized pow can differ
-    # from them in the last bit.
+    # Sup norm per sample, 0 in dimension 0.  The powers are taken on
+    # Python floats: numpy's vectorized pow can differ from them in the
+    # last bit.
     image_norms = np.abs(h.apply(batch)).max(axis=1, initial=0.0).astype(object)
     sample_norms = np.abs(batch).max(axis=1, initial=0.0).astype(object)
     try:
@@ -316,7 +290,7 @@ def check_step2(m: int, k: int, n: int, count: int, samples: int = DEFAULT_SAMPL
         raise ValueError(f"{count} maps x {samples} samples exceeds {MAX_SWEEP_WORK} map-sample pairs")
     maps = random_linear_maps(m, k, count, seed)
     # every map is checked on the one batch step2_reduction_check would draw for it
-    batch = DiagAlgebra(m).samples(samples, seed)
+    batch = sample_batch(m, samples, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = batch ** n
         passed = sum(1 for h in maps if _reduction_holds(h, n, batch, powers))
@@ -348,8 +322,4 @@ def random_linear_maps(m: int, k: int, count: int, seed: int = 0) -> list[Linear
     """Reproducible batch of dense complex maps for the reduction check; count is in [1, MAX_SAMPLES]."""
     _check_count("map count", count)
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        mat = rng.uniform(-1.0, 1.0, (k, m)) + 1j * rng.uniform(-1.0, 1.0, (k, m))
-        out.append(LinearMapC(mat))
-    return out
+    return [LinearMapC(rng.uniform(-1.0, 1.0, (k, m)) + 1j * rng.uniform(-1.0, 1.0, (k, m))) for _ in range(count)]

@@ -612,9 +612,20 @@ class TestNormCommand:
         assert out == ""
         assert "at least 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["theorem27", "--k", "3", "--n", "3"], ["theorem27", "--m", "2"], ["theorem27", "--count", "5"],
+         ["step2", "--perm", "x"], ["step2", "--power", "2"], ["corollary26", "--n", "3"],
+         ["corollary26", "--power", "2"], ["corollary26", "--perm", "1,0"], ["corollary26", "--count", "5"]],
+    )
+    def test_an_option_the_check_does_not_read_exits_two(self, argv, capsys):
+        code, err = exit_code_and_stderr(["norm", *argv], capsys)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
 
 # Each command's options in registration order, which is also the order of its
-# usage line and help.
+# usage line and help; a norm check is a command of its own under "norm".
 COMMAND_OPTIONS = {
     "replay": ["--script", "--json"],
     "consequence": ["--n", "--target", "--vars", "--coeff-range", "--field", "--mode", "--cert", "--json",
@@ -622,7 +633,10 @@ COMMAND_OPTIONS = {
     "search": ["--domain", "--codomain", "--n", "--predicate", "--limit", "--sample-count", "--seed", "--json",
                "--unsafe-override"],
     "examples": ["--json"],
-    "norm": ["check", "--m", "--k", "--n", "--power", "--perm", "--count", "--samples", "--seed", "--json"],
+    "norm": ["check"],
+    "norm corollary26": ["--m", "--k", "--samples", "--seed", "--json"],
+    "norm theorem27": ["--k", "--power", "--perm", "--samples", "--seed", "--json"],
+    "norm step2": ["--m", "--k", "--n", "--count", "--samples", "--seed", "--json"],
     "verify-cert": ["path"],
 }
 MEMBER, NONMEMBER = TestConsequenceCommand.MEMBER, TestConsequenceCommand.NONMEMBER
@@ -657,12 +671,15 @@ class TestCommandContract:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_each_command_keeps_its_options(self):
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        options = {
-            name: [opt for action in parser._actions for opt in action.option_strings or [action.dest]
-                   if opt not in ("-h", "--help")]
-            for name, parser in sub.choices.items()
-        }
+        options, parsers = {}, [("", build_parser())]
+        for prefix, parser in parsers:
+            for sub in parser._actions:
+                if isinstance(sub, argparse._SubParsersAction):
+                    parsers.extend((f"{prefix}{name} ", command) for name, command in sub.choices.items())
+            if prefix:
+                options[prefix.strip()] = [opt for action in parser._actions
+                                           for opt in action.option_strings or [action.dest]
+                                           if opt not in ("-h", "--help")]
         assert options == COMMAND_OPTIONS
 
     def test_process_exit_status(self, tmp_path):
@@ -748,7 +765,7 @@ class TestOneIntegerReader:
                 if isinstance(action, argparse._SubParsersAction):
                     parsers.extend(action.choices.values())
                 types.append(action.type)
-        assert len(parsers) == 7
+        assert len(parsers) == 10
         assert int not in types
         assert _integer in types
 
@@ -864,8 +881,10 @@ class TestUntrustedInputProperty:
     @example("corollary26", 0, 2, 3, 1, 16, 0)
     @example("theorem27", 2, 2, 3, 600, 16, 0)
     def test_norm_integers(self, check, m, k, n, power, samples, seed):
-        argv = ["norm", check, "--m", m, "--k", k, "--n", n, "--power", power, "--seed", seed]
-        argv += ["--count", 3, "--samples", 8] if check == "step2" else ["--samples", samples]
+        # each check gets only the options it reads, so every draw reaches the check
+        own = {"corollary26": ["--m", m, "--samples", samples], "theorem27": ["--power", power, "--samples", samples],
+               "step2": ["--m", m, "--n", n, "--count", 3, "--samples", 8]}
+        argv = ["norm", check, "--k", k, *own[check], "--seed", seed]
         assert _quiet_main(argv) in (0, 1, 2)
 
     @PROPERTY_SETTINGS

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from njordan import cstar_num
 from njordan.cstar_num import (
-    ALGEBRA_TOL,
+    DEFAULT_SAMPLES,
     MAX_SAMPLES,
-    DiagAlgebra,
     LinearMapC,
     check_corollary_2_6,
     check_step2,
@@ -20,31 +20,14 @@ from njordan.cstar_num import (
     op_norm_sup,
     preserves_star_product,
     random_linear_maps,
+    sample_batch,
     step2_reduction_check,
 )
 
 
-class TestDiagAlgebra:
-    def test_norm_is_sup_of_moduli(self):
-        alg = DiagAlgebra(3)
-        a = np.array([1 + 0j, -2j, 0.5 + 0.5j])
-        assert alg.norm(a) == pytest.approx(2.0)
-
-    def test_mul_and_star_are_pointwise(self):
-        alg = DiagAlgebra(2)
-        a = np.array([1 + 1j, 2j])
-        b = np.array([2 + 0j, -1j])
-        assert np.allclose(alg.mul(a, b), [2 + 2j, 2])
-        assert np.allclose(alg.star(a), [1 - 1j, -2j])
-
-    def test_cstar_identity_holds_to_algebra_tolerance(self):
-        alg = DiagAlgebra(4)
-        batch = alg.samples(256, seed=0)
-        assert alg.cstar_identity_defect(batch) <= ALGEBRA_TOL
-
+class TestSampleBatch:
     def test_samples_are_reproducible(self):
-        alg = DiagAlgebra(2)
-        assert np.array_equal(alg.samples(16, seed=3), alg.samples(16, seed=3))
+        assert np.array_equal(sample_batch(2, 16, seed=3), sample_batch(2, 16, seed=3))
 
 
 class TestOperatorNorm:
@@ -68,8 +51,7 @@ class TestFunctionalClassification:
         assert not fs[0].matrix.any()
 
     def test_every_functional_preserves_the_power(self):
-        alg = DiagAlgebra(2)
-        batch = alg.samples(128, seed=1)
+        batch = sample_batch(2, 128, seed=1)
         for f in classify_njordan_functionals(2, 3):
             ok, _ = is_power_jordan(f, 3, batch)
             assert ok
@@ -104,8 +86,7 @@ class TestHypothesisFilters:
 
     def test_permutation_passes_all_filters(self):
         h = coordinate_star_map(3, (2, 0, 1))
-        alg = DiagAlgebra(3)
-        batch = alg.samples(64, seed=0)
+        batch = sample_batch(3, 64, seed=0)
         assert is_power_jordan(h, 3, batch)[0]
         assert is_involution_preserving(h)
         assert preserves_star_product(h, batch)[0]
@@ -135,7 +116,7 @@ class TestContractivityChecks:
 
     def test_zero_samples_are_refused(self):
         with pytest.raises(ValueError, match="at least 1"):
-            DiagAlgebra(2).samples(0)
+            sample_batch(2, 0)
         with pytest.raises(ValueError, match="at least 1"):
             check_corollary_2_6(2, 2, samples=0)
         with pytest.raises(ValueError, match="at least 1"):
@@ -147,9 +128,9 @@ class TestContractivityChecks:
 
     def test_counts_over_the_bound_are_refused(self):
         assert MAX_SAMPLES == 10 ** 5
-        assert DiagAlgebra(1).samples(MAX_SAMPLES).shape == (MAX_SAMPLES, 1)
+        assert sample_batch(1, MAX_SAMPLES).shape == (MAX_SAMPLES, 1)
         with pytest.raises(ValueError, match="exceeds 100000"):
-            DiagAlgebra(2).samples(MAX_SAMPLES + 1)
+            sample_batch(2, MAX_SAMPLES + 1)
         with pytest.raises(ValueError, match="exceeds 100000"):
             check_theorem_2_7(coordinate_star_map(3), 1, samples=MAX_SAMPLES + 1)
         with pytest.raises(ValueError, match="exceeds 100000"):
@@ -161,13 +142,12 @@ class TestContractivityChecks:
 
     def test_step2_draws_one_batch_for_all_its_maps(self, monkeypatch):
         draws = []
-        samples = DiagAlgebra.samples
 
-        def recording(self, count, seed=0):
-            draws.append((self.k, count, seed))
-            return samples(self, count, seed)
+        def recording(m, count, seed=0):
+            draws.append((m, count, seed))
+            return sample_batch(m, count, seed)
 
-        monkeypatch.setattr(DiagAlgebra, "samples", recording)
+        monkeypatch.setattr(cstar_num, "sample_batch", recording)
         assert check_step2(3, 2, 3, 20, 64, seed=7)["equivalence_held"] == 20
         assert draws == [(3, 64, 7)]
         # the batch that step2_reduction_check draws for each of those maps alone
@@ -179,3 +159,35 @@ class TestContractivityChecks:
         assert step2_reduction_check(h, 3, seed=9) == step2_reduction_check(
             h, 3, seed=9
         )
+
+
+class TestStep2CanFail:
+    """Maps whose whole-map and row verdicts differ, so step 2 compares more than False with False."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_classified_rows_pass_and_one_random_row_fails(self, n):
+        functionals = classify_njordan_functionals(3, n)
+        picks = np.random.default_rng(n).integers(len(functionals), size=(10, 3))
+        # the batch step2_reduction_check draws at seed 0
+        batch = sample_batch(3, DEFAULT_SAMPLES)
+        for pick, noise in zip(picks, random_linear_maps(3, 1, 10, seed=n)):
+            good = LinearMapC(np.vstack([functionals[i].matrix for i in pick]))
+            bad = LinearMapC(np.vstack([noise.matrix, good.matrix[1:]]))
+            assert is_power_jordan(good, n, batch)[0]
+            assert not is_power_jordan(bad, n, batch)[0]
+            rows = [is_power_jordan(LinearMapC(row[None, :]), n, batch)[0] for row in bad.matrix]
+            assert rows == [False, True, True]
+            assert step2_reduction_check(good, n) and step2_reduction_check(bad, n)
+
+    def test_a_whole_map_verdict_that_disagrees_with_its_rows_fails(self, monkeypatch):
+        power_holds = cstar_num._power_holds
+
+        def whole_map_flipped(h, n, batch, powers):
+            ok, witness = power_holds(h, n, batch, powers)
+            return (not ok if h.matrix.shape[0] > 1 else ok), witness
+
+        monkeypatch.setattr(cstar_num, "_power_holds", whole_map_flipped)
+        maps = [coordinate_star_map(2), *random_linear_maps(2, 2, 4)]
+        assert not any(step2_reduction_check(h, 3) for h in maps)
+        report = check_step2(2, 2, 3, 5)
+        assert (report["maps"], report["equivalence_held"], report["ok"]) == (5, 0, False)

@@ -148,6 +148,11 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_identity("h(x + 1) = H(x)", NONCOMMUTATIVE)
 
+    def test_rejects_a_constant_right_side_and_accepts_one_letter(self):
+        with pytest.raises(ValueError, match="rhs monomials must be nonempty"):
+            parse_identity("h(x) = 1", NONCOMMUTATIVE)
+        assert str(parse_identity("h(x) = H(x)", NONCOMMUTATIVE)) == "h(x) = H(x)"
+
     def test_homogeneity_check(self):
         assert is_homogeneous(parse_identity("h(x*y) = H(x)*H(y)", NONCOMMUTATIVE), 2)
         assert not is_homogeneous(
@@ -212,6 +217,15 @@ class TestModelEvaluation:
         bad = parse_identity("h(1/5*x*y) = H(x)*H(y)", NONCOMMUTATIVE)
         with pytest.raises(ValueError):
             evaluate(bad, z5, z5, neg)
+
+    def test_a_denominator_is_refused_exactly_when_it_shares_a_factor_with_the_modulus(self):
+        z3 = models.make_zm(3)
+        neg = models.negation_map(z3)
+        # 7 is 1 modulo 3, so invertible there
+        assert not evaluate(parse_identity("h(1/7*x*y) = 1/7*H(x)*H(y)", NONCOMMUTATIVE), z3, z3, neg).ok
+        assert evaluate(parse_identity("h(1/7*x) = 1/7*H(x)", NONCOMMUTATIVE), z3, z3, neg).ok
+        with pytest.raises(ValueError, match="denominator prime 3 is not invertible modulo 3"):
+            evaluate(parse_identity("h(1/3*x) = 1/3*H(x)", NONCOMMUTATIVE), z3, z3, neg)
 
     def test_noncommutative_codomain_rejected(self):
         m2 = models.matrix_ring(2, 2)
