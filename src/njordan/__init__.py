@@ -35,7 +35,6 @@ from .derivation import (
     consequence_check,
     generate_instances,
     replay,
-    trace_to_json,
     trace_to_text,
     verify_certificate,
 )

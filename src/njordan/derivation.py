@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -60,10 +60,10 @@ from .identities import (
 
 MAX_VARS = 4
 MAX_COEFF = 2
-# Longest certificate coefficient text, and largest decimal exponent in it:
-# Fraction("1e10000000") alone builds a ten-million-digit integer.
+# Longest certificate coefficient text.  A coefficient is written as
+# str(Fraction), an integer or p/q, and read back in that grammar only.
 MAX_COEFF_DIGITS = 1000
-_COEFF = re.compile(r"-?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
+_COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 # --- script steps -------------------------------------------------------------
@@ -161,8 +161,6 @@ def replay(script: DerivationScript) -> Trace:
     """Execute every step; assertion failures are recorded, never raised."""
     results: list[HIdentity] = []
     records: list[StepRecord] = []
-    labels: set[str] = set()
-    passed = failed = 0
 
     def resolve(ref: int, at: int) -> HIdentity:
         if not 1 <= ref < at:
@@ -186,19 +184,12 @@ def replay(script: DerivationScript) -> Trace:
             detail = "combine " + " + ".join(f"({coeff})*#{ref}" for coeff, ref in step.terms)
         elif isinstance(step, AssertEquals):
             ident = resolve(step.ref, index)
-            if step.label in labels:
+            if any(r.label == step.label for r in records):
                 raise ValueError(f"duplicate assertion label {step.label!r}")
-            labels.add(step.label)
             expected_ident = parse_identity(step.expected, script.mode)
             ok = ident == expected_ident
-            label = step.label
-            expected_str = identity_to_string(expected_ident)
-            note = step.note
-            if ok:
-                passed += 1
-            else:
-                failed += 1
-                divergence = _first_divergence(ident, expected_ident)
+            label, note, expected_str = step.label, step.note, identity_to_string(expected_ident)
+            divergence = None if ok else _first_divergence(ident, expected_ident)
             detail = f"assert #{step.ref} equals {step.label}"
         else:
             raise ValueError(f"unknown step type {type(step).__name__}")
@@ -218,15 +209,13 @@ def replay(script: DerivationScript) -> Trace:
             )
         )
 
-    denominators: set[int] = set()
-    for ident in results:
-        denominators |= ident.denominators
+    failed = sum(r.passed is False for r in records)
     return Trace(
         script=script.name,
         mode=script.mode,
         steps=tuple(records),
-        denominators=tuple(sorted(denominators)),
-        assertions_passed=passed,
+        denominators=tuple(sorted(set().union(*(r.denominators for r in records)))),
+        assertions_passed=sum(r.passed is True for r in records),
         assertions_failed=failed,
         failed=failed > 0,
     )
@@ -235,11 +224,6 @@ def replay(script: DerivationScript) -> Trace:
 def dumps(payload) -> str:
     """The text of every JSON file njordan writes: sorted keys, two-space indent, final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def trace_to_json(trace: Trace) -> str:
-    """JSON form; its bytes depend only on the script."""
-    return dumps(asdict(trace))
 
 
 def trace_to_text(trace: Trace) -> str:
@@ -272,15 +256,22 @@ def _c(*terms: tuple) -> Combine:
     return Combine(tuple((_F(c), r) for c, r in terms))
 
 
+def _polarize(n: int, w: int | Fraction = 1) -> tuple[Step, ...]:
+    """Steps 1-5 of every builtin script: w * (h((x+y)^n) - h(x^n) - h(y^n))."""
+    return (
+        Seed(n),
+        Substitute(1, {"a": "x"}),
+        Substitute(1, {"a": "y"}),
+        Substitute(1, {"a": "x + y"}),
+        _c((w, 4), (-w, 2), (-w, 3)),
+    )
+
+
 THM2_2_N3 = DerivationScript(
     name="thm2_2_n3",
     mode=COMMUTATIVE,
     steps=(
-        Seed(3),
-        Substitute(1, {"a": "x"}),
-        Substitute(1, {"a": "y"}),
-        Substitute(1, {"a": "x + y"}),
-        _c((_F(1, 3), 4), (_F(-1, 3), 2), (_F(-1, 3), 3)),
+        *_polarize(3, _F(1, 3)),
         AssertEquals(5, "h(x^2*y + x*y^2) = H(x)^2*H(y) + H(x)*H(y)^2", "(1)"),
         Substitute(5, {"x": "x + z"}),
         Substitute(5, {"x": "z"}),
@@ -293,11 +284,7 @@ THM2_2_N4 = DerivationScript(
     name="thm2_2_n4",
     mode=COMMUTATIVE,
     steps=(
-        Seed(4),
-        Substitute(1, {"a": "x"}),
-        Substitute(1, {"a": "y"}),
-        Substitute(1, {"a": "x + y"}),
-        _c((1, 4), (-1, 2), (-1, 3)),
+        *_polarize(4),
         AssertEquals(
             5,
             "h(4*x^3*y + 6*x^2*y^2 + 4*x*y^3)"
@@ -368,35 +355,26 @@ _NOTE_FINAL = (
     " forms hold, which the mechanical derivation does not establish"
 )
 
-# The derivation of (9) from the cube identity, shared by both step-1 scripts.
-_STEP1_TO_9 = (
-    Seed(3),
-    Substitute(1, {"a": "x"}),
-    Substitute(1, {"a": "y"}),
-    Substitute(1, {"a": "x + y"}),
-    _c((1, 4), (-1, 2), (-1, 3)),
-    AssertEquals(
-        5,
-        "h(x*y*x + y*x^2 + y^2*x + x^2*y + x*y^2 + y*x*y)"
-        " = 3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
-        "(7)",
-    ),
-    Substitute(5, {"y": "-y"}),
-    AssertEquals(
-        7,
-        "h(-x*y*x - y*x^2 + y^2*x - x^2*y + x*y^2 + y*x*y)"
-        " = -3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
-        "(8)",
-    ),
-    _c((_F(1, 2), 5), (_F(1, 2), 7)),
-    AssertEquals(9, "h(x*y^2 + y^2*x + y*x*y) = 3*H(x)*H(y)^2", "(9)"),
-)
 
-THM2_5_STEP1 = DerivationScript(
-    name="thm2_5_step1",
-    mode=NONCOMMUTATIVE,
-    steps=(
-        *_STEP1_TO_9,
+def _step1(note_10: str | None) -> tuple[Step, ...]:
+    """Steps 1-14 of both step-1 scripts: (7) to (10), then (9) + (9 at y = z) - (10)."""
+    return (
+        *_polarize(3),
+        AssertEquals(
+            5,
+            "h(x*y*x + y*x^2 + y^2*x + x^2*y + x*y^2 + y*x*y)"
+            " = 3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
+            "(7)",
+        ),
+        Substitute(5, {"y": "-y"}),
+        AssertEquals(
+            7,
+            "h(-x*y*x - y*x^2 + y^2*x - x^2*y + x*y^2 + y*x*y)"
+            " = -3*H(x)^2*H(y) + 3*H(x)*H(y)^2",
+            "(8)",
+        ),
+        _c((_F(1, 2), 5), (_F(1, 2), 7)),
+        AssertEquals(9, "h(x*y^2 + y^2*x + y*x*y) = 3*H(x)*H(y)^2", "(9)"),
         Substitute(9, {"y": "y - z"}),
         AssertEquals(
             11,
@@ -404,10 +382,18 @@ THM2_5_STEP1 = DerivationScript(
             " + y*x*y + z*x*z - y*x*z - z*x*y)"
             " = 3*H(x)*H(y)^2 + 3*H(x)*H(z)^2 - 6*H(x)*H(y)*H(z)",
             "(10)",
-            note=_NOTE_10,
+            note=note_10,
         ),
         Substitute(9, {"y": "z"}),
         _c((1, 9), (1, 13), (-1, 11)),
+    )
+
+
+THM2_5_STEP1 = DerivationScript(
+    name="thm2_5_step1",
+    mode=NONCOMMUTATIVE,
+    steps=(
+        *_step1(_NOTE_10),
         AssertEquals(
             14,
             "h(y*x*z + z*x*y + 2*x*y*z + 2*y*z*x) = 6*H(x)*H(y)*H(z)",
@@ -466,17 +452,7 @@ THM2_5_STEP1_SYM = DerivationScript(
     name="thm2_5_step1_sym",
     mode=NONCOMMUTATIVE,
     steps=(
-        *_STEP1_TO_9,
-        Substitute(9, {"y": "y - z"}),
-        AssertEquals(
-            11,
-            "h(x*y^2 + x*z^2 - x*y*z - x*z*y + y^2*x + z^2*x - y*z*x - z*y*x"
-            " + y*x*y + z*x*z - y*x*z - z*x*y)"
-            " = 3*H(x)*H(y)^2 + 3*H(x)*H(z)^2 - 6*H(x)*H(y)*H(z)",
-            "(10)",
-        ),
-        Substitute(9, {"y": "z"}),
-        _c((1, 9), (1, 13), (-1, 11)),
+        *_step1(None),
         AssertEquals(
             14,
             "h(x*y*z + x*z*y + y*x*z + y*z*x + z*x*y + z*y*x) = 6*H(x)*H(y)*H(z)",
@@ -499,11 +475,7 @@ N2_COMM = DerivationScript(
     name="n2_comm",
     mode=COMMUTATIVE,
     steps=(
-        Seed(2),
-        Substitute(1, {"a": "x"}),
-        Substitute(1, {"a": "y"}),
-        Substitute(1, {"a": "x + y"}),
-        _c((1, 4), (-1, 2), (-1, 3)),
+        *_polarize(2),
         AssertEquals(5, "h(2*x*y) = 2*H(x)*H(y)", "pair"),
         _c((_F(1, 2), 5)),
         AssertEquals(7, "h(x*y) = H(x)*H(y)", "final"),
@@ -690,11 +662,9 @@ class NotInSpan:
 
 
 def _residual_string(residual: Mapping[Coord, Fraction | int], mode: str) -> str:
-    lhs_terms = [(w, c) for (side, _, w), c in residual.items() if side == 0]
-    rhs_terms = [(w, c) for (side, _, w), c in residual.items() if side == 1]
-    lhs = FreePoly.from_terms(lhs_terms, mode)
-    rhs = FreePoly.from_terms(rhs_terms, COMMUTATIVE)
-    return f"h({to_string(lhs)}) = {to_string(rhs, h_heads=True)}"
+    lhs = FreePoly.from_terms([(w, c) for (side, _, w), c in residual.items() if side == 0], mode)
+    rhs = FreePoly.from_terms([(w, c) for (side, _, w), c in residual.items() if side == 1], COMMUTATIVE)
+    return identity_to_string(HIdentity(lhs, rhs))
 
 
 def consequence_check(
@@ -740,20 +710,19 @@ def consequence_check(
 
 
 def _coefficient(text: str) -> Fraction:
-    """An untrusted certificate coefficient, refused past MAX_COEFF_DIGITS digits.
+    """An untrusted certificate coefficient, refused past MAX_COEFF_DIGITS characters.
 
     Within the bound, ValueError unless the text is an optional '-' and ASCII
-    digits spelling an integer, a fraction p/q or a decimal with an exponent.
+    digits spelling an integer or a fraction p/q.
     """
-    exponent = re.search(r"e([-+]?\d[\d_]*)", text, re.IGNORECASE)
-    if len(text) > MAX_COEFF_DIGITS or (exponent and abs(int(exponent.group(1))) > MAX_COEFF_DIGITS):
+    if len(text) > MAX_COEFF_DIGITS:
         raise GuardError(f"certificate coefficient exceeds {MAX_COEFF_DIGITS} digits")
     if not _COEFF.fullmatch(text):
         raise ValueError(f"certificate coefficient {quote(text)} is not an ASCII rational")
     return Fraction(text)
 
 
-def verify_certificate(cert: Certificate, target: HIdentity | str | None = None) -> bool:
+def verify_certificate(cert: Certificate, target: str | None = None) -> bool:
     """Re-expand the certificate with the identity calculus and compare.
 
     Pure recomputation: substitutes each stored linear form into a fresh
@@ -766,12 +735,7 @@ def verify_certificate(cert: Certificate, target: HIdentity | str | None = None)
     generate_instances does.
     """
     try:
-        if target is None:
-            expected = parse_identity(cert.target, cert.mode)
-        elif isinstance(target, str):
-            expected = parse_identity(target, cert.mode)
-        else:
-            expected = target
+        expected = parse_identity(cert.target if target is None else target, cert.mode)
         p = _parse_field(cert.field)
         base = seed(cert.n, cert.mode)
         parsed = [(_coefficient(coeff), parse_expr(expr, cert.mode)) for expr, coeff in cert.instances]

@@ -247,8 +247,9 @@ class TestVerifyCertCommand:
         assert code == 1
         assert "INVALID" in out
 
-    # Fraction reads each of these, "-1_0" as -10, and verified it as that value
-    @pytest.mark.parametrize("coeff", ["-\u0661", " -1 ", "-1_0", "+1"])
+    # Fraction reads each of these, "-1_0" as -10, and verified it as that value;
+    # a certificate writes a coefficient as an integer or p/q, never a decimal
+    @pytest.mark.parametrize("coeff", ["-\u0661", " -1 ", "-1_0", "+1", "-1.0", "-1e0"])
     def test_coefficient_outside_the_ascii_grammar_is_invalid(self, coeff, tmp_path, capsys):
         value = int(Fraction(coeff))
         path = tmp_path / "cert.json"
@@ -281,15 +282,22 @@ class TestVerifyCertCommand:
 
     def test_oversized_coefficient_exits_two_quickly(self, tmp_path, capsys):
         path = tmp_path / "cert.json"
-        path.write_text(json.dumps({
-            "n": 3, "mode": "nc", "field": "Q", "target": "h(x^3) = H(x)^3",
-            "instances": [{"subst": {"a": "x"}, "coeff": "1e10000000"}],
-        }))
+        cert = {"n": 3, "mode": "nc", "field": "Q", "target": "h(x^3) = H(x)^3",
+                "instances": [{"subst": {"a": "x"}, "coeff": "1" * 1001}]}
+        path.write_text(json.dumps(cert))
         start = time.perf_counter()
         code, out, err = run(["verify-cert", str(path)], capsys)
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "coefficient exceeds" in err
+        # an exponent is outside the written p/q grammar: INVALID, never expanded
+        cert["instances"][0]["coeff"] = "1e10000000"
+        path.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        code, out, err = run(["verify-cert", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "INVALID" in out
 
     def test_unfactorable_coefficient_denominator_exits_two_quickly(self, tmp_path, capsys):
         path = tmp_path / "cert.json"
@@ -668,6 +676,30 @@ class TestCommandContract:
         code, _, err = run([a.replace("{out}", str(out)) for a in argv], capsys)
         assert code == 2
         assert err.startswith("error: cannot write output: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    # every refusal here was reached by no other test
+    @pytest.mark.parametrize("argv,message", [
+        *((["search", "--domain", spec, "--codomain", "zm:5"], message) for spec, message in [
+            ("mat:5x5@5", "guard refused: matrix size 5 exceeds 4"),
+            ("upper:5@2", "guard refused: matrix size 5 exceeds 4"),
+            ("fun:zm:5,pts:5", "guard refused: 5 points exceed 4"),
+            ("fun:zm:5,pts:0", "error: need at least one point"),
+            ("zm:5^0", "error: power must be positive"),
+            ("freetrunc:0d2@5", "error: need at least one letter and degree 1"),
+            ("zm:2^13", "guard refused: search domain too large"),
+        ]),
+        (["consequence", "--n", "2", "--target", "h(x^2) = H(x)^2", "--coeff-range", "0"],
+         "error: coefficient range must be at least 1"),
+        (["verify-cert", "{cert}"], "error: cannot read certificate: certificate JSON must be an object"),
+        (["norm", "theorem27", "--k", "3", "--perm", "0,0,1"], "error: perm must be a permutation of 0..k-1"),
+    ])
+    def test_refusal_exits_two_with_one_line(self, argv, message, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[]")
+        code, _, err = run([a.replace("{cert}", str(cert)) for a in argv], capsys)
+        assert code == 2
+        assert err.startswith(message)
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_each_command_keeps_its_options(self):

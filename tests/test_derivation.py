@@ -25,8 +25,8 @@ from njordan.derivation import (
     Substitute,
     consequence_check,
     generate_instances,
+    dumps,
     replay,
-    trace_to_json,
     verify_certificate,
 )
 from njordan.errors import GuardError
@@ -106,22 +106,22 @@ class TestReplayBuiltins:
         assert tr.final_identity() == SYM_SIX
 
     def test_replay_is_deterministic(self):
-        a = trace_to_json(replay(BUILTIN_SCRIPTS["thm2_5_step1"]))
-        b = trace_to_json(replay(BUILTIN_SCRIPTS["thm2_5_step1"]))
+        a = dumps(dataclasses.asdict(replay(BUILTIN_SCRIPTS["thm2_5_step1"])))
+        b = dumps(dataclasses.asdict(replay(BUILTIN_SCRIPTS["thm2_5_step1"])))
         assert a == b
 
     def test_trace_json_has_no_wall_time(self):
-        payload = json.loads(trace_to_json(replay(BUILTIN_SCRIPTS["thm2_2_n3"])))
+        payload = json.loads(dumps(dataclasses.asdict(replay(BUILTIN_SCRIPTS["thm2_2_n3"]))))
         assert "wall_time" not in payload
 
 
 class TestScriptValidation:
     def test_forward_reference_rejected(self):
-        script = DerivationScript(
-            "bad", NONCOMMUTATIVE, (Seed(3), Substitute(5, {"a": "x"}))
-        )
-        with pytest.raises(ValueError):
-            replay(script)
+        # step #2 naming #5, and step #2 naming itself
+        for ref in (5, 2):
+            script = DerivationScript("bad", NONCOMMUTATIVE, (Seed(3), Substitute(ref, {"a": "x"})))
+            with pytest.raises(ValueError, match="not an earlier step"):
+                replay(script)
 
     def test_duplicate_assert_labels_rejected(self):
         script = DerivationScript(
@@ -356,10 +356,12 @@ class TestCertificates:
             return Certificate(cert.n, cert.mode, cert.field, cert.target, ((subst, coeff),) + cert.instances[1:])
 
         bound = derivation.MAX_COEFF_DIGITS
-        # at the bound a coefficient is read and simply does not verify
-        for coeff in (f"1e{bound}", f"1E-{bound}", "7" * bound, f"2.5e+{bound}"):
+        # at the bound a coefficient is read and simply does not verify; a
+        # decimal or an exponent is outside the p/q grammar at any length
+        at_bound = ("7" * bound, "7/1" + "0" * (bound - 3))
+        for coeff in at_bound + ("0.5", f"1e{bound + 1}", f"2.5e+{bound}", "1e10000000"):
             assert not verify_certificate(variant(coeff))
-        for coeff in (f"1e{bound + 1}", f"-1e-{bound + 1}", "1.0E1_000_000", "7" * (bound + 1)):
+        for coeff in ("7" * (bound + 1), "7/1" + "0" * (bound - 2), "1e" + "0" * bound):
             with pytest.raises(GuardError, match="coefficient exceeds"):
                 verify_certificate(variant(coeff))
 

@@ -65,6 +65,10 @@ class TestRingConstruction:
         assert nilpotency_index(strict_upper(3, 2)) == 3
         assert nilpotency_index(strict_upper(4, 2)) == 4
 
+    def test_nilpotency_index_needs_a_prime_modulus(self):
+        with pytest.raises(GuardError, match="prime modulus"):
+            nilpotency_index(make_zm(6, override=True))
+
     def test_truncated_free_word_basis(self):
         tf = truncated_free(2, 3, 5)
         assert tf.dim == 2 + 4 + 8

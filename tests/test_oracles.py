@@ -23,10 +23,11 @@ witnesses, and a three-variable witness and an is_n_jordan witness are
 confirmed by plain integer arithmetic.  The sparse ring product is
 compared with the dense einsum over the whole structure table; it, the
 map kernel and the power filter get unreduced and negative input and
-are compared with oracles that reduce it with % first.  evaluate at the
-largest modulus the int64 guard admits is compared with an oracle that
-reduces after every word, and the streamed assignments, exhaustive and
-sampled, with one-shot columns checked all at once.  The is_n_ring, which
+are compared with oracles that reduce it with % first.  evaluate at
+x = -1 and four moduli up to the largest the int64 guard admits is
+compared with an oracle that reduces after every word, and the streamed
+assignments, exhaustive and sampled, with one-shot columns checked all
+at once.  The is_n_ring, which
 decides and finds its first witness on the d^n basis tuples alone, is
 compared with the one-shot sweep over all size^n tuples.
 """
@@ -654,11 +655,11 @@ def _one_shot_ring(h, n):
     return PredicateResult(witness is None, len(cols[0]), True, witness)
 
 
-def _one_shot_evaluate(ident, h, sample=None):
-    """evaluate's verdict from full columns, applying h to each left word."""
+def _one_shot_evaluate(ident, h, sample=None, cols=None):
+    """evaluate's verdict from full columns, the leading ones of cols if given, applying h to each left word."""
     ring_a, ring_b, m = h.domain, h.codomain, h.domain.modulus
     variables = sorted(set(ident.lhs.variables()) | set(ident.rhs.variables()))
-    cols = _one_shot_columns(ring_a, len(variables), sample)
+    cols = (cols or _one_shot_columns(ring_a, len(variables), sample))[: len(variables)]
     assign = dict(zip(variables, cols))
     lhs = np.zeros((len(cols[0]), ring_b.dim), dtype=np.int64)
     for word, coeff in ident.lhs.terms:
@@ -670,19 +671,28 @@ def _one_shot_evaluate(ident, h, sample=None):
     return witness is None, len(cols[0]), witness and dict(zip(map(var_name, variables), witness))
 
 
-def test_evaluation_reduces_its_sums_before_they_pass_int64():
-    """At the largest zm:m modulus the int64 guard admits, two terms of m - 1
-    times a residue pass 2^63, so evaluate must reduce between them, as the
-    per-word oracle does.  Negation preserves odd powers, so the first
-    identity holds: a sum that wrapped would show as a false mismatch."""
-    m = _largest_modulus(lambda m: f"zm:{m}", 1)
+# (2^63 - m) // (m - 1)^2 is 3, 2 and 1 at the first three moduli, where
+# (m - 2)^2 in its place would give 4, 3 and 2; the last is the largest
+# modulus the int64 guard admits.
+@pytest.mark.parametrize("m", [1_518_500_251, 1_753_413_058, 2_147_483_649, math.isqrt(2 ** 63 - 1) + 1])
+def test_evaluation_reduces_its_sums_before_they_pass_int64(m, monkeypatch):
+    """evaluate reduces after every (2^63 - m) // (m - 1)^2 terms, as many as
+    stay under 2^63, and the per-word oracle after each.  At x = -1 every left
+    term of both identities but x*y is exactly (m - 1)^2, so one term more
+    between reductions passes 2^63 at each modulus here; at the largest, two
+    terms of m - 1 times a random residue do too.  Negation preserves odd
+    powers, so the first identity holds: a sum that wrapped would show as a
+    false mismatch."""
     ring = ring_from_spec(f"zm:{m}", override=True)
     h = negation_map(ring)
     holds = parse_identity("h(-x^3 - x^5 - x^7 - x^9) = -H(x)^3 - H(x)^5 - H(x)^7 - H(x)^9", NONCOMMUTATIVE)
     fails = parse_identity("h(-x^3 - x^5 - x^7 - x*y) = H(x)^3 + H(x)^5 + H(x)^7 + H(x)*H(y)", NONCOMMUTATIVE)
+    # seeded draws with x = y = -1 put first: evaluate checks these columns
+    cols = [np.vstack([[[m - 1]], col]) for col in _one_shot_columns(ring, 2, (3, 500))]
+    monkeypatch.setattr(ring, "assignments", lambda k, cap, seed: (iter([cols[:k]]), False))
     for ident, ok in ((holds, True), (fails, False)):
-        rep = evaluate(ident, ring, ring, h, max_assignments=500, sample_seed=3)
-        assert (rep.ok, rep.checked, rep.witness) == _one_shot_evaluate(ident, h, (3, 500))
+        rep = evaluate(ident, ring, ring, h)
+        assert (rep.ok, rep.checked, rep.witness) == _one_shot_evaluate(ident, h, cols=cols)
         assert rep.ok == ok
 
 
