@@ -17,6 +17,7 @@ the coordinate characters of the codomain.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -197,9 +198,35 @@ def step2_reduction_check(
     samples.  Both directions are checked on one shared sample batch and
     its n-th powers, computed once.
     """
-    batch = sample_batch(h.matrix.shape[1], samples, seed)
+    batch, powers = _batch_and_powers(h.matrix.shape[1], samples, seed, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _reduction_holds(h, n, batch, batch ** n)
+        return _reduction_holds(h, n, batch, powers)
+
+
+def _draw_powers(m: int, samples: int, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sample_batch(m, samples, seed) and its n-th powers, both read-only."""
+    batch = sample_batch(m, samples, seed)
+    # an overflow gives inf or NaN, which _first_bad refuses, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = batch ** n
+    batch.flags.writeable = powers.flags.writeable = False
+    return batch, powers
+
+
+_kept_draw = functools.lru_cache(maxsize=1)(_draw_powers)
+
+
+def _batch_and_powers(m: int, samples: int, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one step 2 draw: a sample batch and its n-th powers, read-only.
+
+    Every map of a sweep is checked on the same draw, so the last one is
+    kept and handed out again for the same (m, samples, seed, n), but only
+    while samples * m is at most DEFAULT_SAMPLES * MAX_DIM: the two
+    complex128 arrays then hold at most 512 KiB.
+    """
+    if samples * m <= DEFAULT_SAMPLES * MAX_DIM:
+        return _kept_draw(m, samples, seed, n)
+    return _draw_powers(m, samples, seed, n)
 
 
 def _reduction_holds(h: LinearMapC, n: int, batch: np.ndarray, powers: np.ndarray) -> bool:
@@ -289,10 +316,9 @@ def check_step2(m: int, k: int, n: int, count: int, samples: int = DEFAULT_SAMPL
     if count * samples > MAX_SWEEP_WORK:
         raise ValueError(f"{count} maps x {samples} samples exceeds {MAX_SWEEP_WORK} map-sample pairs")
     maps = random_linear_maps(m, k, count, seed)
-    # every map is checked on the one batch step2_reduction_check would draw for it
-    batch = sample_batch(m, samples, seed)
+    # every map is checked on the one draw step2_reduction_check would make for it
+    batch, powers = _batch_and_powers(m, samples, seed, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = batch ** n
         passed = sum(1 for h in maps if _reduction_holds(h, n, batch, powers))
     return {
         "check": "step2_reduction",

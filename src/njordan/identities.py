@@ -139,6 +139,20 @@ def parse_identity(text: str, mode: str) -> HIdentity:
     return HIdentity(lhs, rhs, primes)
 
 
+def _prefix_tree(side: FreePoly, m: int) -> dict:
+    """A side's words as a prefix tree: letter -> [coefficient mod m of the word ending there, subtree of longer words].
+
+    A letter's subtree is empty when no word runs past it.
+    """
+    tree: dict = {}
+    for word, coeff in side.terms:
+        node = tree
+        for v in word[:-1]:
+            node = node.setdefault(v, [0, {}])[1]
+        node.setdefault(word[-1], [0, {}])[0] = residue(coeff, m)
+    return tree
+
+
 @dataclass(frozen=True, slots=True)
 class EvalReport:
     """Outcome of checking one identity against a concrete model."""
@@ -183,18 +197,26 @@ def evaluate(
     variables = sorted(set(ident.lhs.variables()) | set(ident.rhs.variables()))
     space = ring_a.size ** len(variables)
     blocks, exhaustive = ring_a.assignments(len(variables), max_assignments, sample_seed)
-    lhs_terms = [(word, residue(coeff, m)) for word, coeff in ident.lhs.terms]
-    rhs_terms = [(word, residue(coeff, m)) for word, coeff in ident.rhs.terms]
-    # Each term adds a residue times a product of residues, at most (m - 1)^2,
-    # to a sum that starts at most m - 1: this many terms stay under 2^63
-    # between two reductions.  The ring's int64 guard makes it at least 1.
+    lhs_tree, rhs_tree = _prefix_tree(ident.lhs, m), _prefix_tree(ident.rhs, m)
+    # Each summand is a residue times a residue, at most (m - 1)^2, or a
+    # product, at most m - 1, and a reduced sum is at most m - 1: this many
+    # summands stay under 2^63 between two reductions.  The ring's int64
+    # guard makes it at least 1.
     per_reduction = (2 ** 63 - m) // (m - 1) ** 2
 
-    def combination(ring: FiniteRing, terms, values: dict, count: int) -> np.ndarray:
-        """sum coeff * product of values over the terms, reduced mod m."""
-        total = np.zeros((count, ring.dim), dtype=np.int64)
-        for t, (word, coeff) in enumerate(terms, 1):
-            total += coeff * ring.product_batch(values[v] for v in word)
+    def combination(ring: FiniteRing, tree: dict, values: dict, count: int) -> np.ndarray:
+        """sum of c_x * x + x * (its subtree's combination) over the letters x of a tree, reduced mod m."""
+
+        def summands():
+            for v, (coeff, below) in tree.items():
+                if coeff:
+                    yield coeff * values[v]
+                if below:
+                    yield ring.mul_batch(values[v], combination(ring, below, values, count))
+
+        total = np.zeros((count, ring.dim), dtype=np.int64, order="F")
+        for t, summand in enumerate(summands(), 1):
+            total += summand
             if t % per_reduction == 0:
                 np.fmod(total, m, out=total)
         # the sum is nonnegative, where fmod agrees with %
@@ -203,10 +225,11 @@ def evaluate(
     def mismatch(cols: list[np.ndarray], _start: int) -> np.ndarray:
         assign = dict(zip(variables, cols))
         count = cols[0].shape[0] if cols else 1
-        # h is Z_m-linear: sum the left side in the domain and apply h once
-        lhs = h.apply_batch(combination(ring_a, lhs_terms, assign, count))
         himg = {v: h.apply_batch(vecs) for v, vecs in assign.items()}
-        return (lhs != combination(ring_b, rhs_terms, himg, count)).any(axis=1)
+        rhs = combination(ring_b, rhs_tree, himg, count)
+        del himg  # so that the images do not sit beside the left side's products
+        # h is Z_m-linear: sum the left side in the domain and apply h once
+        return (h.apply_batch(combination(ring_a, lhs_tree, assign, count)) != rhs).any(axis=1)
 
     result = check_blocks(blocks, mismatch, exhaustive)
     witness = None if result.ok else dict(zip(map(var_name, variables), result.witness))

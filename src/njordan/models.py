@@ -34,9 +34,12 @@ from .freealg import MAX_DEPTH, quote, read_int
 ENUM_CAP = 10 ** 7
 # Most products one n-ring check forms: d^n basis tuples at n - 1 products each.
 TUPLE_CAP = 10 ** 7
-# Most rows one vectorized check holds at a time: a block of exhaustive
-# assignments, or of (candidate map, element) pairs in a scan.  A (rows, 4)
-# int64 block is then 128 KiB, which stays in a core's L2 cache.
+# Most rows one vectorized check holds at a time: (candidate map, element)
+# pairs in a scan, elements in is_n_jordan, basis tuples in is_n_ring.
+# Identity evaluation counts coordinates instead: a block holds
+# 4 * BLOCK_ROWS // d assignments of a d-dimensional domain, so each
+# variable's (rows, d) int64 column is 128 KiB whatever d is, which stays in
+# a core's L2 cache.
 BLOCK_ROWS = 2 ** 12
 # Most int64 cells (elements times dimension) of a cached element or power table.
 ELEMENT_CAP = 2 ** 22
@@ -48,8 +51,8 @@ MAX_DIM = 64
 # Most products the associativity join may form, with no override; the
 # largest constructor ring, nilpoly:63, needs 91,520.
 MAX_JOIN = 2 * 10 ** 5
-# Largest power n a predicate or search takes, with no override: each n-th
-# power or n-fold product costs n - 1 ring products per row.
+# Largest power n a predicate or search takes, with no override: each n-fold
+# product costs n - 1 ring products per row, an n-th power about log2(n).
 MAX_POWER = 64
 
 
@@ -192,13 +195,15 @@ class FiniteRing:
         """Componentwise ring product of two (N, d) batches of any integers.
 
         One pass over the nonzero structure constants, out[k] += c * u[i] * v[j],
-        on (d, N) copies so that each coordinate is one contiguous row.  An
-        input already reduced mod m, such as another product, is only copied
-        (after a range check); any other is reduced first.
+        on (d, N) arrays so that each coordinate is one contiguous row: a batch
+        in Fortran order, such as another product, is read without a copy.  An
+        input already reduced mod m, such as another product, is used as it is
+        (after a range check); any other is reduced first.  A square reads its
+        one batch once.
         """
-        m = self.modulus
+        m, square = self.modulus, v is u
         u = np.ascontiguousarray(_residues(np.asarray(u).T, m))
-        v = np.ascontiguousarray(_residues(np.asarray(v).T, m))
+        v = u if square else np.ascontiguousarray(_residues(np.asarray(v).T, m))
         out = np.zeros(u.shape, dtype=np.int64)
         tmp = np.empty(u.shape[1], dtype=np.int64)
         for i, j, k, c in self._terms:
@@ -233,15 +238,20 @@ class FiniteRing:
         Every k-tuple in index order when the size**k tuples fit under cap
         (tuple i is the k*d base-m digits of i); otherwise cap seeded uniform
         draws, which needs sample_seed.  Either way in blocks of at most
-        BLOCK_ROWS rows, each split into k columns of d.  Identity
-        evaluation draws its assignments here.
+        4 * BLOCK_ROWS // d rows, each split into k (rows, d) columns held in
+        Fortran order, so that mul_batch reads each coordinate as one
+        contiguous row without copying it.  Identity evaluation draws its
+        assignments here.
         """
         space, d = self.size ** k, self.dim
         exhaustive = space <= cap
         if not exhaustive and sample_seed is None:
             raise GuardError(f"{space} assignments exceed cap {cap}; pass sample_seed to sample")
-        points = _blocks(self.modulus, k * d, BLOCK_ROWS, None if exhaustive else cap, sample_seed or 0)
-        return ([pts[:, v * d:(v + 1) * d] for v in range(k)] for pts in points), exhaustive
+        points = _blocks(self.modulus, k * d, max(1, 4 * BLOCK_ROWS // d), None if exhaustive else cap,
+                         sample_seed or 0)
+        # map holds no block once it is transposed, so only the (k * d, rows) copy stays alive
+        coords = map(lambda pts: np.ascontiguousarray(pts.T), points)
+        return ([rows[v * d:(v + 1) * d].T for v in range(k)] for rows in coords), exhaustive
 
     def product_batch(self, factors: Iterable[np.ndarray]) -> np.ndarray:
         """Left-to-right ring product of a nonempty sequence of (N, d) batches.
@@ -255,7 +265,20 @@ class FiniteRing:
         return out
 
     def power_batch(self, vecs: np.ndarray, n: int) -> np.ndarray:
-        return self.product_batch([vecs] * n)
+        """n-th power (n at least 1) of each row of an (N, d) batch, by repeated squaring.
+
+        About log2(n) products where the left-to-right product takes n - 1:
+        powers of one element commute, so neither a unit nor commutativity
+        is needed.
+        """
+        power, square = None, vecs
+        while True:
+            if n & 1:
+                power = square if power is None else self.mul_batch(power, square)
+            n >>= 1
+            if not n:
+                return power
+            square = self.mul_batch(square, square)
 
     def all_powers(self, n: int) -> np.ndarray:
         """n-th powers of every element, cached."""
@@ -608,14 +631,14 @@ def _power_mismatch(
     """
     m = codomain.modulus
     transposed = _residues(mats, m).transpose(0, 2, 1)
-    # (C, N, d): every element, and its power, under every map; for these small
-    # dimensions matmul costs a tenth of the same einsum
+    # (C, N, d): every element, and then its power, under every map; for these
+    # small dimensions matmul costs a tenth of the same einsum
     images = _residues(elems, m) @ transposed
+    shape = images.shape
+    rhs = codomain.power_batch(np.fmod(images, m, out=images).reshape(-1, codomain.dim), n).reshape(shape)
+    del images  # so that the powers' images below do not sit beside them
     lhs = _residues(powers, m) @ transposed
-    np.fmod(images, m, out=images)
-    np.fmod(lhs, m, out=lhs)
-    rhs = codomain.power_batch(images.reshape(-1, codomain.dim), n).reshape(images.shape)
-    return (lhs != rhs).any(axis=2)
+    return (np.fmod(lhs, m, out=lhs) != rhs).any(axis=2)
 
 
 def is_n_jordan(h: AdditiveMap, n: int) -> PredicateResult:

@@ -25,6 +25,21 @@ from njordan.cstar_num import (
 )
 
 
+@pytest.fixture
+def recorded_draws(monkeypatch):
+    """The (m, count, seed) of every sample_batch call, with no step 2 draw kept from before or after the test."""
+    draws = []
+
+    def recording(m, count, seed=0):
+        draws.append((m, count, seed))
+        return sample_batch(m, count, seed)
+
+    monkeypatch.setattr(cstar_num, "sample_batch", recording)
+    cstar_num._kept_draw.cache_clear()
+    yield draws
+    cstar_num._kept_draw.cache_clear()
+
+
 class TestSampleBatch:
     def test_samples_are_reproducible(self):
         assert np.array_equal(sample_batch(2, 16, seed=3), sample_batch(2, 16, seed=3))
@@ -140,19 +155,47 @@ class TestContractivityChecks:
         maps = random_linear_maps(2, 2, 1000, seed=0)
         assert all(step2_reduction_check(h, 3) for h in maps)
 
-    def test_step2_draws_one_batch_for_all_its_maps(self, monkeypatch):
-        draws = []
-
-        def recording(m, count, seed=0):
-            draws.append((m, count, seed))
-            return sample_batch(m, count, seed)
-
-        monkeypatch.setattr(cstar_num, "sample_batch", recording)
+    def test_step2_draws_one_batch_for_all_its_maps(self, recorded_draws):
         assert check_step2(3, 2, 3, 20, 64, seed=7)["equivalence_held"] == 20
-        assert draws == [(3, 64, 7)]
-        # the batch that step2_reduction_check draws for each of those maps alone
-        step2_reduction_check(random_linear_maps(3, 2, 1, seed=7)[0], 3, 64, 7)
-        assert draws == [(3, 64, 7)] * 2
+        assert recorded_draws == [(3, 64, 7)]
+        # step2_reduction_check gets the same draw for each of those maps without drawing again
+        assert all(step2_reduction_check(h, 3, 64, 7) for h in random_linear_maps(3, 2, 20, seed=7))
+        assert recorded_draws == [(3, 64, 7)]
+        # another seed is another draw, and it replaces the kept one
+        h = random_linear_maps(3, 2, 1, seed=8)[0]
+        assert step2_reduction_check(h, 3, 64, 8) and step2_reduction_check(h, 3, 64, 7)
+        assert recorded_draws == [(3, 64, 7), (3, 64, 8), (3, 64, 7)]
+        # by default, DEFAULT_SAMPLES points at seed 0
+        step2_reduction_check(h, 3)
+        check_step2(3, 2, 3, 1)
+        assert recorded_draws[3:] == [(3, DEFAULT_SAMPLES, 0)]
+
+    def test_the_step2_draw_is_read_only(self, recorded_draws):
+        batch, powers = cstar_num._batch_and_powers(3, 64, 7, 3)
+        assert not batch.flags.writeable and not powers.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            batch[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            powers *= 2
+        assert np.array_equal(batch, sample_batch(3, 64, 7))
+        assert np.array_equal(powers, sample_batch(3, 64, 7) ** 3)
+        assert cstar_num._batch_and_powers(3, 64, 7, 3)[0] is batch
+        assert recorded_draws == [(3, 64, 7)]
+
+    def test_a_draw_over_the_size_bound_is_not_kept(self, recorded_draws):
+        cells = DEFAULT_SAMPLES * cstar_num.MAX_DIM
+        # at the bound the draw is kept: two complex128 arrays of 512 KiB in all
+        batch, powers = cstar_num._batch_and_powers(2, cells // 2, 1, 3)
+        assert batch.nbytes + powers.nbytes == 512 * 1024
+        assert cstar_num._batch_and_powers(2, cells // 2, 1, 3)[0] is batch
+        assert recorded_draws == [(2, cells // 2, 1)]
+        # one sample past it, every call draws again and the kept draw stays the smaller one
+        h = random_linear_maps(2, 1, 1)[0]
+        step2_reduction_check(h, 3, cells // 2 + 1, 1)
+        step2_reduction_check(h, 3, cells // 2 + 1, 1)
+        assert recorded_draws == [(2, cells // 2, 1)] + [(2, cells // 2 + 1, 1)] * 2
+        assert cstar_num._kept_draw.cache_info().currsize == 1
+        assert cstar_num._batch_and_powers(2, cells // 2, 1, 3)[0] is batch
 
     def test_reduction_check_is_seeded(self):
         h = random_linear_maps(2, 2, 1, seed=5)[0]
@@ -178,6 +221,15 @@ class TestStep2CanFail:
             rows = [is_power_jordan(LinearMapC(row[None, :]), n, batch)[0] for row in bad.matrix]
             assert rows == [False, True, True]
             assert step2_reduction_check(good, n) and step2_reduction_check(bad, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_failing_last_row_of_a_tall_map_is_found(self, n):
+        """Every one of the k = 4 rows is checked, past the m = 2 columns and up to the last."""
+        functionals = classify_njordan_functionals(2, n)
+        good = [functionals[i].matrix for i in np.random.default_rng(n).integers(len(functionals), size=3)]
+        tall = LinearMapC(np.vstack([*good, random_linear_maps(2, 1, 1, seed=n)[0].matrix]))
+        assert not is_power_jordan(tall, n, sample_batch(2, DEFAULT_SAMPLES))[0]
+        assert step2_reduction_check(tall, n)
 
     def test_a_whole_map_verdict_that_disagrees_with_its_rows_fails(self, monkeypatch):
         power_holds = cstar_num._power_holds

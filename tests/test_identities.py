@@ -233,3 +233,24 @@ class TestModelEvaluation:
         h = models.AdditiveMap(m2, m2, np.eye(m2.dim, dtype=np.int64))
         with pytest.raises(ValueError):
             evaluate(ident, m2, m2, h)
+
+    def test_commutative_mode_needs_a_commutative_domain_only(self):
+        pair, m2 = models.ring_from_spec("zm:5^2"), models.matrix_ring(2, 5)
+        ident = parse_identity("h(x*y) = H(x)*H(y)", COMMUTATIVE)
+        assert evaluate(ident, pair, pair, models.AdditiveMap(pair, pair, np.eye(2, dtype=np.int64))).ok
+        with pytest.raises(ValueError, match="commutative domain"):
+            evaluate(ident, m2, pair, models.AdditiveMap(m2, pair, np.zeros((2, 4), dtype=np.int64)))
+
+    def test_each_map_endpoint_must_be_the_given_ring(self):
+        pair, other = models.ring_from_spec("zm:5^2"), models.ring_from_spec("zm:5^2")
+        ident = parse_identity("h(x*y) = H(x)*H(y)", NONCOMMUTATIVE)
+        for dom, cod in ((pair, other), (other, pair)):
+            h = models.AdditiveMap(dom, cod, np.eye(2, dtype=np.int64))
+            with pytest.raises(ValueError, match="map endpoints"):
+                evaluate(ident, pair, pair, h)
+
+    def test_the_zero_identity_holds_on_its_one_empty_assignment(self):
+        s = seed(3, NONCOMMUTATIVE)
+        z5 = models.make_zm(5)
+        rep = evaluate(combine([(1, s), (-1, s)]), z5, z5, models.negation_map(z5))
+        assert (rep.ok, rep.checked, rep.space, rep.exhaustive, rep.witness) == (True, 1, 1, True, None)

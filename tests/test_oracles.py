@@ -23,11 +23,14 @@ witnesses, and a three-variable witness and an is_n_jordan witness are
 confirmed by plain integer arithmetic.  The sparse ring product is
 compared with the dense einsum over the whole structure table; it, the
 map kernel and the power filter get unreduced and negative input and
-are compared with oracles that reduce it with % first.  evaluate at
-x = -1 and four moduli up to the largest the int64 guard admits is
-compared with an oracle that reduces after every word, and the streamed
-assignments, exhaustive and sampled, with one-shot columns checked all
-at once.  The is_n_ring, which
+are compared with oracles that reduce it with % first.  power_batch's
+repeated squaring is compared with the left-to-right product on every
+constructor family.  evaluate, which sums each side as a prefix tree of
+its words, is compared with an oracle that reduces after every word: at
+x = -1 and five moduli from 101 up to the largest the int64 guard
+admits, on Hypothesis-drawn identities with shared prefixes, and on the
+streamed assignments, exhaustive and sampled, against one-shot columns
+checked all at once.  The is_n_ring, which
 decides and finds its first witness on the d^n basis tuples alone, is
 compared with the one-shot sweep over all size^n tuples.
 """
@@ -38,18 +41,21 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import GF, QQ, Matrix, factorint, nextprime
 from sympy.polys.matrices import DomainMatrix
 
 from njordan import models
 from njordan.errors import GuardError
 from njordan.exact import MAX_TRIAL_DIVISOR, eliminate, prime_factors, residue
-from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, linear_form, substitute_linear, var_name
-from njordan.identities import evaluate, parse_identity, seed
+from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, linear_form, substitute_linear, var_id, var_name
+from njordan.identities import HIdentity, evaluate, parse_identity, seed
 from njordan.models import (
     PREDICATES,
     AdditiveMap,
@@ -561,14 +567,16 @@ def test_mul_batch_matches_einsum(spec, rows):
     got = ring.mul_batch(u, v)
     assert got.shape == (rows, d)
     assert (got == _einsum_product(ring, u, v)).all()
-    # and on reduced input, which is what the kernels mostly get
+    # and on reduced input, which is what the kernels mostly get, and on other dtypes
     assert (ring.mul_batch(u % m, v % m) == got).all()
+    assert (ring.mul_batch(u.astype(np.int32), v.astype(object)) == got).all()
 
     mat = rng.integers(-3 * m, 3 * m, size=(d, d))
     h = AdditiveMap(ring, ring, mat)
     expected = (u % m) @ (mat % m).T % m
     assert (h.apply_batch(u) == expected).all()
     assert (h.apply_batch(u % m) == expected).all()
+    assert (h.apply_batch(u.astype(np.int32)) == expected).all()
 
     # the identity map preserves squares and a random map mostly does not;
     # each matrix, element and square is shifted by multiples of m, some negative
@@ -579,6 +587,21 @@ def test_mul_batch_matches_einsum(spec, rows):
     assert mask.shape == (2, rows)
     assert not mask[0].any()
     assert (mask[1] == (lhs != _einsum_product(ring, expected, expected)).any(axis=1)).all()
+
+    # and on nonnegative input past m
+    big_u, big_v = rng.integers(0, 5 * m, size=(2, rows, d))
+    assert (ring.mul_batch(big_u, big_v) == _einsum_product(ring, big_u, big_v)).all()
+    assert (h.apply_batch(big_u) == (big_u % m) @ (mat % m).T % m).all()
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_power_by_squaring_matches_the_left_to_right_product(spec):
+    """Non-commutative rings (mat, freetrunc) and rings without a unit (upper, freetrunc) included."""
+    ring = ring_from_spec(spec)
+    m = ring.modulus
+    x = np.random.default_rng(2).integers(-2 * m, 2 * m, size=(300, ring.dim))
+    for n in range(1, 10):
+        assert (ring.power_batch(x, n) % m == ring.product_batch([x] * n) % m).all(), n
 
 
 def test_mul_batch_matches_einsum_on_random_tables():
@@ -620,6 +643,10 @@ def test_mul_batch_matches_exact_products_just_under_the_int64_guard(spec_of, fa
     exact = np.einsum("bi,bj,ijk->bk", u.astype(object) % m, v.astype(object) % m, ring.struct.astype(object)) % m
     assert got.tolist() == exact.tolist()
     assert (got == _einsum_product(ring, u, v)).all()
+    # nonnegative but past m: at this modulus the unreduced products would pass 2^63
+    big = u % m + m * (np.arange(len(u)) % 2)[:, None]
+    assert ring.mul_batch(big, v % m).tolist() == exact.tolist()
+    assert ring.mul_batch(v % m, big).tolist() == ring.mul_batch(v, u).tolist()
 
 
 def _one_shot_columns(ring, k, sample=None):
@@ -640,9 +667,10 @@ def _first_witness(bad, cols):
 
 
 def _one_shot_jordan(h, n):
+    """is_n_jordan's verdict from left-to-right products, not from power_batch's squarings."""
     (elems,) = _one_shot_columns(h.domain, 1)
-    lhs = h.apply_batch(h.domain.power_batch(elems, n))
-    rhs = h.codomain.power_batch(h.apply_batch(elems), n)
+    lhs = h.apply_batch(h.domain.product_batch([elems] * n))
+    rhs = h.codomain.product_batch([h.apply_batch(elems)] * n)
     witness = _first_witness((lhs != rhs).any(axis=1), [elems])
     return PredicateResult(witness is None, len(elems), True, witness)
 
@@ -671,29 +699,74 @@ def _one_shot_evaluate(ident, h, sample=None, cols=None):
     return witness is None, len(cols[0]), witness and dict(zip(map(var_name, variables), witness))
 
 
-# (2^63 - m) // (m - 1)^2 is 3, 2 and 1 at the first three moduli, where
+# (2^63 - m) // (m - 1)^2 is 3, 2 and 1 at the three moduli after 101, where
 # (m - 2)^2 in its place would give 4, 3 and 2; the last is the largest
-# modulus the int64 guard admits.
-@pytest.mark.parametrize("m", [1_518_500_251, 1_753_413_058, 2_147_483_649, math.isqrt(2 ** 63 - 1) + 1])
+# modulus the int64 guard admits, and at the small modulus 101 the bound
+# must still come out at least 1.
+@pytest.mark.parametrize("m", [101, 1_518_500_251, 1_753_413_058, 2_147_483_649, math.isqrt(2 ** 63 - 1) + 1])
 def test_evaluation_reduces_its_sums_before_they_pass_int64(m, monkeypatch):
-    """evaluate reduces after every (2^63 - m) // (m - 1)^2 terms, as many as
-    stay under 2^63, and the per-word oracle after each.  At x = -1 every left
-    term of both identities but x*y is exactly (m - 1)^2, so one term more
-    between reductions passes 2^63 at each modulus here; at the largest, two
-    terms of m - 1 times a random residue do too.  Negation preserves odd
-    powers, so the first identity holds: a sum that wrapped would show as a
-    false mismatch."""
+    """evaluate reduces after every (2^63 - m) // (m - 1)^2 summands, as many as
+    stay under 2^63, and the per-word oracle after each word.  evaluate sums
+    each side as a prefix tree, where a chain of words puts at most two
+    summands on a node; the third identity puts four on the node below x:
+    at x = y = z = w = -1 each is exactly (m - 1)^2, so one summand more
+    between reductions passes 2^63 at each of the first three moduli.
+    Negation preserves odd powers and products of two, so the first and
+    third identities hold: a sum that wrapped would show as a false
+    mismatch."""
     ring = ring_from_spec(f"zm:{m}", override=True)
     h = negation_map(ring)
     holds = parse_identity("h(-x^3 - x^5 - x^7 - x^9) = -H(x)^3 - H(x)^5 - H(x)^7 - H(x)^9", NONCOMMUTATIVE)
     fails = parse_identity("h(-x^3 - x^5 - x^7 - x*y) = H(x)^3 + H(x)^5 + H(x)^7 + H(x)*H(y)", NONCOMMUTATIVE)
-    # seeded draws with x = y = -1 put first: evaluate checks these columns
-    cols = [np.vstack([[[m - 1]], col]) for col in _one_shot_columns(ring, 2, (3, 500))]
-    monkeypatch.setattr(ring, "assignments", lambda k, cap, seed: (iter([cols[:k]]), False))
-    for ident, ok in ((holds, True), (fails, False)):
+    prefixed = parse_identity("h(-x*x - x*y - x*z - x*w) = H(x)^2 + H(x)*H(y) + H(x)*H(z) + H(x)*H(w)",
+                              NONCOMMUTATIVE)
+    for ident, ok in ((holds, True), (fails, False), (prefixed, True)):
+        k = len(ident.lhs.variables())
+        # seeded draws with every variable at -1 put first: evaluate checks these columns
+        cols = [np.vstack([[[m - 1]], col]) for col in _one_shot_columns(ring, k, (3, 500))]
+        monkeypatch.setattr(ring, "assignments", lambda k, cap, seed, cols=cols: (iter([cols[:k]]), False))
         rep = evaluate(ident, ring, ring, h)
         assert (rep.ok, rep.checked, rep.witness) == _one_shot_evaluate(ident, h, cols=cols)
         assert rep.ok == ok
+
+
+LETTERS = [var_id(c) for c in "xyz"]
+COEFFS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def prefixed_identities(draw):
+    """Left words with a shared stem: the stem itself, two words one letter
+    longer, a one-letter word and a few free words; rational coefficients
+    invertible mod 5; a right side of up to three monomials, possibly none."""
+    letter = st.sampled_from(LETTERS)
+    stem = tuple(draw(st.lists(letter, min_size=1, max_size=2)))
+    words = {stem, stem + (draw(letter),), stem + (draw(letter),), (draw(letter),)}
+    words |= {tuple(w) for w in draw(st.lists(st.lists(letter, min_size=1, max_size=4), max_size=4))}
+    lhs = FreePoly.from_terms([(w, draw(COEFFS)) for w in sorted(words)], NONCOMMUTATIVE)
+    rhs_words = draw(st.lists(st.lists(letter, min_size=1, max_size=3), max_size=3))
+    return HIdentity(lhs, FreePoly.from_terms([(w, draw(COEFFS)) for w in rhs_words], COMMUTATIVE))
+
+
+FACTORED_PAIRS = [("freetrunc:2d2@5", "nilpoly:2@5"), ("upper:3@5", "zm:5^2"), ("mat:2x2@5", "zm:5")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ident=prefixed_identities(), pair=st.sampled_from(FACTORED_PAIRS), density=st.sampled_from([0.2, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_prefix_tree_evaluation_matches_the_per_word_oracle(ident, pair, density, seed):
+    """evaluate's prefix-tree sums against _one_shot_evaluate's word-by-word
+    products, on sampled assignments of non-commutative domains, the same
+    identity also with its right side replaced by 0; a one-letter identity
+    on upper:3@5 fits under the cap and is enumerated."""
+    domain, codomain = (ring_from_spec(spec) for spec in pair)
+    rng = np.random.default_rng(seed)
+    shape = (codomain.dim, domain.dim)
+    h = AdditiveMap(domain, codomain, rng.integers(0, 5, size=shape) * (rng.random(shape) < density))
+    for case in (ident, HIdentity(ident.lhs, FreePoly.zero(COMMUTATIVE))):
+        rep = evaluate(case, domain, codomain, h, max_assignments=200, sample_seed=seed)
+        sample = None if rep.exhaustive else (seed, 200)
+        assert (rep.ok, rep.checked, rep.witness) == _one_shot_evaluate(case, h, sample)
 
 
 def _streamed_maps():
@@ -730,23 +803,30 @@ def test_streamed_ring_predicate_matches_one_shot_columns(block, monkeypatch):
             assert is_n_ring(h, 2) == _one_shot_ring(h, 2)
 
 
-@pytest.mark.parametrize("block", [100, models.BLOCK_ROWS, 2 ** 15, 2 ** 16])
+@pytest.mark.parametrize("block", [7, 100, models.BLOCK_ROWS, 2 ** 15, 2 ** 16])
 def test_streamed_evaluation_matches_one_shot_columns(block, monkeypatch):
+    """Blocks hold 4 * BLOCK_ROWS // d assignments: from 2 rows of the gap
+    model's d = 14 to 2^18 rows of Z_7's d = 1."""
     monkeypatch.setattr(models, "BLOCK_ROWS", block)
+    z7 = ring_from_spec("zm:7")
+    maps = [*filter(lambda h: h.codomain.commutative, _streamed_maps()), gap_witness_model()[2],
+            AdditiveMap(z7, z7, [[3]])]
     texts = [
         "h(x*y*x) = H(x)^2*H(y)",
         "h(x*y + y*x) = 2*H(x)*H(y)",
         "h(x^2*y - 3*y*x^2 + 2/3*x*y*x) = -1/3*H(x)^2*H(y)",
         "h(x*y*z) = H(x)*H(y)*H(z)",
     ]
-    for h in filter(lambda h: h.codomain.commutative, _streamed_maps()):
+    for h in maps:
         for text in texts:
             ident = parse_identity(text, NONCOMMUTATIVE)
-            # every space here holds at least 25^2 assignments, so 300 are sampled
-            rep = evaluate(ident, h.domain, h.codomain, h, max_assignments=300, sample_seed=4)
+            space = h.domain.size ** len(ident.lhs.variables())
+            # 300 assignments are sampled, or one fewer than Z_7's 7^2
+            cap = min(300, space - 1)
+            rep = evaluate(ident, h.domain, h.codomain, h, max_assignments=cap, sample_seed=4)
             assert not rep.exhaustive
-            assert (rep.ok, rep.checked, rep.witness) == _one_shot_evaluate(ident, h, (4, 300))
-            if h.domain.size ** len(ident.lhs.variables()) > 10 ** 5:
+            assert (rep.ok, rep.checked, rep.witness) == _one_shot_evaluate(ident, h, (4, cap))
+            if space > 10 ** 5:
                 continue
             rep = evaluate(ident, h.domain, h.codomain, h)
             assert rep.exhaustive
@@ -758,14 +838,46 @@ def test_first_mismatch_past_the_first_block():
     pair = ring_from_spec("zm:5^2")
     h = AdditiveMap(pair, pair, [[2, 0], [0, 0]])
     first = 5 * (25 ** 3 + 25 ** 2 + 25 + 1)
-    assert first > models.BLOCK_ROWS
+    # evaluate's blocks of 4 * BLOCK_ROWS // d assignments of zm:5^2 hold 8,192
+    assert first > 4 * models.BLOCK_ROWS // pair.dim == 8192
     expected = _one_shot_ring(h, 4)
     assert expected == PredicateResult(False, 25 ** 4, True, ([1, 0], [1, 0], [1, 0], [1, 0]))
     assert is_n_ring(h, 4) == expected
     ident = parse_identity("h(x*y*z*w) = H(x)*H(y)*H(z)*H(w)", NONCOMMUTATIVE)
-    rep = evaluate(ident, pair, pair, h)
+    # a space exactly at the cap is enumerated
+    rep = evaluate(ident, pair, pair, h, max_assignments=25 ** 4)
     assert (rep.ok, rep.checked, rep.space, rep.exhaustive) == (False, 25 ** 4, 25 ** 4, True)
     assert rep.witness == {"x": [1, 0], "y": [1, 0], "z": [1, 0], "w": [1, 0]}
+
+
+@pytest.mark.parametrize("spec,k,rows", [("zm:7", 6, 16384), ("zm:5^2", 4, 8192), ("freetrunc:2d3@5", 3, 1170)])
+def test_assignment_blocks_hold_a_coordinate_budget(spec, k, rows):
+    """Blocks of 4 * BLOCK_ROWS // d assignments, each variable's (rows, d)
+    column in Fortran order, so that every column holds 4 * BLOCK_ROWS cells."""
+    ring = ring_from_spec(spec)
+    assert rows == 4 * models.BLOCK_ROWS // ring.dim
+    for cap, seed in ((ring.size ** k, None), (3 * rows, 0)):
+        blocks, _ = ring.assignments(k, cap, seed)
+        cols = next(blocks)
+        assert len(cols) == k
+        assert all(c.shape == (rows, ring.dim) and c.flags.f_contiguous for c in cols)
+
+
+def test_evaluation_blocks_stay_small_on_a_wide_domain():
+    """Each variable's block column holds 4 * BLOCK_ROWS int64 cells, so the
+    six-word S3 identity on 10^4 samples of the gap model (d = 14) peaks
+    under 2 MiB of traced allocations."""
+    dom, cod, h = gap_witness_model()
+    ident = parse_identity("h(x*y*z + x*z*y + y*x*z + y*z*x + z*x*y + z*y*x) = 6*H(x)*H(y)*H(z)", NONCOMMUTATIVE)
+    evaluate(ident, dom, cod, h, max_assignments=10 ** 4, sample_seed=0)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        rep = evaluate(ident, dom, cod, h, max_assignments=10 ** 4, sample_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.checked == 10 ** 4
+    assert peak < 2 * 2 ** 20
 
 
 def _ring_pair_maps(dom, cod):
