@@ -722,20 +722,19 @@ def _coefficient(text: str) -> Fraction:
     return Fraction(text)
 
 
-def verify_certificate(cert: Certificate, target: str | None = None) -> bool:
+def verify_certificate(cert: Certificate) -> bool:
     """Re-expand the certificate with the identity calculus and compare.
 
     Pure recomputation: substitutes each stored linear form into a fresh
     seed, combines with the stored coefficients, and checks the result
-    against the target (the embedded one unless an explicit target is
-    given): the difference of the combination and the target must vanish,
-    over GF(p) up to congruence of every coefficient.  Every form is parsed
-    first, and GuardError is raised before any is expanded if together they
-    would expand past EXPANSION_CAP letters, which no certificate drawn from
-    generate_instances does.
+    against the embedded target: the difference of the combination and the
+    target must vanish, over GF(p) up to congruence of every coefficient.
+    Every form is parsed first, and GuardError is raised before any is
+    expanded if together they would expand past EXPANSION_CAP letters, which
+    no certificate drawn from generate_instances does.
     """
     try:
-        expected = parse_identity(cert.target if target is None else target, cert.mode)
+        expected = parse_identity(cert.target, cert.mode)
         p = _parse_field(cert.field)
         base = seed(cert.n, cert.mode)
         parsed = [(_coefficient(coeff), parse_expr(expr, cert.mode)) for expr, coeff in cert.instances]

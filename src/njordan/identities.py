@@ -231,6 +231,6 @@ def evaluate(
         # h is Z_m-linear: sum the left side in the domain and apply h once
         return (h.apply_batch(combination(ring_a, lhs_tree, assign, count)) != rhs).any(axis=1)
 
-    result = check_blocks(blocks, mismatch, exhaustive)
-    witness = None if result.ok else dict(zip(map(var_name, variables), result.witness))
-    return EvalReport(result.ok, result.checked, space, exhaustive, witness)
+    checked, witness = check_blocks(blocks, mismatch)
+    named = None if witness is None else dict(zip(map(var_name, variables), witness))
+    return EvalReport(witness is None, checked, space, exhaustive, named)

@@ -21,8 +21,9 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from itertools import count, islice, product as cartesian_product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -41,10 +42,15 @@ TUPLE_CAP = 10 ** 7
 # variable's (rows, d) int64 column is 128 KiB whatever d is, which stays in
 # a core's L2 cache.
 BLOCK_ROWS = 2 ** 12
-# Most int64 cells (elements times dimension) of a cached element or power table.
+# Most int64 cells (elements times dimension) of one element table, and of
+# all the element-power tables one ring caches together.
 ELEMENT_CAP = 2 ** 22
+# Most elements of a search domain, whose powers a scan computes up front.
+MAX_SEARCH_DOMAIN = 4096
 CONSTRUCTOR_MODULI = (2, 3, 5, 7)
 MAX_MATRIX_SIZE = 4
+# Most points of a function ring, with no override.
+MAX_POINTS = 4
 # Most basis elements of any ring, with no override: every ring materializes
 # its d x d x d structure table.
 MAX_DIM = 64
@@ -162,8 +168,8 @@ class FiniteRing:
         self.size = modulus ** self.dim
         self._check_associativity()
         self.commutative = bool((struct == struct.transpose(1, 0, 2)).all())
-        self._elements: np.ndarray | None = None
-        self._powers: dict[int, np.ndarray] = {}
+        # n -> the n-th powers of every element; the element table is n = 1
+        self._tables: dict[int, np.ndarray] = {}
 
     def _check_associativity(self) -> None:
         """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, as a join over the nonzero constants.
@@ -219,12 +225,7 @@ class FiniteRing:
 
     def element_vectors(self) -> np.ndarray:
         """All elements as an (size, d) array in index order."""
-        cells = self.size * self.dim
-        if cells > ELEMENT_CAP:
-            raise GuardError(f"{self.size} elements exceed the materialization cap: {cells} cells over {ELEMENT_CAP}")
-        if self._elements is None:
-            self._elements = _digits(np.arange(self.size, dtype=np.int64), self.modulus, self.dim)
-        return self._elements
+        return self.all_powers(1)
 
     def index_of(self, vec: np.ndarray) -> int:
         return _index(vec, self.modulus)
@@ -253,17 +254,6 @@ class FiniteRing:
         coords = map(lambda pts: np.ascontiguousarray(pts.T), points)
         return ([rows[v * d:(v + 1) * d].T for v in range(k)] for rows in coords), exhaustive
 
-    def product_batch(self, factors: Iterable[np.ndarray]) -> np.ndarray:
-        """Left-to-right ring product of a nonempty sequence of (N, d) batches.
-
-        Factors from a generator are made one at a time, as the product needs them.
-        """
-        factors = iter(factors)
-        out = next(factors)
-        for f in factors:
-            out = self.mul_batch(out, f)
-        return out
-
     def power_batch(self, vecs: np.ndarray, n: int) -> np.ndarray:
         """n-th power (n at least 1) of each row of an (N, d) batch, by repeated squaring.
 
@@ -281,10 +271,21 @@ class FiniteRing:
             square = self.mul_batch(square, square)
 
     def all_powers(self, n: int) -> np.ndarray:
-        """n-th powers of every element, cached."""
-        if n not in self._powers:
-            self._powers[n] = self.power_batch(self.element_vectors(), n)
-        return self._powers[n]
+        """n-th powers of every element in index order, cached in at most ELEMENT_CAP cells in all.
+
+        A table that would pass that empties the cache first; one table over it is refused.
+        """
+        cells = self.size * self.dim
+        if cells > ELEMENT_CAP:
+            raise GuardError(f"{self.size} elements exceed the materialization cap: {cells} cells over {ELEMENT_CAP}")
+        if n not in self._tables:
+            elements = self._tables.get(1)
+            if cells * (len(self._tables) + 1) > ELEMENT_CAP:
+                self._tables.clear()
+            if elements is None:
+                elements = _digits(np.arange(self.size, dtype=np.int64), self.modulus, self.dim)
+            self._tables[n] = self.power_batch(elements, n)
+        return self._tables[n]
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.name}, m={self.modulus}, d={self.dim})"
@@ -390,8 +391,8 @@ def strict_upper(k: int, m: int, override: bool = False) -> FiniteRing:
 
 def function_ring(base: FiniteRing, npoints: int, override: bool = False) -> FiniteRing:
     """Ring of functions from npoints points into base, with pointwise product."""
-    if npoints > 4 and not override:
-        raise GuardError(f"{npoints} points exceed 4; pass override to lift")
+    if npoints > MAX_POINTS and not override:
+        raise GuardError(f"{npoints} points exceed {MAX_POINTS}; pass override to lift")
     if npoints < 1:
         raise ValueError("need at least one point")
     _check_dim(base.dim * npoints)
@@ -508,7 +509,7 @@ class AdditiveMap:
         return _index(self.matrix.reshape(-1), self.domain.modulus)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return (self.matrix @ (np.asarray(vec, dtype=np.int64) % self.domain.modulus)) % self.domain.modulus
+        return self.apply_batch(np.asarray(vec)[None, :])[0]
 
     def apply_batch(self, vecs: np.ndarray) -> np.ndarray:
         # residues in, so the sums are nonnegative, where fmod agrees with %
@@ -532,9 +533,9 @@ def negation_map(ring: FiniteRing) -> AdditiveMap:
     return AdditiveMap(ring, ring, (-np.eye(ring.dim, dtype=np.int64)) % ring.modulus)
 
 
-def transpose_map(k: int, m: int, override: bool = False) -> tuple[FiniteRing, AdditiveMap]:
+def transpose_map(k: int, m: int) -> tuple[FiniteRing, AdditiveMap]:
     """The matrix ring together with its transposition map."""
-    ring = matrix_ring(k, m, override)
+    ring = matrix_ring(k, m)
     mat = np.zeros((ring.dim, ring.dim), dtype=np.int64)
     for i in range(k):
         for j in range(k):
@@ -567,18 +568,14 @@ def _candidates(
 
 
 def additive_maps(
-    domain: FiniteRing,
-    codomain: FiniteRing,
-    sample_count: int | None = None,
-    seed: int = 0,
-    override: bool = False,
+    domain: FiniteRing, codomain: FiniteRing, sample_count: int | None = None, seed: int = 0
 ) -> Iterator[AdditiveMap]:
     """Every additive map in row-major index order, guarded by their count, or a seeded sample of them.
 
     Drawn in blocks of at most BLOCK_ROWS matrix entries.
     """
     block = max(1, BLOCK_ROWS // (codomain.dim * domain.dim))
-    for mats in _candidates(domain, codomain, block, sample_count, seed, override):
+    for mats in _candidates(domain, codomain, block, sample_count, seed):
         for mat in mats:
             yield AdditiveMap(domain, codomain, mat)
 
@@ -589,8 +586,9 @@ class PredicateResult:
 
     ok: bool
     checked: int
-    exhaustive: bool
     witness: tuple[list[int], ...] | None = None
+    # neither predicate samples
+    exhaustive: ClassVar[bool] = True
 
     def to_json(self) -> dict:
         return {
@@ -602,13 +600,12 @@ class PredicateResult:
 
 
 def check_blocks(
-    blocks: Iterable[list[np.ndarray]], mismatch: Callable[[list[np.ndarray], int], np.ndarray], exhaustive: bool
-) -> PredicateResult:
-    """One result from a mismatch mask over every block of assignment columns.
+    blocks: Iterable[list[np.ndarray]], mismatch: Callable[[list[np.ndarray], int], np.ndarray]
+) -> tuple[int, tuple[list[int], ...] | None]:
+    """How many assignments every block of columns holds, and the first that mismatches (None if none).
 
-    ``mismatch`` gets a block's columns and the number of rows before it.
-    Every block is checked, so ``checked`` counts every assignment; the
-    witness is the first mismatching assignment, one element per column.
+    ``mismatch`` gets a block's columns and the number of rows before it and
+    returns its mismatch mask; the witness holds one element per column.
     """
     checked, witness = 0, None
     for cols in blocks:
@@ -617,7 +614,7 @@ def check_blocks(
             first = int(np.flatnonzero(bad)[0])
             witness = tuple(c[first].tolist() for c in cols)
         checked += len(bad)
-    return PredicateResult(witness is None, checked, exhaustive, witness)
+    return checked, witness
 
 
 def _power_mismatch(
@@ -654,7 +651,8 @@ def is_n_jordan(h: AdditiveMap, n: int) -> PredicateResult:
         (block,) = cols
         return _power_mismatch(h.matrix[None], block, powers[start:start + len(block)], h.codomain, n)[0]
 
-    return check_blocks(([elems[s:s + BLOCK_ROWS]] for s in range(0, ring_a.size, BLOCK_ROWS)), mismatch, True)
+    checked, witness = check_blocks(([elems[s:s + BLOCK_ROWS]] for s in range(0, ring_a.size, BLOCK_ROWS)), mismatch)
+    return PredicateResult(witness is None, checked, witness)
 
 
 def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
@@ -676,13 +674,13 @@ def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
         raise GuardError(f"{d}^{n} basis tuples exceed cap {TUPLE_CAP} at {n - 1} products each")
 
     def mismatch(cols: list[np.ndarray], _start: int) -> np.ndarray:
-        lhs = h.apply_batch(h.domain.product_batch(cols))
-        rhs = h.codomain.product_batch(h.apply_batch(c) for c in cols)
+        lhs = h.apply_batch(reduce(h.domain.mul_batch, cols))
+        rhs = reduce(h.codomain.mul_batch, (h.apply_batch(c) for c in cols))
         return (lhs != rhs).any(axis=1)
 
     basis = np.eye(d, dtype=np.int64)[::-1]
-    found = check_blocks(([basis[col] for col in idx.T] for idx in _blocks(d, n, BLOCK_ROWS)), mismatch, True)
-    return PredicateResult(found.ok, h.domain.size ** n, True, found.witness)
+    _, witness = check_blocks(([basis[col] for col in idx.T] for idx in _blocks(d, n, BLOCK_ROWS)), mismatch)
+    return PredicateResult(witness is None, h.domain.size ** n, witness)
 
 
 @dataclass(frozen=True, slots=True)
@@ -691,14 +689,13 @@ class SearchHit:
 
     The map is kept as its index alone, with the (rows, columns) of its
     matrix and its modulus; ``matrix`` decodes it when read.  The hits of one
-    search share equal reports.
+    search share equal second reports.
     """
 
     index: int
     shape: tuple[int, int]
     modulus: int
     predicate: str
-    first: PredicateResult
     second: PredicateResult
 
     @property
@@ -708,9 +705,10 @@ class SearchHit:
 
     @property
     def details(self) -> dict:
-        """Both checks' reports under the predicate's detail keys."""
+        """Both checks' reports under the predicate's detail keys; the filter passed on every domain element."""
         _, first_key, second_key, _ = _PREDICATES[self.predicate]
-        return {first_key: self.first.to_json(), second_key: self.second.to_json()}
+        first = PredicateResult(True, self.modulus ** self.shape[1])
+        return {first_key: first.to_json(), second_key: self.second.to_json()}
 
     def to_json(self) -> dict:
         return {"index": self.index, "matrix": self.matrix, "details": self.details}
@@ -746,9 +744,9 @@ def _scan(
 
     The power condition is checked on every domain element at once for a
     block of as many candidate matrices as keep the (map, element) pairs
-    under BLOCK_ROWS.  Domains over 4096 elements are refused.
+    under BLOCK_ROWS.  Domains over MAX_SEARCH_DOMAIN elements are refused.
     """
-    if domain.size > 4096:
+    if domain.size > MAX_SEARCH_DOMAIN:
         raise GuardError("search domain too large to precompute element powers")
     _check_power(power, 1)
     elems = domain.element_vectors()
@@ -782,9 +780,6 @@ def search(
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     _check_power(n, 1)
-    # The filter checks the first condition, h(a^p) = h(a)^p, on every element
-    # of the domain, exactly as is_n_jordan would: one report serves every hit.
-    first = PredicateResult(True, domain.size, True)
     # A search's second reports take a few distinct values over hundreds of
     # hits: each hit keeps the first equal report made.
     seconds: dict[tuple, PredicateResult] = {}
@@ -794,24 +789,18 @@ def search(
         second = _predicate(predicate, hmap, n)
         if not second.ok:
             second = seconds.setdefault((second.checked, tuple(map(tuple, second.witness))), second)
-            hits.append(SearchHit(hmap.index, shape, domain.modulus, predicate, first, second))
+            hits.append(SearchHit(hmap.index, shape, domain.modulus, predicate, second))
             if len(hits) == limit:
                 break
     return hits
 
 
-def find_njordan_maps(
-    domain: FiniteRing,
-    codomain: FiniteRing,
-    n: int,
-    limit: int = 64,
-    override: bool = False,
-) -> list[AdditiveMap]:
+def find_njordan_maps(domain: FiniteRing, codomain: FiniteRing, n: int, limit: int = 64) -> list[AdditiveMap]:
     """All (or the first ``limit``) n-Jordan additive maps, exhaustively.
 
-    Runs on search's blocked scan, so domains over 4096 elements are refused.
+    Runs on search's blocked scan, so domains over MAX_SEARCH_DOMAIN elements are refused.
     """
-    return list(islice(_scan(domain, codomain, n, override=override), limit))
+    return list(islice(_scan(domain, codomain, n), limit))
 
 
 def paper_examples() -> dict:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -713,6 +716,24 @@ class TestCommandContract:
                                            for opt in action.option_strings or [action.dest]
                                            if opt not in ("-h", "--help")]
         assert options == COMMAND_OPTIONS
+
+    def test_every_constant_the_guard_table_cites_resolves(self):
+        """Each row of README's bounds table cites its constants as `module.NAME`, or
+        `module.name()` for a function, of njordan, or has none (a dash)."""
+        lines = (SRC.parent / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| Input | Bound | Constant | Override |")
+        rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]))
+        cited = []
+        for row in rows:
+            cells = row.strip("|").split("|")
+            assert len(cells) == 4, row
+            constant = cells[2].strip()
+            assert re.sub(r"`[^`]*`", "", constant).strip(" ,") in ("", "—"), row
+            cited += re.findall(r"`([^`]*)`", constant)
+        for name in cited:
+            module, attr = re.fullmatch(r"(\w+)\.(\w+)(?:\(\))?", name).groups()
+            assert hasattr(importlib.import_module(f"njordan.{module}"), attr), name
+        assert len(rows) > 20 and {"models.MAX_POINTS", "models.MAX_SEARCH_DOMAIN"} <= set(cited)
 
     def test_process_exit_status(self, tmp_path):
         ok = run_process(["replay", "--script", "n2_comm"])

@@ -151,6 +151,15 @@ class TestContractivityChecks:
         with pytest.raises(ValueError, match="exceeds 100000"):
             random_linear_maps(2, 2, MAX_SAMPLES + 1)
 
+    def test_step2_sweep_bound_admits_equality(self, monkeypatch):
+        # a stand-in bound of 60 map-sample pairs: 4 maps x 15 samples is at it, 4 x 16 and 61 x 1 past it
+        monkeypatch.setattr(cstar_num, "MAX_SWEEP_WORK", 60)
+        assert check_step2(2, 2, 3, 4, 15)["maps"] == 4
+        assert check_step2(2, 2, 3, 60, 1)["maps"] == 60
+        for count, samples in ((4, 16), (61, 1)):
+            with pytest.raises(ValueError, match=f"{count} maps x {samples} samples exceeds 60 map-sample pairs"):
+                check_step2(2, 2, 3, count, samples)
+
     def test_whole_equals_componentwise_reduction(self):
         maps = random_linear_maps(2, 2, 1000, seed=0)
         assert all(step2_reduction_check(h, 3) for h in maps)

@@ -291,8 +291,8 @@ class TestCertificates:
 
     def test_verification_checks_against_supplied_target(self):
         cert = self.fresh()
-        assert verify_certificate(cert, SYM_SIX)
-        assert not verify_certificate(cert, SINGLE)
+        assert verify_certificate(dataclasses.replace(cert, target=SYM_SIX))
+        assert not verify_certificate(dataclasses.replace(cert, target=SINGLE))
 
     def test_tampered_coefficient_fails(self):
         cert = self.fresh()

@@ -281,6 +281,16 @@ class TestAdditiveMaps:
         z5 = make_zm(5)
         assert is_n_ring(AdditiveMap(z5, z5, np.eye(1, dtype=np.int64)), models.MAX_POWER).ok
 
+    def test_ring_check_bound_admits_equality(self, monkeypatch):
+        # 2^3 basis tuples at 2 products each: 16 products, at a stand-in bound of 16 and past one of 15
+        pair = ring_from_spec("zm:5^2")
+        h = AdditiveMap(pair, pair, np.eye(pair.dim, dtype=np.int64))
+        monkeypatch.setattr(models, "TUPLE_CAP", 16)
+        assert is_n_ring(h, 3).ok
+        monkeypatch.setattr(models, "TUPLE_CAP", 15)
+        with pytest.raises(GuardError, match=r"2\^3 basis tuples exceed cap 15 at 2 products each"):
+            is_n_ring(h, 3)
+
     def test_jordan_predicate_refuses_past_the_element_table(self):
         ring = ring_from_spec("zm:5^10")
         assert ring.size > models.ELEMENT_CAP
@@ -293,7 +303,7 @@ class TestAdditiveMaps:
         assert wide.size <= models.ELEMENT_CAP < wide.size * wide.dim
         with pytest.raises(GuardError, match=f"{wide.size} elements exceed the materialization cap"):
             is_n_jordan(negation_map(wide), 2)
-        assert wide._elements is None and not wide._powers
+        assert not wide._tables
         narrow = ring_from_spec("zm:2^17")
         assert narrow.size * narrow.dim <= models.ELEMENT_CAP
         assert is_n_jordan(negation_map(narrow), 2).ok
@@ -345,10 +355,12 @@ class TestSearch:
     def test_hit_matrix_decodes_an_index_past_int64(self):
         ring = matrix_ring(3, 2)
         index = 2 ** 80 + 2 ** 63 + 5
-        first = PredicateResult(True, ring.size, True)
-        hit = models.SearchHit(index, (ring.dim, ring.dim), 2, "njordan_not_jordan", first, first)
+        second = PredicateResult(False, ring.size, ([1] * 9,))
+        hit = models.SearchHit(index, (ring.dim, ring.dim), 2, "njordan_not_jordan", second)
         assert hit.matrix == AdditiveMap.from_index(ring, ring, index).matrix.tolist()
         assert hit.to_json()["matrix"] == hit.matrix and len(hit.matrix) == 9
+        # the filter's report: it passed on every one of the 2^9 domain elements
+        assert hit.details == {"njordan": PredicateResult(True, 2 ** 9).to_json(), "jordan": second.to_json()}
 
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_is_refused(self, limit):
@@ -436,7 +448,7 @@ class TestGapWitness:
         dom, cod, h = gap_witness_model()
         eu, ev = [0] * dom.dim, [0] * dom.dim
         eu[0] = ev[1] = 1
-        assert is_n_ring(h, 3) == PredicateResult(False, 5 ** 42, True, (eu, ev, eu))
+        assert is_n_ring(h, 3) == PredicateResult(False, 5 ** 42, (eu, ev, eu))
 
 
 class TestExampleCatalogue:

@@ -25,7 +25,8 @@ compared with the dense einsum over the whole structure table; it, the
 map kernel and the power filter get unreduced and negative input and
 are compared with oracles that reduce it with % first.  power_batch's
 repeated squaring is compared with the left-to-right product on every
-constructor family.  evaluate, which sums each side as a prefix tree of
+constructor family, and is_n_jordan, with the power-table cache bounded
+to three tables, with the left-to-right oracle on a ring of its own.  evaluate, which sums each side as a prefix tree of
 its words, is compared with an oracle that reduces after every word: at
 x = -1 and five moduli from 101 up to the largest the int64 guard
 admits, on Hypothesis-drawn identities with shared prefixes, and on the
@@ -37,6 +38,7 @@ compared with the one-shot sweep over all size^n tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -601,7 +603,7 @@ def test_power_by_squaring_matches_the_left_to_right_product(spec):
     m = ring.modulus
     x = np.random.default_rng(2).integers(-2 * m, 2 * m, size=(300, ring.dim))
     for n in range(1, 10):
-        assert (ring.power_batch(x, n) % m == ring.product_batch([x] * n) % m).all(), n
+        assert (ring.power_batch(x, n) % m == functools.reduce(ring.mul_batch, [x] * n) % m).all(), n
 
 
 def test_mul_batch_matches_einsum_on_random_tables():
@@ -669,18 +671,18 @@ def _first_witness(bad, cols):
 def _one_shot_jordan(h, n):
     """is_n_jordan's verdict from left-to-right products, not from power_batch's squarings."""
     (elems,) = _one_shot_columns(h.domain, 1)
-    lhs = h.apply_batch(h.domain.product_batch([elems] * n))
-    rhs = h.codomain.product_batch([h.apply_batch(elems)] * n)
+    lhs = h.apply_batch(functools.reduce(h.domain.mul_batch, [elems] * n))
+    rhs = functools.reduce(h.codomain.mul_batch, [h.apply_batch(elems)] * n)
     witness = _first_witness((lhs != rhs).any(axis=1), [elems])
-    return PredicateResult(witness is None, len(elems), True, witness)
+    return PredicateResult(witness is None, len(elems), witness)
 
 
 def _one_shot_ring(h, n):
     cols = _one_shot_columns(h.domain, n)
-    lhs = h.apply_batch(h.domain.product_batch(cols))
-    rhs = h.codomain.product_batch(h.apply_batch(c) for c in cols)
+    lhs = h.apply_batch(functools.reduce(h.domain.mul_batch, cols))
+    rhs = functools.reduce(h.codomain.mul_batch, (h.apply_batch(c) for c in cols))
     witness = _first_witness((lhs != rhs).any(axis=1), cols)
-    return PredicateResult(witness is None, len(cols[0]), True, witness)
+    return PredicateResult(witness is None, len(cols[0]), witness)
 
 
 def _one_shot_evaluate(ident, h, sample=None, cols=None):
@@ -691,10 +693,10 @@ def _one_shot_evaluate(ident, h, sample=None, cols=None):
     assign = dict(zip(variables, cols))
     lhs = np.zeros((len(cols[0]), ring_b.dim), dtype=np.int64)
     for word, coeff in ident.lhs.terms:
-        lhs = (lhs + residue(coeff, m) * h.apply_batch(ring_a.product_batch(assign[v] for v in word))) % m
+        lhs = (lhs + residue(coeff, m) * h.apply_batch(functools.reduce(ring_a.mul_batch, (assign[v] for v in word)))) % m
     rhs = np.zeros_like(lhs)
     for word, coeff in ident.rhs.terms:
-        rhs = (rhs + residue(coeff, m) * ring_b.product_batch(h.apply_batch(assign[v]) for v in word)) % m
+        rhs = (rhs + residue(coeff, m) * functools.reduce(ring_b.mul_batch, (h.apply_batch(assign[v]) for v in word))) % m
     witness = _first_witness((lhs != rhs).any(axis=1), cols)
     return witness is None, len(cols[0]), witness and dict(zip(map(var_name, variables), witness))
 
@@ -792,6 +794,50 @@ def test_streamed_jordan_predicate_matches_one_shot_column(block, monkeypatch):
             assert is_n_jordan(h, n) == _one_shot_jordan(h, n)
 
 
+def test_bounded_power_tables_match_the_uncached_oracle(monkeypatch):
+    """With room for three zm:5^2 tables, is_n_jordan for n = 1..9 in shuffled
+    order gives the verdicts of the left-to-right oracle on a ring of its own.
+    The cache fills to ELEMENT_CAP cells and never passes it, even while a
+    table is formed, and the maps after the first at each n reuse its table:
+    an emptied cache forms only the element table again."""
+    domain, codomain, oracle_domain = (ring_from_spec("zm:5^2") for _ in range(3))
+    cells = domain.size * domain.dim
+    monkeypatch.setattr(models, "ELEMENT_CAP", 3 * cells)
+    held, formed = [], []
+    power_batch = FiniteRing.power_batch
+
+    def counting(self, vecs, n):
+        if self is domain:
+            formed.append(n)
+            assert sum(t.size for t in domain._tables.values()) + cells <= models.ELEMENT_CAP
+        return power_batch(self, vecs, n)
+
+    monkeypatch.setattr(FiniteRing, "power_batch", counting)
+    # x -> (2 x_0, 3 x_1) is n-Jordan exactly when n = 1 mod 4; the swap is an automorphism
+    mats = [[[2, 0], [0, 3]], [[0, 1], [1, 0]], [[1, 1], [0, 0]]]
+    order = list(range(1, 10))
+    random.Random(0).shuffle(order)
+    verdicts = set()
+    for n in order:
+        for k, mat in enumerate(mats):
+            before = len(formed)
+            result = is_n_jordan(AdditiveMap(domain, codomain, mat), n)
+            assert result == _one_shot_jordan(AdditiveMap(oracle_domain, codomain, mat), n), (n, mat)
+            verdicts.add(result.ok)
+            held.append(sum(t.size for t in domain._tables.values()))
+            # a call forms at most the element table and the n-th powers, and only the first call at n forms the powers
+            assert set(formed[before:]) <= {1, n}
+            assert not k or n not in formed[before:], (n, mat)
+    assert verdicts == {True, False}
+    assert max(held) == models.ELEMENT_CAP
+    # one table exactly at the cap is formed; one cell less refuses it
+    monkeypatch.setattr(models, "ELEMENT_CAP", cells)
+    assert is_n_jordan(AdditiveMap(domain, codomain, mats[1]), 11).ok
+    monkeypatch.setattr(models, "ELEMENT_CAP", cells - 1)
+    with pytest.raises(GuardError, match="25 elements exceed the materialization cap: 50 cells over 49"):
+        is_n_jordan(AdditiveMap(oracle_domain, codomain, mats[1]), 2)
+
+
 @pytest.mark.parametrize("block", [1000, models.BLOCK_ROWS, 2 ** 15, 2 ** 16])
 def test_streamed_ring_predicate_matches_one_shot_columns(block, monkeypatch):
     monkeypatch.setattr(models, "BLOCK_ROWS", block)
@@ -841,7 +887,7 @@ def test_first_mismatch_past_the_first_block():
     # evaluate's blocks of 4 * BLOCK_ROWS // d assignments of zm:5^2 hold 8,192
     assert first > 4 * models.BLOCK_ROWS // pair.dim == 8192
     expected = _one_shot_ring(h, 4)
-    assert expected == PredicateResult(False, 25 ** 4, True, ([1, 0], [1, 0], [1, 0], [1, 0]))
+    assert expected == PredicateResult(False, 25 ** 4, ([1, 0], [1, 0], [1, 0], [1, 0]))
     assert is_n_ring(h, 4) == expected
     ident = parse_identity("h(x*y*z*w) = H(x)*H(y)*H(z)*H(w)", NONCOMMUTATIVE)
     # a space exactly at the cap is enumerated
@@ -940,6 +986,6 @@ def test_passing_ring_check_multiplies_only_basis_tuples(monkeypatch):
         return mul_batch(self, u, v)
 
     monkeypatch.setattr(FiniteRing, "mul_batch", counting)
-    assert is_n_ring(AdditiveMap(pair, pair, np.eye(pair.dim, dtype=np.int64)), 4) == PredicateResult(True, 25 ** 4, True)
+    assert is_n_ring(AdditiveMap(pair, pair, np.eye(pair.dim, dtype=np.int64)), 4) == PredicateResult(True, 25 ** 4)
     # three products of 2^4 basis tuples on each side
     assert sum(rows) <= 2 * 3 * 16
