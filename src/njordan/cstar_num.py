@@ -23,22 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CALL_WORK, GuardError, check_work
+
 FILTER_TOL = 1e-9
 DEFAULT_SAMPLES = 256
 # Most samples per batch and maps per reduction sweep, with no override.
 MAX_SAMPLES = 10 ** 5
-# Most map-sample pairs one reduction sweep checks (maps times samples per map).
-MAX_SWEEP_WORK = 10 ** 7
 # Largest dimension m of a domain C^m or k of a codomain C^k, with no override.
 MAX_DIM = 64
 
 
 def _check_count(what: str, count: int, most: int | None = MAX_SAMPLES) -> None:
-    """Refuse a count, dimension or power below 1 or over most, before anything is drawn or built."""
+    """Refuse a count, dimension or power below 1 (ValueError) or over most (GuardError), before anything is drawn."""
     if count < 1:
         raise ValueError(f"{what} must be at least 1, got {count}")
     if most is not None and count > most:
-        raise ValueError(f"{what} {count} exceeds {most}")
+        raise GuardError(f"{what} {count} exceeds {most}")
 
 
 def sample_batch(m: int, count: int, seed: int = 0) -> np.ndarray:
@@ -152,28 +152,20 @@ def check_corollary_2_6(
     _check_count("k", k, 3)
     functionals = [f for f in classify_njordan_functionals(m, 3) if is_involution_preserving(f)]
     batch = sample_batch(m, samples, seed)
-    maps_checked = 0
-    max_norm = 0.0
-    all_jordan = True
-    all_contractive = True
+    maps = [LinearMapC(np.vstack([f.matrix for f in c])) for c in itertools.product(functionals, repeat=k)]
     fake = np.zeros((1, m), dtype=complex)
     fake[0, 0] = 2.0
     with np.errstate(over="ignore", invalid="ignore"):
         cubes = batch ** 3
-        for components in itertools.product(functionals, repeat=k):
-            h = LinearMapC(np.vstack([f.matrix for f in components]))
-            ok, _ = _power_holds(h, 3, batch, cubes)
-            norm = op_norm_sup(h)
-            maps_checked += 1
-            max_norm = max(max_norm, norm)
-            all_jordan = all_jordan and ok
-            all_contractive = all_contractive and norm <= 1.0
+        all_jordan = all([_power_holds(h, 3, batch, cubes)[0] for h in maps])
         fake_rejected = not _power_holds(LinearMapC(fake), 3, batch, cubes)[0]
+    max_norm = max(op_norm_sup(h) for h in maps)
+    all_contractive = max_norm <= 1.0
     return {
         "m": m,
         "k": k,
         "functionals_per_component": len(functionals),
-        "maps_checked": maps_checked,
+        "maps_checked": len(maps),
         "all_power_preserving": all_jordan,
         "all_contractive": all_contractive,
         "max_norm": max_norm,
@@ -254,25 +246,16 @@ def check_theorem_2_7(
     """
     _check_count("power", power, None)
     batch = sample_batch(h.matrix.shape[1], samples, seed)
-
-    def rejected(by: str, witness: int | None) -> dict:
-        return {
-            "rejected_by": by,
-            "witness_sample": witness,
-            "power": power,
-            "samples": samples,
-            "seed": seed,
-            "ok": False,
-        }
-
-    ok, witness = is_power_jordan(h, power, batch)
-    if not ok:
-        return rejected("power_preservation", witness)
-    if not is_involution_preserving(h):
-        return rejected("involution_preservation", None)
-    ok, witness = preserves_star_product(h, batch)
-    if not ok:
-        return rejected("star_product", witness)
+    filters = (
+        ("power_preservation", lambda: is_power_jordan(h, power, batch)),
+        ("involution_preservation", lambda: (is_involution_preserving(h), None)),
+        ("star_product", lambda: preserves_star_product(h, batch)),
+    )
+    for by, passes in filters:
+        ok, witness = passes()
+        if not ok:
+            return {"rejected_by": by, "witness_sample": witness, "power": power, "samples": samples, "seed": seed,
+                    "ok": False}
 
     norm = op_norm_sup(h)
     exponent = 4 * power + 2
@@ -304,17 +287,18 @@ def check_theorem_2_7(
 def check_step2(m: int, k: int, n: int, count: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict:
     """step2_reduction_check on ``count`` random maps from C^m to C^k, all on one drawn sample batch.
 
-    Each count is in [1, MAX_SAMPLES], count * samples is at most
-    MAX_SWEEP_WORK, m and k are in [1, MAX_DIM] and n is at least 1; all are
-    checked before anything is drawn.
+    Each count is in [1, MAX_SAMPLES], m and k in [1, MAX_DIM], n at least
+    1, and the work at most WORK_CAP (per map, k + 1 checks at CALL_WORK and
+    4 * samples * m * k multiply-adds: the map and its rows, each applied to
+    the samples and their powers), all checked before anything is drawn.
     """
     _check_count("m", m, MAX_DIM)
     _check_count("k", k, MAX_DIM)
     _check_count("n", n, None)
     _check_count("map count", count)
     _check_count("sample count", samples)
-    if count * samples > MAX_SWEEP_WORK:
-        raise ValueError(f"{count} maps x {samples} samples exceeds {MAX_SWEEP_WORK} map-sample pairs")
+    work = count * ((k + 1) * CALL_WORK + 4 * samples * m * k)
+    check_work(f"a step 2 sweep of {count} maps x {samples} samples", work)
     maps = random_linear_maps(m, k, count, seed)
     # every map is checked on the one draw step2_reduction_check would make for it
     batch, powers = _batch_and_powers(m, samples, seed, n)
@@ -338,10 +322,8 @@ def coordinate_star_map(k: int, perm: tuple[int, ...] | None = None) -> LinearMa
         perm = tuple(range(k))
     if sorted(perm) != list(range(k)):
         raise ValueError("perm must be a permutation of 0..k-1")
-    matrix = np.zeros((k, k), dtype=complex)
-    for i, j in enumerate(perm):
-        matrix[i, j] = 1.0
-    return LinearMapC(matrix)
+    # row i is the unit vector e_perm[i]
+    return LinearMapC(np.eye(k, dtype=complex)[list(perm)])
 
 
 def random_linear_maps(m: int, k: int, count: int, seed: int = 0) -> list[LinearMapC]:

@@ -27,14 +27,10 @@ from typing import Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import CALL_WORK, GuardError, check_work
 from .exact import eliminate, prime_factors
 from .freealg import MAX_DEPTH, quote, read_int
 
-# Most candidate maps one scan enumerates or draws without override.
-ENUM_CAP = 10 ** 7
-# Most products one n-ring check forms: d^n basis tuples at n - 1 products each.
-TUPLE_CAP = 10 ** 7
 # Most rows one vectorized check holds at a time: (candidate map, element)
 # pairs in a scan, elements in is_n_jordan, basis tuples in is_n_ring.
 # Identity evaluation counts coordinates instead: a block holds
@@ -45,8 +41,9 @@ BLOCK_ROWS = 2 ** 12
 # Most int64 cells (elements times dimension) of one element table, and of
 # all the element-power tables one ring caches together.
 ELEMENT_CAP = 2 ** 22
-# Most elements of a search domain, whose powers a scan computes up front.
-MAX_SEARCH_DOMAIN = 4096
+# Most elements of a search domain: a memory bound, so that a scan block of
+# one candidate map on every element holds at most BLOCK_ROWS rows.
+MAX_SEARCH_DOMAIN = BLOCK_ROWS
 CONSTRUCTOR_MODULI = (2, 3, 5, 7)
 MAX_MATRIX_SIZE = 4
 # Most points of a function ring, with no override.
@@ -544,38 +541,28 @@ def transpose_map(k: int, m: int) -> tuple[FiniteRing, AdditiveMap]:
 
 
 def _candidates(
-    domain: FiniteRing,
-    codomain: FiniteRing,
-    block: int,
-    sample_count: int | None = None,
-    seed: int = 0,
+    domain: FiniteRing, codomain: FiniteRing, block: int, each: int, sample_count: int | None, seed: int,
     override: bool = False,
 ) -> Iterator[np.ndarray]:
     """Candidate map matrices in blocks of shape (at most block, d_codomain, d_domain).
 
     Every matrix in index order, or ``sample_count`` seeded uniform draws
-    when a count is given, from _blocks; either number of maps is refused
-    past the enumeration cap unless override is set.
+    when a count is given, from _blocks.  Refused first past WORK_CAP: one
+    map's work ``each``, or all of theirs unless override is set.
     """
     rows, cols, m = codomain.dim, domain.dim, domain.modulus
     total = m ** (rows * cols) if sample_count is None else sample_count
-    if total > ENUM_CAP and not override:
-        raise GuardError(
-            f"{total} candidate maps exceed the enumeration cap {ENUM_CAP}; sample at most that many or pass override"
-        )
-    for mats in _blocks(m, rows * cols, block, sample_count, seed):
-        yield mats.reshape(-1, rows, cols)
+    check_work("one candidate map", each)
+    check_work(f"a scan of {total} candidate maps", total * each, override)
+    return (mats.reshape(-1, rows, cols) for mats in _blocks(m, rows * cols, block, sample_count, seed))
 
 
 def additive_maps(
     domain: FiniteRing, codomain: FiniteRing, sample_count: int | None = None, seed: int = 0
 ) -> Iterator[AdditiveMap]:
-    """Every additive map in row-major index order, guarded by their count, or a seeded sample of them.
-
-    Drawn in blocks of at most BLOCK_ROWS matrix entries.
-    """
-    block = max(1, BLOCK_ROWS // (codomain.dim * domain.dim))
-    for mats in _candidates(domain, codomain, block, sample_count, seed):
+    """Every additive map in index order or a seeded sample, in blocks of BLOCK_ROWS entries, at CALL_WORK more each."""
+    entries = codomain.dim * domain.dim
+    for mats in _candidates(domain, codomain, max(1, BLOCK_ROWS // entries), entries + CALL_WORK, sample_count, seed):
         for mat in mats:
             yield AdditiveMap(domain, codomain, mat)
 
@@ -638,12 +625,26 @@ def _power_mismatch(
     return (np.fmod(lhs, m, out=lhs) != rhs).any(axis=2)
 
 
+def _work(domain: FiniteRing, codomain: FiniteRing, n: int, ring: bool) -> int:
+    """Predicted multiply-adds of is_n_ring(h, n) if ring, else of is_n_jordan(h, n), for h from domain to codomain.
+
+    is_n_ring: n - 1 products a side and n + 1 applications per basis tuple.
+    is_n_jordan: per element, an n-th power a side (power_batch's products:
+    one per squaring, one per further set bit) and two applications.
+    """
+    terms, apply = len(domain._terms) + len(codomain._terms), domain.dim * codomain.dim
+    if ring:
+        return domain.dim ** n * ((n - 1) * terms + (n + 1) * apply)
+    return domain.size * ((n.bit_length() + n.bit_count() - 2) * terms + 2 * apply)
+
+
 def is_n_jordan(h: AdditiveMap, n: int) -> PredicateResult:
     """Does h(a^n) = h(a)^n hold for every element a, checked in index order.
 
-    Domains whose element table would hold over ELEMENT_CAP cells are refused.
+    Refused past ELEMENT_CAP cells of element table, or past WORK_CAP.
     """
     _check_power(n, 1)
+    check_work(f"is_n_jordan on {h.domain.size} elements", _work(h.domain, h.codomain, n, False))
     ring_a = h.domain
     elems, powers = ring_a.element_vectors(), ring_a.all_powers(n)
 
@@ -665,13 +666,12 @@ def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
     identically 0, and an element that is not a basis vector is a
     combination of basis vectors of smaller index.  With the basis in index order (e_(d-1) is element 1),
     the first failing basis tuple is the witness; ``checked`` counts the
-    size^n tuples the verdict covers.  A check of more than TUPLE_CAP
-    products is refused.
+    size^n tuples the verdict covers.  A check whose predicted work passes
+    WORK_CAP is refused, override or not.
     """
     _check_power(n, 2)
     d = h.domain.dim
-    if d ** n * (n - 1) > TUPLE_CAP:
-        raise GuardError(f"{d}^{n} basis tuples exceed cap {TUPLE_CAP} at {n - 1} products each")
+    check_work(f"is_n_ring on {d}^{n} basis tuples", _work(h.domain, h.codomain, n, True))
 
     def mismatch(cols: list[np.ndarray], _start: int) -> np.ndarray:
         lhs = h.apply_batch(reduce(h.domain.mul_batch, cols))
@@ -706,7 +706,7 @@ class SearchHit:
     @property
     def details(self) -> dict:
         """Both checks' reports under the predicate's detail keys; the filter passed on every domain element."""
-        _, first_key, second_key, _ = _PREDICATES[self.predicate]
+        _, first_key, second_key, *_ = _PREDICATES[self.predicate]
         first = PredicateResult(True, self.modulus ** self.shape[1])
         return {first_key: first.to_json(), second_key: self.second.to_json()}
 
@@ -715,44 +715,44 @@ class SearchHit:
 
 
 # name: (filter power, None meaning n; detail key of the filter's condition;
-# detail key of the second check; the second check).  A map is a hit when it
-# passes the filter and fails the second check.  The checks look up
-# is_n_jordan and is_n_ring at call time, so a wrapper installed on the
-# module attribute sees every call.
-_PREDICATES: dict[str, tuple[int | None, str, str, Callable[[AdditiveMap, int], PredicateResult]]] = {
-    "jordan_not_ring": (2, "jordan", "ring", lambda h, n: is_n_ring(h, 2)),
-    "njordan_not_jordan": (None, "njordan", "jordan", lambda h, n: is_n_jordan(h, 2)),
-    "njordan_not_nring": (None, "njordan", "nring", lambda h, n: is_n_ring(h, n)),
+# detail key of the second check; the second check's power, None meaning n;
+# whether it is is_n_ring rather than is_n_jordan).  A map is a hit when it
+# passes the filter and fails the second check, which _predicate looks up
+# at call time, so that a wrapper on the module attribute sees every call.
+_PREDICATES: dict[str, tuple[int | None, str, str, int | None, bool]] = {
+    "jordan_not_ring": (2, "jordan", "ring", 2, True),
+    "njordan_not_jordan": (None, "njordan", "jordan", 2, False),
+    "njordan_not_nring": (None, "njordan", "nring", None, True),
 }
 PREDICATES = tuple(_PREDICATES)
 
 
 def _predicate(name: str, h: AdditiveMap, n: int) -> PredicateResult:
     """The second check of a named predicate, for a map that passed search's filter."""
-    return _PREDICATES[name][3](h, n)
+    *_, power, ring = _PREDICATES[name]
+    return (is_n_ring if ring else is_n_jordan)(h, power or n)
 
 
 def _scan(
-    domain: FiniteRing,
-    codomain: FiniteRing,
-    power: int,
-    sample_count: int | None = None,
-    seed: int = 0,
-    override: bool = False,
+    domain: FiniteRing, codomain: FiniteRing, power: int, sample_count: int | None = None, seed: int = 0,
+    override: bool = False, second: int = 0,
 ) -> Iterator[AdditiveMap]:
     """Candidate maps in scan order, keeping those with h(a^power) = h(a)^power.
 
     The power condition is checked on every domain element at once for a
     block of as many candidate matrices as keep the (map, element) pairs
-    under BLOCK_ROWS.  Domains over MAX_SEARCH_DOMAIN elements are refused.
+    under BLOCK_ROWS.  Refused past MAX_SEARCH_DOMAIN elements, or past
+    WORK_CAP with every candidate counted as a survivor: is_n_jordan(h,
+    power), CALL_WORK and ``second``, the caller's check of each survivor.
     """
     if domain.size > MAX_SEARCH_DOMAIN:
         raise GuardError("search domain too large to precompute element powers")
     _check_power(power, 1)
+    each = _work(domain, codomain, power, False) + CALL_WORK + second
+    candidates = _candidates(domain, codomain, max(1, BLOCK_ROWS // domain.size), each, sample_count, seed, override)
     elems = domain.element_vectors()
     powers = domain.all_powers(power)
-    block = max(1, BLOCK_ROWS // domain.size)
-    for mats in _candidates(domain, codomain, block, sample_count, seed, override):
+    for mats in candidates:
         for c in np.flatnonzero(~_power_mismatch(mats, elems, powers, codomain, power).any(axis=1)):
             yield AdditiveMap(domain, codomain, mats[c])
 
@@ -770,22 +770,25 @@ def search(
     """Scan additive maps in deterministic order and collect the first ``limit`` (at least 1) hits.
 
     Exhaustive enumeration, or a seeded sample of ``sample_count`` maps;
-    either is refused past the enumeration cap unless override is set, and
-    n past MAX_POWER is refused.  Each block of candidates is first filtered by
-    the named predicate's power condition; the survivors get only its
-    second check.
+    refused past WORK_CAP, each candidate counted with the second check,
+    unless override is set and one candidate fits.  n past MAX_POWER is
+    refused.  Each block of candidates is first filtered by the named
+    predicate's power condition; the survivors get only its second check.
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; choose from {PREDICATES}")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    _check_power(n, 1)
+    power, _, _, second_power, ring = _PREDICATES[predicate]
+    # is_n_ring(h, n) takes n from 2, so that refusal too comes from the arguments
+    _check_power(n, 2 if ring and second_power is None else 1)
     # A search's second reports take a few distinct values over hundreds of
     # hits: each hit keeps the first equal report made.
     seconds: dict[tuple, PredicateResult] = {}
     shape = (codomain.dim, domain.dim)
     hits: list[SearchHit] = []
-    for hmap in _scan(domain, codomain, _PREDICATES[predicate][0] or n, sample_count, seed, override):
+    second_work = _work(domain, codomain, second_power or n, ring)
+    for hmap in _scan(domain, codomain, power or n, sample_count, seed, override, second_work):
         second = _predicate(predicate, hmap, n)
         if not second.ok:
             second = seconds.setdefault((second.checked, tuple(map(tuple, second.witness))), second)
@@ -798,7 +801,7 @@ def search(
 def find_njordan_maps(domain: FiniteRing, codomain: FiniteRing, n: int, limit: int = 64) -> list[AdditiveMap]:
     """All (or the first ``limit``) n-Jordan additive maps, exhaustively.
 
-    Runs on search's blocked scan, so domains over MAX_SEARCH_DOMAIN elements are refused.
+    Runs on search's blocked scan, refused past MAX_SEARCH_DOMAIN elements or WORK_CAP.
     """
     return list(islice(_scan(domain, codomain, n), limit))
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from njordan import cstar_num, derivation, freealg, models
 from njordan.cli import _integer, build_parser, main
+from njordan.errors import GuardError
 from njordan.identities import combine, identity_to_string
 
 
@@ -476,7 +477,7 @@ class TestSearchCommand:
     @pytest.mark.parametrize(
         "argv,message",
         [(["--n", "100000"], "exceeds 64"), (["--n", "65", "--predicate", "njordan_not_jordan"], "exceeds 64"),
-         (["--n", "0"], "at least 1"), (["--sample-count", "100000000"], "enumeration cap")],
+         (["--n", "0"], "at least 1"), (["--sample-count", "100000000"], "work cap")],
     )
     def test_search_integers_past_their_bounds_exit_two_quickly(self, argv, message, capsys):
         start = time.perf_counter()
@@ -487,7 +488,7 @@ class TestSearchCommand:
         assert message in err
 
     def test_ring_check_past_the_product_bound_exits_two_quickly(self, capsys):
-        # 2^23 basis tuples at 22 products each, for the first map that passes the filter
+        # 25 candidate maps, each counted with a ring check on 2^23 basis tuples, refused before any product
         start = time.perf_counter()
         code, out, err = run(
             ["search", "--domain", "zm:5^2", "--codomain", "zm:5", "--n", "23", "--predicate", "njordan_not_nring"],
@@ -496,7 +497,33 @@ class TestSearchCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert "2^23 basis tuples exceed cap 10000000 at 22 products each" in err
+        assert err.startswith("guard refused: a scan of 25 candidate maps needs") and "over the work cap" in err
+
+    @pytest.mark.parametrize(
+        "argv,refusal",
+        [
+            # 2^22 maps into Z_2^2, every one surviving the cube filter on 2,048 elements: about 28 minutes
+            (["--domain", "zm:2^11", "--codomain", "zm:2^2", "--n", "3", "--predicate", "njordan_not_jordan"],
+             "a scan of 4194304 candidate maps needs"),
+            # the zero map always survives; a ring check on 6^10 basis tuples for each of 64 maps, or of 5 draws
+            (["--domain", "upper:4@2", "--codomain", "zm:2", "--n", "10", "--predicate", "njordan_not_nring"],
+             "a scan of 64 candidate maps needs"),
+            (["--domain", "upper:4@2", "--codomain", "zm:2", "--n", "10", "--predicate", "njordan_not_nring",
+              "--sample-count", "5", "--seed", "3"], "a scan of 5 candidate maps needs"),
+        ],
+    )
+    def test_searches_past_the_work_cap_exit_two_before_any_product(self, argv, refusal, monkeypatch, capsys):
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        for cls, name in ((models.FiniteRing, "mul_batch"), (models.AdditiveMap, "apply_batch")):
+            monkeypatch.setattr(cls, name, kernel)
+        monkeypatch.setattr(models, "_power_mismatch", kernel)
+        start = time.perf_counter()
+        code, out, err = run(["search", *argv], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith(f"guard refused: {refusal}") and "over the work cap" in err
 
     @pytest.mark.parametrize("depth,code", [(freealg.MAX_DEPTH, 0), (freealg.MAX_DEPTH + 1, 2), (1500, 2)])
     def test_function_ring_nesting_is_bounded(self, depth, code, capsys):
@@ -595,9 +622,23 @@ class TestNormCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert "exceeds 10000000" in err
-        with pytest.raises(ValueError, match="exceeds 10000000"):
-            cstar_num.check_step2(2, 2, 3, 1001, 10 ** 4)
+        assert "over the work cap" in err
+        with pytest.raises(GuardError, match="over the work cap"):
+            cstar_num.check_step2(2, 2, 3, 10 ** 5, 10 ** 4)
+
+    def test_wide_step2_sweep_exits_two_before_any_draw(self, monkeypatch, capsys):
+        # 10^7 map-sample pairs, but each at 64 x 64 multiply-adds: about a minute of sweeping
+        def draw(*args, **kwargs):
+            raise AssertionError("a map or sample was drawn")
+
+        monkeypatch.setattr(cstar_num, "random_linear_maps", draw)
+        monkeypatch.setattr(cstar_num, "sample_batch", draw)
+        start = time.perf_counter()
+        argv = ["norm", "step2", "--m", "64", "--k", "64", "--count", "1000", "--samples", "10000"]
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("guard refused: a step 2 sweep of 1000 maps x 10000 samples needs")
 
     @pytest.mark.parametrize(
         "argv,message",

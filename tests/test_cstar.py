@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from njordan import cstar_num
+from njordan import cstar_num, errors
 from njordan.cstar_num import (
     DEFAULT_SAMPLES,
     MAX_SAMPLES,
@@ -23,6 +23,7 @@ from njordan.cstar_num import (
     sample_batch,
     step2_reduction_check,
 )
+from njordan.errors import GuardError
 
 
 @pytest.fixture
@@ -118,7 +119,7 @@ class TestContractivityChecks:
                 assert report["maps_checked"] == report["functionals_per_component"] ** k
 
     def test_functional_sweep_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GuardError):
             check_corollary_2_6(4, 2)
 
     def test_norm_chain_on_coordinate_permutations(self):
@@ -144,20 +145,25 @@ class TestContractivityChecks:
     def test_counts_over_the_bound_are_refused(self):
         assert MAX_SAMPLES == 10 ** 5
         assert sample_batch(1, MAX_SAMPLES).shape == (MAX_SAMPLES, 1)
-        with pytest.raises(ValueError, match="exceeds 100000"):
+        with pytest.raises(GuardError, match="exceeds 100000"):
             sample_batch(2, MAX_SAMPLES + 1)
-        with pytest.raises(ValueError, match="exceeds 100000"):
+        with pytest.raises(GuardError, match="exceeds 100000"):
             check_theorem_2_7(coordinate_star_map(3), 1, samples=MAX_SAMPLES + 1)
-        with pytest.raises(ValueError, match="exceeds 100000"):
+        with pytest.raises(GuardError, match="exceeds 100000"):
             random_linear_maps(2, 2, MAX_SAMPLES + 1)
 
     def test_step2_sweep_bound_admits_equality(self, monkeypatch):
-        # a stand-in bound of 60 map-sample pairs: 4 maps x 15 samples is at it, 4 x 16 and 61 x 1 past it
-        monkeypatch.setattr(cstar_num, "MAX_SWEEP_WORK", 60)
-        assert check_step2(2, 2, 3, 4, 15)["maps"] == 4
-        assert check_step2(2, 2, 3, 60, 1)["maps"] == 60
-        for count, samples in ((4, 16), (61, 1)):
-            with pytest.raises(ValueError, match=f"{count} maps x {samples} samples exceeds 60 map-sample pairs"):
+        # each map C^2 -> C^2 costs 3 checks at CALL_WORK (the map and its 2 rows) and 16 multiply-adds a sample:
+        # 4 maps x 15 samples predict 394,176 and 60 x 1 5,899,200; at a stand-in work cap of exactly that each
+        # runs, and past a cap one less, or with one more sample or map (4 x 16, 61 x 1), it is refused
+        cases = (((4, 15), (4, 16), 394176), ((60, 1), (61, 1), 5899200))
+        for (count, samples), (more_count, more_samples), work in cases:
+            monkeypatch.setattr(errors, "WORK_CAP", work)
+            assert check_step2(2, 2, 3, count, samples)["maps"] == count
+            with pytest.raises(GuardError, match=f"{more_count} maps x {more_samples} samples needs"):
+                check_step2(2, 2, 3, more_count, more_samples)
+            monkeypatch.setattr(errors, "WORK_CAP", work - 1)
+            with pytest.raises(GuardError, match=f"{count} maps x {samples} samples needs {work} multiply-adds"):
                 check_step2(2, 2, 3, count, samples)
 
     def test_whole_equals_componentwise_reduction(self):

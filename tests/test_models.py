@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from njordan import models
+from njordan import errors, models
 from njordan.errors import GuardError
 from njordan.freealg import NONCOMMUTATIVE
 from njordan.identities import evaluate, seed
@@ -273,22 +273,25 @@ class TestAdditiveMaps:
         for check in (is_n_jordan, is_n_ring):
             with pytest.raises(GuardError, match="n = 65 exceeds 64"):
                 check(h, models.MAX_POWER + 1)
-        with pytest.raises(GuardError, match=r"2\^24 basis tuples exceed"):
-            is_n_ring(h, 24)
-        # 2^20 tuples fit under the cap, but not at 19 products each
-        with pytest.raises(GuardError, match=r"2\^20 basis tuples exceed cap 10000000 at 19 products each"):
-            is_n_ring(h, 20)
+        # 2^n basis tuples at n - 1 products of 2 terms on each side and n + 1 applications of 4 entries:
+        # 2^n * 8n multiply-adds, 6,710,886,400 at n = 25 and past the cap from n = 26
+        with pytest.raises(GuardError, match=r"is_n_ring on 2\^26 basis tuples needs 13958643712 multiply-adds"):
+            is_n_ring(h, 26)
+        with pytest.raises(GuardError, match=r"is_n_ring on 2\^64 basis tuples needs"):
+            is_n_ring(h, models.MAX_POWER)
         z5 = make_zm(5)
         assert is_n_ring(AdditiveMap(z5, z5, np.eye(1, dtype=np.int64)), models.MAX_POWER).ok
 
     def test_ring_check_bound_admits_equality(self, monkeypatch):
-        # 2^3 basis tuples at 2 products each: 16 products, at a stand-in bound of 16 and past one of 15
+        # 2^3 basis tuples, each at 2 products of 2 terms on either side and 4 applications of 4 entries:
+        # 192 multiply-adds, at a stand-in work cap of 192 and past one of 191
         pair = ring_from_spec("zm:5^2")
         h = AdditiveMap(pair, pair, np.eye(pair.dim, dtype=np.int64))
-        monkeypatch.setattr(models, "TUPLE_CAP", 16)
+        monkeypatch.setattr(errors, "WORK_CAP", 192)
         assert is_n_ring(h, 3).ok
-        monkeypatch.setattr(models, "TUPLE_CAP", 15)
-        with pytest.raises(GuardError, match=r"2\^3 basis tuples exceed cap 15 at 2 products each"):
+        monkeypatch.setattr(errors, "WORK_CAP", 191)
+        refusal = r"is_n_ring on 2\^3 basis tuples needs 192 multiply-adds, over the work cap 191"
+        with pytest.raises(GuardError, match=refusal):
             is_n_ring(h, 3)
 
     def test_jordan_predicate_refuses_past_the_element_table(self):
@@ -375,12 +378,26 @@ class TestSearch:
             search(z5, z5, 3, "njordan_not_jordan", sample_count=count)
 
     def test_sample_count_over_the_enumeration_cap_is_refused(self, monkeypatch):
-        monkeypatch.setattr(models, "ENUM_CAP", 10)
+        # each candidate Z_5 -> Z_5: the cube filter on 5 elements (2 products of 1 term on each side and 2
+        # applications of 1 entry: 30), CALL_WORK and the square check (20): 32,818, so 11 of them 360,998
         z5 = make_zm(5)
-        with pytest.raises(GuardError, match="11 candidate maps exceed the enumeration cap 10"):
+        monkeypatch.setattr(errors, "WORK_CAP", 360998)
+        assert {h.index for h in search(z5, z5, 3, "njordan_not_jordan", sample_count=11)} == {4}
+        monkeypatch.setattr(errors, "WORK_CAP", 360997)
+        refusal = "a scan of 11 candidate maps needs 360998 multiply-adds, over the work cap 360997"
+        with pytest.raises(GuardError, match=refusal):
             search(z5, z5, 3, "njordan_not_jordan", sample_count=11)
         assert {h.index for h in search(z5, z5, 3, "njordan_not_jordan", sample_count=11, override=True)} == {4}
+        # override lifts the count of maps, not one map's work
+        monkeypatch.setattr(errors, "WORK_CAP", 32817)
+        with pytest.raises(GuardError, match="one candidate map needs 32818 multiply-adds, over the work cap 32817"):
+            search(z5, z5, 3, "njordan_not_jordan", sample_count=11, override=True)
+        # each map handed out costs its one entry and CALL_WORK: 32,769, so 10 of them 327,690
+        monkeypatch.setattr(errors, "WORK_CAP", 327690)
         assert len(list(additive_maps(z5, z5, 10))) == 10
+        monkeypatch.setattr(errors, "WORK_CAP", 327689)
+        with pytest.raises(GuardError, match="a scan of 10 candidate maps needs 327690 multiply-adds"):
+            list(additive_maps(z5, z5, 10))
 
     def test_unknown_predicate_is_rejected_before_scanning(self):
         # no sampled map survives the power filter, so a late check never runs

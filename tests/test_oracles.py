@@ -33,7 +33,11 @@ admits, on Hypothesis-drawn identities with shared prefixes, and on the
 streamed assignments, exhaustive and sampled, against one-shot columns
 checked all at once.  The is_n_ring, which
 decides and finds its first witness on the d^n basis tuples alone, is
-compared with the one-shot sweep over all size^n tuples.
+compared with the one-shot sweep over all size^n tuples.  A search's
+predicted work, on which its refusal alone depends, is compared with the
+rows times the cost of each row that actually reach mul_batch,
+apply_batch and the power filter's map products, counted by wrappers
+around them.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from hypothesis import strategies as st
 from sympy import GF, QQ, Matrix, factorint, nextprime
 from sympy.polys.matrices import DomainMatrix
 
-from njordan import models
+from njordan import errors, models
 from njordan.errors import GuardError
 from njordan.exact import MAX_TRIAL_DIVISOR, eliminate, prime_factors, residue
 from njordan.freealg import COMMUTATIVE, NONCOMMUTATIVE, FreePoly, linear_form, substitute_linear, var_id, var_name
@@ -989,3 +993,67 @@ def test_passing_ring_check_multiplies_only_basis_tuples(monkeypatch):
     assert is_n_ring(AdditiveMap(pair, pair, np.eye(pair.dim, dtype=np.int64)), 4) == PredicateResult(True, 25 ** 4)
     # three products of 2^4 basis tuples on each side
     assert sum(rows) <= 2 * 3 * 16
+
+
+WORK_PAIRS = [("zm:5", "zm:5"), ("zm:5^2", "zm:5"), ("zm:3^2", "zm:3^2"), ("upper:3@2", "zm:2"),
+              ("mat:2x2@2", "zm:2"), ("zm:2^3", "zm:2^2"), ("nilpoly:2@3", "zm:3")]
+
+
+def _counted_scan(pair, predicate, n, sample_count, seed, cap):
+    """(refused, largest predicted work, multiply-adds counted in the kernels) of one scan under a stand-in cap.
+
+    A ring product costs its nonzero structure terms per row and a map
+    application d_A * d_B per row; the power filter applies each of its
+    maps to every element and to its power, as two matrix products.  The
+    rings are built afresh, so no power table is cached from before.
+    """
+    domain, codomain = (ring_from_spec(spec) for spec in pair)
+    counted, predicted = [0], []
+    mul_batch, apply_batch, check_work = FiniteRing.mul_batch, AdditiveMap.apply_batch, models.check_work
+    power_mismatch = models._power_mismatch
+
+    def counting_filter(mats, elems, powers, codomain, n):
+        counted[0] += 2 * mats.size * len(elems)
+        return power_mismatch(mats, elems, powers, codomain, n)
+
+    def counting_mul(ring, u, v):
+        counted[0] += len(u) * len(ring._terms)
+        return mul_batch(ring, u, v)
+
+    def counting_apply(h, vecs):
+        counted[0] += len(vecs) * h.domain.dim * h.codomain.dim
+        return apply_batch(h, vecs)
+
+    def recording(what, work, override=False):
+        predicted.append(work)
+        return check_work(what, work, override)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FiniteRing, "mul_batch", counting_mul)
+        patch.setattr(AdditiveMap, "apply_batch", counting_apply)
+        patch.setattr(models, "_power_mismatch", counting_filter)
+        patch.setattr(models, "check_work", recording)
+        patch.setattr(errors, "WORK_CAP", cap)
+        try:
+            if predicate is None:
+                find_njordan_maps(domain, codomain, n, limit=10 ** 6)
+            else:
+                search(domain, codomain, n, predicate, limit=10 ** 6, sample_count=sample_count, seed=seed)
+        except GuardError:
+            return True, max(predicted), counted[0]
+    return False, max(predicted), counted[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(WORK_PAIRS), predicate=st.sampled_from((None, *PREDICATES)), n=st.integers(2, 6),
+       sample_count=st.none() | st.integers(1, 300), seed=st.integers(0, 2 ** 31),
+       cap=st.sampled_from([10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 10]))
+def test_predicted_work_never_undercounts_the_kernels(pair, predicate, n, sample_count, seed, cap):
+    """Every map survives in the prediction, so no scan does more kernel work than it predicted, and
+    a refusal comes before any kernel and from the arguments alone: another seed is refused alike."""
+    if predicate is None:
+        sample_count = None  # find_njordan_maps scans every map
+    refused, predicted, counted = _counted_scan(pair, predicate, n, sample_count, seed, cap)
+    assert counted <= predicted
+    assert not refused or counted == 0
+    assert _counted_scan(pair, predicate, n, sample_count, seed + 1, cap)[0] == refused
