@@ -20,6 +20,7 @@ import cmath
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -285,7 +286,7 @@ def check_theorem_2_7(
 
 
 def check_step2(m: int, k: int, n: int, count: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict:
-    """step2_reduction_check on ``count`` random maps from C^m to C^k, all on one drawn sample batch.
+    """step2_reduction_check on ``count`` random maps C^m -> C^k, each drawn and checked in turn on one sample batch.
 
     Each count is in [1, MAX_SAMPLES], m and k in [1, MAX_DIM], n at least
     1, and the work at most WORK_CAP (per map, k + 1 checks at CALL_WORK and
@@ -299,16 +300,15 @@ def check_step2(m: int, k: int, n: int, count: int, samples: int = DEFAULT_SAMPL
     _check_count("sample count", samples)
     work = count * ((k + 1) * CALL_WORK + 4 * samples * m * k)
     check_work(f"a step 2 sweep of {count} maps x {samples} samples", work)
-    maps = random_linear_maps(m, k, count, seed)
     # every map is checked on the one draw step2_reduction_check would make for it
     batch, powers = _batch_and_powers(m, samples, seed, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        passed = sum(1 for h in maps if _reduction_holds(h, n, batch, powers))
+        passed = sum(1 for h in _linear_maps(m, k, count, seed) if _reduction_holds(h, n, batch, powers))
     return {
         "check": "step2_reduction",
-        "maps": len(maps),
+        "maps": count,
         "equivalence_held": passed,
-        "ok": passed == len(maps),
+        "ok": passed == count,
         "n": n,
         "samples": samples,
         "seed": seed,
@@ -329,5 +329,10 @@ def coordinate_star_map(k: int, perm: tuple[int, ...] | None = None) -> LinearMa
 def random_linear_maps(m: int, k: int, count: int, seed: int = 0) -> list[LinearMapC]:
     """Reproducible batch of dense complex maps for the reduction check; count is in [1, MAX_SAMPLES]."""
     _check_count("map count", count)
+    return list(_linear_maps(m, k, count, seed))
+
+
+def _linear_maps(m: int, k: int, count: int, seed: int) -> Iterator[LinearMapC]:
+    """random_linear_maps' maps, drawn one at a time from the same seeded stream."""
     rng = np.random.default_rng(seed)
-    return [LinearMapC(rng.uniform(-1.0, 1.0, (k, m)) + 1j * rng.uniform(-1.0, 1.0, (k, m))) for _ in range(count)]
+    return (LinearMapC(rng.uniform(-1.0, 1.0, (k, m)) + 1j * rng.uniform(-1.0, 1.0, (k, m))) for _ in range(count))

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 # Most work one request may predict, in scalar multiply-adds: a ring product
 # costs its nonzero structure terms per row, an additive map d_A * d_B per
-# row, a complex map C^m -> C^k m * k per sample, and each map that leaves a
-# vectorized block for a Python-level call CALL_WORK more, as such a call
-# takes 10 to 60 us whatever its size.  At the cap, scans and sweeps ran 4 to
-# 12 s on a 2-core box, and one is_n_ring call about a minute.
+# row, a complex map C^m -> C^k m * k per sample, and a map checked by a
+# Python-level call (10 to 60 us whatever its size) CALL_WORK more, which a
+# search candidate keeps as a floor, though its survivors are checked a block
+# at a time.  At the cap, scans and sweeps ran 4 to 12 s on a 2-core box.
 WORK_CAP = 10 ** 10
 CALL_WORK = 2 ** 15
 

@@ -270,7 +270,8 @@ class FiniteRing:
     def all_powers(self, n: int) -> np.ndarray:
         """n-th powers of every element in index order, cached in at most ELEMENT_CAP cells in all.
 
-        A table that would pass that empties the cache first; one table over it is refused.
+        A table that would pass that empties the cache first, but for an element table that fits
+        beside the new one; one table over it is refused.
         """
         cells = self.size * self.dim
         if cells > ELEMENT_CAP:
@@ -278,7 +279,7 @@ class FiniteRing:
         if n not in self._tables:
             elements = self._tables.get(1)
             if cells * (len(self._tables) + 1) > ELEMENT_CAP:
-                self._tables.clear()
+                self._tables = {1: elements} if elements is not None and 2 * cells <= ELEMENT_CAP else {}
             if elements is None:
                 elements = _digits(np.arange(self.size, dtype=np.int64), self.modulus, self.dim)
             self._tables[n] = self.power_batch(elements, n)
@@ -604,14 +605,37 @@ def check_blocks(
     return checked, witness
 
 
+def _block_reports(mats: np.ndarray, checked: int, blocks: Iterable, mismatch: Callable) -> list[PredicateResult]:
+    """Each map matrix's report: ``checked`` and its first mismatching row, one element per column, if any.
+
+    ``blocks`` yields each block of at most BLOCK_ROWS rows as its columns and data formed once for all
+    maps; ``mismatch(sub, cols, data)`` is the mask on it of up to BLOCK_ROWS // rows maps not failed yet.
+    Maps that fail at one row share one report, and passing maps share another.
+    """
+    reports, live = [PredicateResult(True, checked)] * len(mats), np.arange(len(mats))
+    for cols, data in blocks:
+        step, kept, made = max(1, BLOCK_ROWS // len(cols[0])), [], {}
+        for maps in (live[s:s + step] for s in range(0, len(live), step)):
+            bad = mismatch(mats[maps], cols, data)
+            failed = bad.any(axis=1)
+            for i, row in zip(maps[failed].tolist(), bad[failed].argmax(axis=1).tolist()):
+                if row not in made:
+                    made[row] = PredicateResult(False, checked, tuple(c[row].tolist() for c in cols))
+                reports[i] = made[row]
+            kept.append(maps[~failed])
+        if not (live := np.concatenate(kept)).size:
+            break
+    return reports
+
+
 def _power_mismatch(
     mats: np.ndarray, elems: np.ndarray, powers: np.ndarray, codomain: FiniteRing, n: int
 ) -> np.ndarray:
     """(C, N) mask of h(a^n) != h(a)^n for C map matrices h and N elements a.
 
     ``powers`` holds the n-th powers of ``elems`` in the domain.  This is the
-    one computation of the power condition, for a single map and for a
-    block of search candidates alike.
+    one computation of the power condition, for a search's filter and for
+    is_n_jordan's blocks of maps alike.
     """
     m = codomain.modulus
     transposed = _residues(mats, m).transpose(0, 2, 1)
@@ -638,26 +662,44 @@ def _work(domain: FiniteRing, codomain: FiniteRing, n: int, ring: bool) -> int:
     return domain.size * ((n.bit_length() + n.bit_count() - 2) * terms + 2 * apply)
 
 
+def _jordan_checks(domain: FiniteRing, codomain: FiniteRing, mats: np.ndarray, n: int) -> list[PredicateResult]:
+    """is_n_jordan's report for each of a block of map matrices, the witness its first failing element."""
+    elems, powers = domain.element_vectors(), domain.all_powers(n)
+    blocks = (([elems[s:s + BLOCK_ROWS]], powers[s:s + BLOCK_ROWS]) for s in range(0, domain.size, BLOCK_ROWS))
+    return _block_reports(mats, domain.size, blocks,
+                          lambda sub, cols, pows: _power_mismatch(sub, cols[0], pows, codomain, n))
+
+
+def _ring_checks(domain: FiniteRing, codomain: FiniteRing, mats: np.ndarray, n: int) -> list[PredicateResult]:
+    """is_n_ring's report for each of a block of map matrices, the witness its first failing basis tuple.
+
+    The domain products of each block of basis tuples are formed once for all maps.
+    """
+    m, width, basis = codomain.modulus, codomain.dim, np.eye(domain.dim, dtype=np.int64)[::-1]
+    tuples = ([basis[col] for col in idx.T] for idx in _blocks(domain.dim, n, BLOCK_ROWS))
+
+    def mismatch(sub: np.ndarray, cols: list[np.ndarray], products: np.ndarray) -> np.ndarray:
+        # (maps, rows, width); a basis vector's image is a column of the matrix, already reduced
+        lhs = products @ (images := _residues(sub, m).transpose(0, 2, 1))
+        rhs = reduce(codomain.mul_batch, ((col @ images).reshape(-1, width) for col in cols))
+        return (np.fmod(lhs, m, out=lhs) != rhs.reshape(lhs.shape)).any(axis=2)
+
+    blocks = ((cols, reduce(domain.mul_batch, cols)) for cols in tuples)
+    return _block_reports(mats, domain.size ** n, blocks, mismatch)
+
+
 def is_n_jordan(h: AdditiveMap, n: int) -> PredicateResult:
-    """Does h(a^n) = h(a)^n hold for every element a, checked in index order.
+    """Does h(a^n) = h(a)^n hold for every element a, checked in index order: _jordan_checks on one map.
 
     Refused past ELEMENT_CAP cells of element table, or past WORK_CAP.
     """
     _check_power(n, 1)
     check_work(f"is_n_jordan on {h.domain.size} elements", _work(h.domain, h.codomain, n, False))
-    ring_a = h.domain
-    elems, powers = ring_a.element_vectors(), ring_a.all_powers(n)
-
-    def mismatch(cols: list[np.ndarray], start: int) -> np.ndarray:
-        (block,) = cols
-        return _power_mismatch(h.matrix[None], block, powers[start:start + len(block)], h.codomain, n)[0]
-
-    checked, witness = check_blocks(([elems[s:s + BLOCK_ROWS]] for s in range(0, ring_a.size, BLOCK_ROWS)), mismatch)
-    return PredicateResult(witness is None, checked, witness)
+    return _jordan_checks(h.domain, h.codomain, h.matrix[None], n)[0]
 
 
 def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
-    """Does h(a_1 ... a_n) = h(a_1) ... h(a_n) hold for all tuples.
+    """Does h(a_1 ... a_n) = h(a_1) ... h(a_n) hold for all tuples: _ring_checks on one map.
 
     The defect h(a_1 ... a_n) - h(a_1) ... h(a_n) is additive in each
     argument, so the d^n tuples of basis vectors decide it, and the first
@@ -670,17 +712,8 @@ def is_n_ring(h: AdditiveMap, n: int) -> PredicateResult:
     WORK_CAP is refused, override or not.
     """
     _check_power(n, 2)
-    d = h.domain.dim
-    check_work(f"is_n_ring on {d}^{n} basis tuples", _work(h.domain, h.codomain, n, True))
-
-    def mismatch(cols: list[np.ndarray], _start: int) -> np.ndarray:
-        lhs = h.apply_batch(reduce(h.domain.mul_batch, cols))
-        rhs = reduce(h.codomain.mul_batch, (h.apply_batch(c) for c in cols))
-        return (lhs != rhs).any(axis=1)
-
-    basis = np.eye(d, dtype=np.int64)[::-1]
-    _, witness = check_blocks(([basis[col] for col in idx.T] for idx in _blocks(d, n, BLOCK_ROWS)), mismatch)
-    return PredicateResult(witness is None, h.domain.size ** n, witness)
+    check_work(f"is_n_ring on {h.domain.dim}^{n} basis tuples", _work(h.domain, h.codomain, n, True))
+    return _ring_checks(h.domain, h.codomain, h.matrix[None], n)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -717,8 +750,8 @@ class SearchHit:
 # name: (filter power, None meaning n; detail key of the filter's condition;
 # detail key of the second check; the second check's power, None meaning n;
 # whether it is is_n_ring rather than is_n_jordan).  A map is a hit when it
-# passes the filter and fails the second check, which _predicate looks up
-# at call time, so that a wrapper on the module attribute sees every call.
+# passes the filter and fails the second check, which search runs through
+# _predicate, looked up at call time, so that a wrapper on it sees every block.
 _PREDICATES: dict[str, tuple[int | None, str, str, int | None, bool]] = {
     "jordan_not_ring": (2, "jordan", "ring", 2, True),
     "njordan_not_jordan": (None, "njordan", "jordan", 2, False),
@@ -727,23 +760,24 @@ _PREDICATES: dict[str, tuple[int | None, str, str, int | None, bool]] = {
 PREDICATES = tuple(_PREDICATES)
 
 
-def _predicate(name: str, h: AdditiveMap, n: int) -> PredicateResult:
-    """The second check of a named predicate, for a map that passed search's filter."""
+def _predicate(name: str, domain: FiniteRing, codomain: FiniteRing, mats: np.ndarray, n: int) -> list[PredicateResult]:
+    """The second check of a named predicate, for a block of map matrices that passed search's filter."""
     *_, power, ring = _PREDICATES[name]
-    return (is_n_ring if ring else is_n_jordan)(h, power or n)
+    return (_ring_checks if ring else _jordan_checks)(domain, codomain, mats, power or n)
 
 
 def _scan(
     domain: FiniteRing, codomain: FiniteRing, power: int, sample_count: int | None = None, seed: int = 0,
     override: bool = False, second: int = 0,
-) -> Iterator[AdditiveMap]:
-    """Candidate maps in scan order, keeping those with h(a^power) = h(a)^power.
+) -> Iterator[np.ndarray]:
+    """The matrices with h(a^power) = h(a)^power of each block of candidates in scan order, nonempty blocks only.
 
     The power condition is checked on every domain element at once for a
     block of as many candidate matrices as keep the (map, element) pairs
     under BLOCK_ROWS.  Refused past MAX_SEARCH_DOMAIN elements, or past
     WORK_CAP with every candidate counted as a survivor: is_n_jordan(h,
-    power), CALL_WORK and ``second``, the caller's check of each survivor.
+    power), ``second``, the caller's check of each survivor, and CALL_WORK,
+    a floor that keeps refusals where they were when survivors left one by one.
     """
     if domain.size > MAX_SEARCH_DOMAIN:
         raise GuardError("search domain too large to precompute element powers")
@@ -752,9 +786,8 @@ def _scan(
     candidates = _candidates(domain, codomain, max(1, BLOCK_ROWS // domain.size), each, sample_count, seed, override)
     elems = domain.element_vectors()
     powers = domain.all_powers(power)
-    for mats in candidates:
-        for c in np.flatnonzero(~_power_mismatch(mats, elems, powers, codomain, power).any(axis=1)):
-            yield AdditiveMap(domain, codomain, mats[c])
+    survivors = (mats[~_power_mismatch(mats, elems, powers, codomain, power).any(axis=1)] for mats in candidates)
+    yield from filter(len, survivors)
 
 
 def search(
@@ -773,7 +806,8 @@ def search(
     refused past WORK_CAP, each candidate counted with the second check,
     unless override is set and one candidate fits.  n past MAX_POWER is
     refused.  Each block of candidates is first filtered by the named
-    predicate's power condition; the survivors get only its second check.
+    predicate's power condition; the block's survivors then get only its
+    second check, all at once, and the scan stops at the block of the last hit.
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; choose from {PREDICATES}")
@@ -785,16 +819,16 @@ def search(
     # A search's second reports take a few distinct values over hundreds of
     # hits: each hit keeps the first equal report made.
     seconds: dict[tuple, PredicateResult] = {}
-    shape = (codomain.dim, domain.dim)
+    shape, m = (codomain.dim, domain.dim), domain.modulus
     hits: list[SearchHit] = []
     second_work = _work(domain, codomain, second_power or n, ring)
-    for hmap in _scan(domain, codomain, power or n, sample_count, seed, override, second_work):
-        second = _predicate(predicate, hmap, n)
-        if not second.ok:
-            second = seconds.setdefault((second.checked, tuple(map(tuple, second.witness))), second)
-            hits.append(SearchHit(hmap.index, shape, domain.modulus, predicate, second))
-            if len(hits) == limit:
-                break
+    for mats in _scan(domain, codomain, power or n, sample_count, seed, override, second_work):
+        for mat, second in zip(mats, _predicate(predicate, domain, codomain, mats, n)):
+            if not second.ok:
+                second = seconds.setdefault((second.checked, tuple(map(tuple, second.witness))), second)
+                hits.append(SearchHit(_index(mat.reshape(-1), m), shape, m, predicate, second))
+                if len(hits) == limit:
+                    return hits
     return hits
 
 
@@ -803,7 +837,8 @@ def find_njordan_maps(domain: FiniteRing, codomain: FiniteRing, n: int, limit: i
 
     Runs on search's blocked scan, refused past MAX_SEARCH_DOMAIN elements or WORK_CAP.
     """
-    return list(islice(_scan(domain, codomain, n), limit))
+    maps = (AdditiveMap(domain, codomain, mat) for mats in _scan(domain, codomain, n) for mat in mats)
+    return list(islice(maps, limit))
 
 
 def paper_examples() -> dict:
@@ -839,7 +874,7 @@ def paper_examples() -> dict:
     # basis order: (0,1),(0,2),(0,3),(1,2),(1,3),(2,3), so these are E12, E23, E34
     triple = u42.mul(u42.mul(basis[0], basis[3]), basis[5])
     # every seeded map passes the scan's power filter on all 64 elements
-    sampled_all_4jordan = sum(1 for _ in _scan(u42, u42, 4, sample_count=10 ** 4, seed=0)) == 10 ** 4
+    sampled_all_4jordan = sum(map(len, _scan(u42, u42, 4, sample_count=10 ** 4, seed=0))) == 10 ** 4
     report["strict_upper_4_2"] = {
         "ring": u42.name,
         "nilpotency_index": nilpotency_index(u42),

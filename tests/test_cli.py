@@ -632,6 +632,7 @@ class TestNormCommand:
             raise AssertionError("a map or sample was drawn")
 
         monkeypatch.setattr(cstar_num, "random_linear_maps", draw)
+        monkeypatch.setattr(cstar_num, "_linear_maps", draw)
         monkeypatch.setattr(cstar_num, "sample_batch", draw)
         start = time.perf_counter()
         argv = ["norm", "step2", "--m", "64", "--k", "64", "--count", "1000", "--samples", "10000"]

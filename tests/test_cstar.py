@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,31 @@ class TestContractivityChecks:
         step2_reduction_check(h, 3)
         check_step2(3, 2, 3, 1)
         assert recorded_draws[3:] == [(3, DEFAULT_SAMPLES, 0)]
+
+    @pytest.mark.parametrize("m,k,count,seed", [(2, 2, 50, 0), (3, 2, 20, 7), (1, 4, 5, 3), (4, 1, 33, 11)])
+    def test_streamed_step2_matches_the_map_list(self, m, k, count, seed, monkeypatch):
+        """check_step2 checks, in order, the maps random_linear_maps lists, and reports as if from that list."""
+        maps = random_linear_maps(m, k, count, seed)
+        passed = sum(step2_reduction_check(h, 3, 64, seed) for h in maps)
+        seen, holds = [], cstar_num._reduction_holds
+        monkeypatch.setattr(cstar_num, "_reduction_holds", lambda h, *args: seen.append(h.matrix) or holds(h, *args))
+        assert check_step2(m, k, 3, count, 64, seed) == {
+            "check": "step2_reduction", "maps": count, "equivalence_held": passed, "ok": passed == count, "n": 3,
+            "samples": 64, "seed": seed,
+        }
+        assert len(seen) == count and all(np.array_equal(a, h.matrix) for a, h in zip(seen, maps))
+
+    def test_streamed_step2_holds_one_map_at_a_time(self):
+        """300 maps C^64 -> C^64 take 19.7 MB as a list; drawn one at a time the sweep peaks under 2 MiB."""
+        check_step2(64, 64, 2, 1, 4)  # imports and the kept draw outside the trace
+        tracemalloc.start()
+        try:
+            report = check_step2(64, 64, 2, 300, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["maps"] == report["equivalence_held"] == 300
+        assert peak < 2 * 2 ** 20
 
     def test_the_step2_draw_is_read_only(self, recorded_draws):
         batch, powers = cstar_num._batch_and_powers(3, 64, 7, 3)

@@ -406,18 +406,25 @@ class TestSearch:
 
     def test_survivors_get_only_the_second_check_by_module_name(self, monkeypatch):
         calls = []
-        for name in ("is_n_jordan", "is_n_ring"):
-            def counting(*args, _name=name, _check=getattr(models, name), **kwargs):
-                calls.append(_name)
-                return _check(*args, **kwargs)
+        predicate = models._predicate
 
-            monkeypatch.setattr(models, name, counting)
+        def counting(name, domain, codomain, mats, n):
+            calls.append((name, len(mats)))
+            return predicate(name, domain, codomain, mats, n)
+
+        monkeypatch.setattr(models, "_predicate", counting)
         z5 = make_zm(5)
-        # 3-Jordan maps on Z_5 are x -> c*x with c^3 = c (three of them), 2-Jordan ones c^2 = c (two)
+        # 3-Jordan maps on Z_5 are x -> c*x with c^3 = c (three of them), 2-Jordan ones c^2 = c (two),
+        # all five candidates in one block
         search(z5, z5, 3, predicate="njordan_not_jordan")
         search(z5, z5, 3, predicate="njordan_not_nring")
         search(z5, z5, 3, predicate="jordan_not_ring")
-        assert calls == ["is_n_jordan"] * 3 + ["is_n_ring"] * 3 + ["is_n_ring"] * 2
+        assert calls == [("njordan_not_jordan", 3), ("njordan_not_nring", 3), ("jordan_not_ring", 2)]
+        # about 40,000 of 10^5 sampled maps survive, in blocks of BLOCK_ROWS // 5 candidates: one call a block
+        calls.clear()
+        assert search(z5, z5, 3, "jordan_not_ring", sample_count=10 ** 5) == []
+        assert len(calls) <= -(-10 ** 5 // (models.BLOCK_ROWS // 5)) == 123
+        assert 30000 < sum(rows for _, rows in calls) < 50000
 
     def test_sampled_search_requires_enumeration_guard(self):
         m2 = matrix_ring(2, 5)
@@ -494,6 +501,7 @@ class TestExampleCatalogue:
 
     def test_every_sampled_upper_map_passes_the_4_jordan_scan(self):
         u42 = strict_upper(4, 2)
-        kept = list(models._scan(u42, u42, 4, sample_count=10 ** 4, seed=0))
+        kept = np.concatenate(list(models._scan(u42, u42, 4, sample_count=10 ** 4, seed=0)))
         assert len(kept) == 10 ** 4
-        assert kept[::997] == list(additive_maps(u42, u42, 10 ** 4, seed=0))[::997]
+        sampled = list(additive_maps(u42, u42, 10 ** 4, seed=0))
+        assert [AdditiveMap(u42, u42, mat) for mat in kept[::997]] == sampled[::997]

@@ -33,7 +33,10 @@ admits, on Hypothesis-drawn identities with shared prefixes, and on the
 streamed assignments, exhaustive and sampled, against one-shot columns
 checked all at once.  The is_n_ring, which
 decides and finds its first witness on the d^n basis tuples alone, is
-compared with the one-shot sweep over all size^n tuples.  A search's
+compared with the one-shot sweep over all size^n tuples, and the block
+bodies of both predicates, which check a block of maps at once, with the
+one-shot oracles map by map on Hypothesis-drawn blocks.  With room for two
+tables, the power-table cache forms each ring's element table once.  A search's
 predicted work, on which its refusal alone depends, is compared with the
 rows times the cost of each row that actually reach mul_batch,
 apply_batch and the power filter's map products, counted by wrappers
@@ -803,7 +806,8 @@ def test_bounded_power_tables_match_the_uncached_oracle(monkeypatch):
     order gives the verdicts of the left-to-right oracle on a ring of its own.
     The cache fills to ELEMENT_CAP cells and never passes it, even while a
     table is formed, and the maps after the first at each n reuse its table:
-    an emptied cache forms only the element table again."""
+    an emptied cache keeps the element table, so a call forms at most its
+    n-th powers."""
     domain, codomain, oracle_domain = (ring_from_spec("zm:5^2") for _ in range(3))
     cells = domain.size * domain.dim
     monkeypatch.setattr(models, "ELEMENT_CAP", 3 * cells)
@@ -840,6 +844,28 @@ def test_bounded_power_tables_match_the_uncached_oracle(monkeypatch):
     monkeypatch.setattr(models, "ELEMENT_CAP", cells - 1)
     with pytest.raises(GuardError, match="25 elements exceed the materialization cap: 50 cells over 49"):
         is_n_jordan(AdditiveMap(oracle_domain, codomain, mats[1]), 2)
+
+
+@pytest.mark.parametrize("spec", ["zm:5^2", "mat:2x2@2", "upper:3@2"])
+def test_an_emptied_cache_keeps_the_element_table(spec, monkeypatch):
+    """With room for two tables, is_n_jordan for n = 1..9 forms the element table once: each
+    emptying of the cache keeps it beside the new n-th powers, and the cache stays under the cap."""
+    domain, codomain = ring_from_spec(spec), ring_from_spec(spec)
+    monkeypatch.setattr(models, "ELEMENT_CAP", 2 * domain.size * domain.dim)
+    formed = []
+    power_batch = FiniteRing.power_batch
+
+    def counting(self, vecs, n):
+        if self is domain:
+            formed.append(n)
+        return power_batch(self, vecs, n)
+
+    monkeypatch.setattr(FiniteRing, "power_batch", counting)
+    h = AdditiveMap(domain, codomain, np.eye(domain.dim, dtype=np.int64))
+    for n in range(1, 10):
+        assert is_n_jordan(h, n).ok
+        assert sorted(domain._tables) == sorted({1, n})
+    assert formed == list(range(1, 10))
 
 
 @pytest.mark.parametrize("block", [1000, models.BLOCK_ROWS, 2 ** 15, 2 ** 16])
@@ -993,6 +1019,51 @@ def test_passing_ring_check_multiplies_only_basis_tuples(monkeypatch):
     assert is_n_ring(AdditiveMap(pair, pair, np.eye(pair.dim, dtype=np.int64)), 4) == PredicateResult(True, 25 ** 4)
     # three products of 2^4 basis tuples on each side
     assert sum(rows) <= 2 * 3 * 16
+
+
+BLOCK_PAIRS = [("zm:5", "zm:5"), ("zm:5^2", "zm:5^2"), ("upper:3@2", "upper:3@2"), ("mat:2x2@2", "zm:2"),
+               ("zm:5^2", "zm:5")]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_pool(pair):
+    return _ring_pair_maps(*pair)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_shot_reports(domain, codomain, matrix, n):
+    """The one-shot oracles' (jordan, ring) reports for one map matrix, ring None past 4 * 10^4 tuples."""
+    h = AdditiveMap(domain, codomain, np.array(matrix).reshape(codomain.dim, domain.dim))
+    return _one_shot_jordan(h, n), _one_shot_ring(h, n) if domain.size ** n <= 4 * 10 ** 4 else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(BLOCK_PAIRS), n=st.integers(2, 5), block=st.sampled_from([7, 100, models.BLOCK_ROWS]),
+       data=st.data())
+def test_block_checks_match_the_one_shot_oracles(pair, n, block, data):
+    """_jordan_checks and _ring_checks on a block of hand-picked maps (zero, identity, projections,
+    coordinate sums, trace, seeded random) and random, unreduced matrices give each map the one-shot
+    oracle's report, with BLOCK_ROWS small enough that element blocks, tuple blocks and survivor chunks
+    split; the ring oracle sweeps every tuple, so it is checked up to 4 * 10^4 of them."""
+    pool = _pair_pool(pair)
+    domain, codomain = pool[0].domain, pool[0].codomain
+    shape, m = (codomain.dim, domain.dim), domain.modulus
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+    raw = data.draw(st.lists(st.lists(st.integers(-2 * m, 2 * m), min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1]), max_size=6))
+    mats = [pool[i].matrix for i in picks] + [np.array(r).reshape(shape) for r in raw]
+    mats = np.array(data.draw(st.permutations(mats)) if mats else [pool[0].matrix], dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "BLOCK_ROWS", block)
+        jordan = models._jordan_checks(domain, codomain, mats, n)
+        ring = models._ring_checks(domain, codomain, mats, n)
+    for mat, got_jordan, got_ring in zip(mats, jordan, ring, strict=True):
+        expected_jordan, expected_ring = _one_shot_reports(domain, codomain, tuple((mat % m).reshape(-1).tolist()), n)
+        assert got_jordan == expected_jordan
+        if expected_ring is not None:
+            assert got_ring == expected_ring
+        else:
+            assert got_ring.checked == domain.size ** n
 
 
 WORK_PAIRS = [("zm:5", "zm:5"), ("zm:5^2", "zm:5"), ("zm:3^2", "zm:3^2"), ("upper:3@2", "zm:2"),
