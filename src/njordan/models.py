@@ -76,13 +76,14 @@ def _check_power(n: int, least: int) -> None:
 
 
 def _digits(idx, m: int, width: int) -> np.ndarray:
-    """Base-m digits of each index, most significant first, as an (N, width) array.
+    """Base-m digits of each index, most significant first, as an (N, width) array in Fortran order.
 
     The one decoding of an index into coordinates: ring elements and
-    additive-map matrices (flattened row-major) both use it.
+    additive-map matrices (flattened row-major) both use it.  Each digit is
+    one contiguous column, which mul_batch reads without a copy.
     """
     rest = np.asarray(idx)
-    out = np.empty((rest.shape[0], width), dtype=np.int64)
+    out = np.empty((width, rest.shape[0]), dtype=np.int64).T
     for j in range(width - 1, -1, -1):
         out[:, j] = rest % m
         rest = rest // m
@@ -271,7 +272,8 @@ class FiniteRing:
         """n-th powers of every element in index order, cached in at most ELEMENT_CAP cells in all.
 
         A table that would pass that empties the cache first, but for an element table that fits
-        beside the new one; one table over it is refused.
+        beside the new one; one table over it is refused.  The element table is in Fortran order,
+        the power tables in C order, which the power filter gathers rows from.
         """
         cells = self.size * self.dim
         if cells > ELEMENT_CAP:
@@ -282,7 +284,8 @@ class FiniteRing:
                 self._tables = {1: elements} if elements is not None and 2 * cells <= ELEMENT_CAP else {}
             if elements is None:
                 elements = _digits(np.arange(self.size, dtype=np.int64), self.modulus, self.dim)
-            self._tables[n] = self.power_batch(elements, n)
+            powers = self.power_batch(elements, n)
+            self._tables[n] = powers if powers is elements else np.ascontiguousarray(powers)
         return self._tables[n]
 
     def __repr__(self) -> str:
@@ -635,15 +638,21 @@ def _power_mismatch(
 
     ``powers`` holds the n-th powers of ``elems`` in the domain.  This is the
     one computation of the power condition, for a search's filter and for
-    is_n_jordan's blocks of maps alike.
+    is_n_jordan's blocks of maps alike.  h(a)^n is read from the codomain's
+    n-th-power table at each image's element index (exact in int64: the
+    table fits ELEMENT_CAP) when it is cached or has no more elements than
+    the block has rows, so that forming it costs no more than the powers.
     """
-    m = codomain.modulus
+    m, d = codomain.modulus, codomain.dim
     transposed = _residues(mats, m).transpose(0, 2, 1)
     # (C, N, d): every element, and then its power, under every map; for these
     # small dimensions matmul costs a tenth of the same einsum
     images = _residues(elems, m) @ transposed
-    shape = images.shape
-    rhs = codomain.power_batch(np.fmod(images, m, out=images).reshape(-1, codomain.dim), n).reshape(shape)
+    np.fmod(images, m, out=images)
+    if n in codomain._tables or codomain.size * d <= min(images.size, ELEMENT_CAP):
+        rhs = codomain.all_powers(n).take(images @ m ** np.arange(d - 1, -1, -1), axis=0)
+    else:
+        rhs = codomain.power_batch(images.reshape(-1, d), n).reshape(images.shape)
     del images  # so that the powers' images below do not sit beside them
     lhs = _residues(powers, m) @ transposed
     return (np.fmod(lhs, m, out=lhs) != rhs).any(axis=2)
@@ -654,7 +663,8 @@ def _work(domain: FiniteRing, codomain: FiniteRing, n: int, ring: bool) -> int:
 
     is_n_ring: n - 1 products a side and n + 1 applications per basis tuple.
     is_n_jordan: per element, an n-th power a side (power_batch's products:
-    one per squaring, one per further set bit) and two applications.
+    one per squaring, one per further set bit) and two applications; a codomain
+    power table the filter forms instead costs no more than the powers it replaces.
     """
     terms, apply = len(domain._terms) + len(codomain._terms), domain.dim * codomain.dim
     if ring:

@@ -35,7 +35,10 @@ checked all at once.  The is_n_ring, which
 decides and finds its first witness on the d^n basis tuples alone, is
 compared with the one-shot sweep over all size^n tuples, and the block
 bodies of both predicates, which check a block of maps at once, with the
-one-shot oracles map by map on Hypothesis-drawn blocks.  With room for two
+one-shot oracles map by map on Hypothesis-drawn blocks, and the power
+filter's reads of h(a)^n from the codomain's power table with the
+left-to-right oracle, on codomains that are their domain, same-spec
+codomains and codomains larger than any block.  With room for two
 tables, the power-table cache forms each ring's element table once.  A search's
 predicted work, on which its refusal alone depends, is compared with the
 rows times the cost of each row that actually reach mul_batch,
@@ -1066,8 +1069,69 @@ def test_block_checks_match_the_one_shot_oracles(pair, n, block, data):
             assert got_ring.checked == domain.size ** n
 
 
+# (domain spec, codomain spec or None when the domain is its own codomain, BLOCK_ROWS or None for the
+# default): the codomain's power table cached by the domain's own check, a same-spec codomain whose
+# table is formed for a block of at least its size, and codomains larger than any block of 7 rows,
+# whose powers power_batch forms image by image
+TABLE_PAIRS = [("zm:5^2", None, None), ("mat:2x2@2", None, 7), ("upper:3@2", None, None),
+               ("zm:5^2", "zm:5^2", None), ("mat:2x2@2", "mat:2x2@2", None), ("zm:3^2", "zm:3^2", None),
+               ("zm:3", "zm:3^2", 7), ("zm:2", "upper:3@2", 7), ("zm:2^2", "mat:2x2@2", 7), ("zm:5", "zm:5^2", 7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(TABLE_PAIRS), n=st.integers(2, 6), data=st.data())
+def test_power_table_reads_match_the_one_shot_oracle(pair, n, data):
+    """_jordan_checks, which reads h(a)^n from the codomain's power table when it is cached or no
+    larger than the block, gives each map of a block the left-to-right oracle's report on every kind
+    of pair; power_batch on the codomain forms whole tables alone on the table pairs, and only
+    images' powers, never a table, when the codomain outgrows the block."""
+    spec, cod_spec, block = pair
+    domain = ring_from_spec(spec)
+    codomain = domain if cod_spec is None else ring_from_spec(cod_spec)
+    shape, m = (codomain.dim, domain.dim), domain.modulus
+    raw = data.draw(st.lists(st.lists(st.integers(-2 * m, 2 * m), min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1]), min_size=1, max_size=6))
+    mats = np.array([np.zeros(shape, dtype=np.int64)] + [np.array(r).reshape(shape) for r in raw], dtype=np.int64)
+    if cod_spec is None or cod_spec == spec:
+        mats = np.concatenate([mats, np.eye(domain.dim, dtype=np.int64)[None]])
+    powered = []
+    power_batch = FiniteRing.power_batch
+
+    def recording(self, vecs, k):
+        if self is codomain:
+            powered.append(len(vecs))
+        return power_batch(self, vecs, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FiniteRing, "power_batch", recording)
+        patch.setattr(models, "BLOCK_ROWS", block or models.BLOCK_ROWS)
+        reports = models._jordan_checks(domain, codomain, mats, n)
+    for mat, report in zip(mats, reports, strict=True):
+        assert report == _one_shot_jordan(AdditiveMap(ring_from_spec(spec), ring_from_spec(cod_spec or spec), mat), n)
+    if block is None or cod_spec is None:
+        assert powered and set(powered) == {codomain.size}
+    else:
+        assert powered and max(powered) < codomain.size and not codomain._tables
+
+
+def test_jordan_check_into_a_codomain_past_the_element_cap_powers_its_images():
+    """A codomain too large to tabulate never has its table formed, so is_n_jordan answers as before:
+    zm:2 -> zm:2^23 passes (every element of a Boolean ring is idempotent) and a -> (2a, ..., 2a)
+    from zm:3 to zm:3^15 fails at a = 1, where 2 differs from 2^2 = 1."""
+    wide = ring_from_spec("zm:2^23")
+    assert wide.size * wide.dim > models.ELEMENT_CAP
+    for n in range(2, 6):
+        assert is_n_jordan(AdditiveMap(ring_from_spec("zm:2"), wide, np.ones((wide.dim, 1))), n) == \
+            PredicateResult(True, 2)
+    odd = ring_from_spec("zm:3^15")
+    assert odd.size * odd.dim > models.ELEMENT_CAP
+    assert is_n_jordan(AdditiveMap(ring_from_spec("zm:3"), odd, np.full((odd.dim, 1), 2)), 2) == \
+        PredicateResult(False, 3, ([1],))
+    assert not wide._tables and not odd._tables
+
+
 WORK_PAIRS = [("zm:5", "zm:5"), ("zm:5^2", "zm:5"), ("zm:3^2", "zm:3^2"), ("upper:3@2", "zm:2"),
-              ("mat:2x2@2", "zm:2"), ("zm:2^3", "zm:2^2"), ("nilpoly:2@3", "zm:3")]
+              ("mat:2x2@2", "zm:2"), ("zm:2^3", "zm:2^2"), ("nilpoly:2@3", "zm:3"), ("zm:5^2", "zm:5^2")]
 
 
 def _counted_scan(pair, predicate, n, sample_count, seed, cap):
