@@ -39,7 +39,7 @@ from .freealg import MAX_DEPTH, quote, read_int
 # a core's L2 cache.
 BLOCK_ROWS = 2 ** 12
 # Most int64 cells (elements times dimension) of one element table, and of
-# all the element-power tables one ring caches together.
+# it and the power maps (one cell an element) one ring caches together.
 ELEMENT_CAP = 2 ** 22
 # Most elements of a search domain: a memory bound, so that a scan block of
 # one candidate map on every element holds at most BLOCK_ROWS rows.
@@ -166,7 +166,7 @@ class FiniteRing:
         self.size = modulus ** self.dim
         self._check_associativity()
         self.commutative = bool((struct == struct.transpose(1, 0, 2)).all())
-        # n -> the n-th powers of every element; the element table is n = 1
+        # 1 -> the element table; n > 1 -> the index of each element's n-th power
         self._tables: dict[int, np.ndarray] = {}
 
     def _check_associativity(self) -> None:
@@ -269,23 +269,23 @@ class FiniteRing:
             square = self.mul_batch(square, square)
 
     def all_powers(self, n: int) -> np.ndarray:
-        """n-th powers of every element in index order, cached in at most ELEMENT_CAP cells in all.
+        """For n = 1 every element, a (size, d) table in index order and Fortran order; for n > 1 the index
+        of each element's n-th power, a (size,) map.  Cached in at most ELEMENT_CAP cells in all.
 
-        A table that would pass that empties the cache first, but for an element table that fits
-        beside the new one; one table over it is refused.  The element table is in Fortran order,
-        the power tables in C order, which the power filter gathers rows from.
+        An entry that would pass that empties the cache first, but for an element table that fits beside
+        it; an element table over the cap is refused, and with it every power map of its ring.
         """
         cells = self.size * self.dim
         if cells > ELEMENT_CAP:
             raise GuardError(f"{self.size} elements exceed the materialization cap: {cells} cells over {ELEMENT_CAP}")
         if n not in self._tables:
-            elements = self._tables.get(1)
-            if cells * (len(self._tables) + 1) > ELEMENT_CAP:
-                self._tables = {1: elements} if elements is not None and 2 * cells <= ELEMENT_CAP else {}
+            elements, new = self._tables.get(1), cells if n == 1 else self.size
+            if sum(t.size for t in self._tables.values()) + new > ELEMENT_CAP:
+                self._tables = {1: elements} if elements is not None and cells + new <= ELEMENT_CAP else {}
             if elements is None:
                 elements = _digits(np.arange(self.size, dtype=np.int64), self.modulus, self.dim)
             powers = self.power_batch(elements, n)
-            self._tables[n] = powers if powers is elements else np.ascontiguousarray(powers)
+            self._tables[n] = powers if n == 1 else powers @ self.modulus ** np.arange(self.dim - 1, -1, -1)
         return self._tables[n]
 
     def __repr__(self) -> str:
@@ -611,8 +611,8 @@ def check_blocks(
 def _block_reports(mats: np.ndarray, checked: int, blocks: Iterable, mismatch: Callable) -> list[PredicateResult]:
     """Each map matrix's report: ``checked`` and its first mismatching row, one element per column, if any.
 
-    ``blocks`` yields each block of at most BLOCK_ROWS rows as its columns and data formed once for all
-    maps; ``mismatch(sub, cols, data)`` is the mask on it of up to BLOCK_ROWS // rows maps not failed yet.
+    ``blocks`` yields each block of rows as its columns and data formed once for all maps; ``mismatch(sub, cols,
+    data)`` is the mask on its first rows (all, or as far as all fail) of max(1, BLOCK_ROWS // rows) maps not failed.
     Maps that fail at one row share one report, and passing maps share another.
     """
     reports, live = [PredicateResult(True, checked)] * len(mats), np.arange(len(mats))
@@ -631,40 +631,54 @@ def _block_reports(mats: np.ndarray, checked: int, blocks: Iterable, mismatch: C
     return reports
 
 
-def _power_mismatch(
-    mats: np.ndarray, elems: np.ndarray, powers: np.ndarray, codomain: FiniteRing, n: int
-) -> np.ndarray:
-    """(C, N) mask of h(a^n) != h(a)^n for C map matrices h and N elements a.
+def _power_mismatch(mats: np.ndarray, domain: FiniteRing, codomain: FiniteRing, n: int) -> np.ndarray:
+    """(C, N) mask of h(a^n) != h(a)^n for C map matrices h and the first N elements a of domain.
 
-    ``powers`` holds the n-th powers of ``elems`` in the domain.  This is the
-    one computation of the power condition, for a search's filter and for
-    is_n_jordan's blocks of maps alike.  h(a)^n is read from the codomain's
-    n-th-power table at each image's element index (exact in int64: the
-    table fits ELEMENT_CAP) when it is cached or has no more elements than
-    the block has rows, so that forming it costs no more than the powers.
+    The one check of the power condition, for search's filter and is_n_jordan alike, on blocks of BLOCK_ROWS // C
+    elements in index order; N is the domain's size, or less once every map has failed.  If the codomain's n-th
+    power map is cached or, no larger than the images, costs no more to form than the powers, each h(a) becomes
+    its codomain index I(a) (exact in int64: a tabulated codomain has at most ELEMENT_CAP elements), one product
+    per element in index order as far as a block or its powers reach, and I(a^n) is compared with pi_n(I(a));
+    otherwise the images of the powers with power_batch's powers of the images, as vectors.
     """
-    m, d = codomain.modulus, codomain.dim
+    m, d, c = codomain.modulus, codomain.dim, len(mats)
     transposed = _residues(mats, m).transpose(0, 2, 1)
-    # (C, N, d): every element, and then its power, under every map; for these
-    # small dimensions matmul costs a tenth of the same einsum
-    images = _residues(elems, m) @ transposed
-    np.fmod(images, m, out=images)
-    if n in codomain._tables or codomain.size * d <= min(images.size, ELEMENT_CAP):
-        rhs = codomain.all_powers(n).take(images @ m ** np.arange(d - 1, -1, -1), axis=0)
-    else:
-        rhs = codomain.power_batch(images.reshape(-1, d), n).reshape(images.shape)
-    del images  # so that the powers' images below do not sit beside them
-    lhs = _residues(powers, m) @ transposed
-    return (np.fmod(lhs, m, out=lhs) != rhs).any(axis=2)
+    elems = domain.element_vectors()
+    if n == 1:  # a^1 is a; all_powers(1) is the element table
+        return np.zeros((c, domain.size), dtype=bool)
+    powers, step = domain.all_powers(n), max(1, BLOCK_ROWS // c)
+
+    def images(rows) -> np.ndarray:
+        # (C, rows, d); for these small dimensions matmul costs a tenth of the same einsum
+        out = elems[rows] @ transposed
+        return np.fmod(out, m, out=out)
+
+    if tabulated := n in codomain._tables or codomain.size * d <= min(c * domain.size * d, ELEMENT_CAP):
+        index, table, filled = np.empty((c, domain.size), dtype=np.int64), codomain.all_powers(n), 0
+    masks, failed = [], np.zeros(c, dtype=bool)
+    for start in range(0, domain.size, step):
+        rows = slice(start, start + step)
+        if tabulated:
+            while filled <= start or filled < domain.size and filled <= powers[rows].max():
+                index[:, filled:filled + step] = images(slice(filled, filled + step)) @ m ** np.arange(d - 1, -1, -1)
+                filled += step
+            masks.append(index[:, powers[rows]] != table[index[:, rows]])
+        else:
+            rhs = codomain.power_batch(images(rows).reshape(-1, d), n).reshape(c, -1, d)
+            masks.append((images(powers[rows]) != rhs).any(axis=2))
+        if start + step < domain.size and (failed := failed | masks[-1].any(axis=1)).all():
+            break
+    return np.concatenate(masks, axis=1)
 
 
 def _work(domain: FiniteRing, codomain: FiniteRing, n: int, ring: bool) -> int:
     """Predicted multiply-adds of is_n_ring(h, n) if ring, else of is_n_jordan(h, n), for h from domain to codomain.
 
     is_n_ring: n - 1 products a side and n + 1 applications per basis tuple.
-    is_n_jordan: per element, an n-th power a side (power_batch's products:
-    one per squaring, one per further set bit) and two applications; a codomain
-    power table the filter forms instead costs no more than the powers it replaces.
+    is_n_jordan: per element, an n-th power a side (power_batch's products: one per squaring, one per
+    further set bit) and two applications.  Comparing indices, the filter applies each map once per
+    element, so the second over-counts, kept so that no refusal moves; a codomain power map the filter
+    forms instead costs no more than the powers it replaces.
     """
     terms, apply = len(domain._terms) + len(codomain._terms), domain.dim * codomain.dim
     if ring:
@@ -674,10 +688,8 @@ def _work(domain: FiniteRing, codomain: FiniteRing, n: int, ring: bool) -> int:
 
 def _jordan_checks(domain: FiniteRing, codomain: FiniteRing, mats: np.ndarray, n: int) -> list[PredicateResult]:
     """is_n_jordan's report for each of a block of map matrices, the witness its first failing element."""
-    elems, powers = domain.element_vectors(), domain.all_powers(n)
-    blocks = (([elems[s:s + BLOCK_ROWS]], powers[s:s + BLOCK_ROWS]) for s in range(0, domain.size, BLOCK_ROWS))
-    return _block_reports(mats, domain.size, blocks,
-                          lambda sub, cols, pows: _power_mismatch(sub, cols[0], pows, codomain, n))
+    return _block_reports(mats, domain.size, [([domain.element_vectors()], None)],
+                          lambda sub, cols, _: _power_mismatch(sub, domain, codomain, n))
 
 
 def _ring_checks(domain: FiniteRing, codomain: FiniteRing, mats: np.ndarray, n: int) -> list[PredicateResult]:
@@ -794,9 +806,7 @@ def _scan(
     _check_power(power, 1)
     each = _work(domain, codomain, power, False) + CALL_WORK + second
     candidates = _candidates(domain, codomain, max(1, BLOCK_ROWS // domain.size), each, sample_count, seed, override)
-    elems = domain.element_vectors()
-    powers = domain.all_powers(power)
-    survivors = (mats[~_power_mismatch(mats, elems, powers, codomain, power).any(axis=1)] for mats in candidates)
+    survivors = (mats[~_power_mismatch(mats, domain, codomain, power).any(axis=1)] for mats in candidates)
     yield from filter(len, survivors)
 
 

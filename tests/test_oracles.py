@@ -36,13 +36,18 @@ decides and finds its first witness on the d^n basis tuples alone, is
 compared with the one-shot sweep over all size^n tuples, and the block
 bodies of both predicates, which check a block of maps at once, with the
 one-shot oracles map by map on Hypothesis-drawn blocks, and the power
-filter's reads of h(a)^n from the codomain's power table with the
+filter's reads of h(a)^n from the codomain's power map with the
 left-to-right oracle, on codomains that are their domain, same-spec
-codomains and codomains larger than any block.  With room for two
-tables, the power-table cache forms each ring's element table once.  A search's
+codomains and codomains larger than any block; its mask of codomain
+element indices is compared with the d-vector oracle it replaced, up to
+the block at which every map has failed, and each image is formed once,
+in index order, before a block reads it.  With
+room for the element table and one power map, or fifteen as on zm:2^17,
+the cache forms each ring's element table once.  A search's
 predicted work, on which its refusal alone depends, is compared with the
 rows times the cost of each row that actually reach mul_batch,
-apply_batch and the power filter's map products, counted by wrappers
+apply_batch and the power filter's map products (one per element when it
+compares indices, two when it compares vectors), counted by wrappers
 around them.
 """
 
@@ -590,20 +595,32 @@ def test_mul_batch_matches_einsum(spec, rows):
     assert (h.apply_batch(u % m) == expected).all()
     assert (h.apply_batch(u.astype(np.int32)) == expected).all()
 
-    # the identity map preserves squares and a random map mostly does not;
-    # each matrix, element and square is shifted by multiples of m, some negative
-    mats = np.stack([np.eye(d, dtype=np.int64), mat % m]) + m * rng.integers(-3, 3, size=(2, d, d))
-    squares = _einsum_product(ring, u, u)
-    lhs = np.einsum("ij,ej->ei", mat % m, squares) % m
-    mask = models._power_mismatch(mats, u, squares + m * rng.integers(-3, 3, size=squares.shape), ring, 2)
-    assert mask.shape == (2, rows)
-    assert not mask[0].any()
-    assert (mask[1] == (lhs != _einsum_product(ring, expected, expected)).any(axis=1)).all()
-
     # and on nonnegative input past m
     big_u, big_v = rng.integers(0, 5 * m, size=(2, rows, d))
     assert (ring.mul_batch(big_u, big_v) == _einsum_product(ring, big_u, big_v)).all()
     assert (h.apply_batch(big_u) == (big_u % m) @ (mat % m).T % m).all()
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_power_filter_matches_einsum(spec):
+    """The power filter on unreduced and negative map matrices, against einsum oracles that reduce them with %
+    first, over every element of the domain: the ring itself, or zm:m^2 into a ring too large to tabulate."""
+    codomain = ring_from_spec(spec)
+    m, d = codomain.modulus, codomain.dim
+    domain = codomain if codomain.size * d <= models.ELEMENT_CAP else ring_from_spec(f"zm:{m}^2")
+    rng = np.random.default_rng(d)
+    mat = rng.integers(-3 * m, 3 * m, size=(d, domain.dim))
+    # the identity map (the zero map into a larger ring) preserves squares and a random map mostly does not;
+    # each matrix is shifted by multiples of m, some negative
+    first = np.eye(d, dtype=np.int64) if domain is codomain else np.zeros_like(mat)
+    mats = np.stack([first, mat]) + m * rng.integers(-3, 3, size=(2, d, domain.dim))
+    elems = domain.element_vectors()
+    images = elems @ (mat % m).T % m
+    lhs = _einsum_product(domain, elems, elems) @ (mat % m).T % m
+    mask = models._power_mismatch(mats, domain, codomain, 2)
+    assert mask.shape == (2, domain.size)
+    assert not mask[0].any()
+    assert (mask[1] == (lhs != _einsum_product(codomain, images, images)).any(axis=1)).all()
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
@@ -805,12 +822,13 @@ def test_streamed_jordan_predicate_matches_one_shot_column(block, monkeypatch):
 
 
 def test_bounded_power_tables_match_the_uncached_oracle(monkeypatch):
-    """With room for three zm:5^2 tables, is_n_jordan for n = 1..9 in shuffled
-    order gives the verdicts of the left-to-right oracle on a ring of its own.
-    The cache fills to ELEMENT_CAP cells and never passes it, even while a
-    table is formed, and the maps after the first at each n reuse its table:
-    an emptied cache keeps the element table, so a call forms at most its
-    n-th powers."""
+    """With room for three zm:5^2 element tables, that is one element table
+    and four power maps, is_n_jordan for n = 1..9 in shuffled order gives
+    the verdicts of the left-to-right oracle on a ring of its own.  The
+    cache fills to ELEMENT_CAP cells and never passes it, even with the
+    entry being formed counted, and the maps after the first at each n
+    reuse its power map: an emptied cache keeps the element table, so a
+    call forms at most its n-th powers."""
     domain, codomain, oracle_domain = (ring_from_spec("zm:5^2") for _ in range(3))
     cells = domain.size * domain.dim
     monkeypatch.setattr(models, "ELEMENT_CAP", 3 * cells)
@@ -820,7 +838,8 @@ def test_bounded_power_tables_match_the_uncached_oracle(monkeypatch):
     def counting(self, vecs, n):
         if self is domain:
             formed.append(n)
-            assert sum(t.size for t in domain._tables.values()) + cells <= models.ELEMENT_CAP
+            entry = cells if n == 1 else domain.size
+            assert sum(t.size for t in domain._tables.values()) + entry <= models.ELEMENT_CAP
         return power_batch(self, vecs, n)
 
     monkeypatch.setattr(FiniteRing, "power_batch", counting)
@@ -851,10 +870,11 @@ def test_bounded_power_tables_match_the_uncached_oracle(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["zm:5^2", "mat:2x2@2", "upper:3@2"])
 def test_an_emptied_cache_keeps_the_element_table(spec, monkeypatch):
-    """With room for two tables, is_n_jordan for n = 1..9 forms the element table once: each
-    emptying of the cache keeps it beside the new n-th powers, and the cache stays under the cap."""
+    """With room for the element table and one power map, is_n_jordan for n = 1..9 forms the element
+    table once: each emptying of the cache keeps it beside the new n-th power map, and the cache stays
+    under the cap."""
     domain, codomain = ring_from_spec(spec), ring_from_spec(spec)
-    monkeypatch.setattr(models, "ELEMENT_CAP", 2 * domain.size * domain.dim)
+    monkeypatch.setattr(models, "ELEMENT_CAP", domain.size * (domain.dim + 1))
     formed = []
     power_batch = FiniteRing.power_batch
 
@@ -1114,6 +1134,142 @@ def test_power_table_reads_match_the_one_shot_oracle(pair, n, data):
         assert powered and max(powered) < codomain.size and not codomain._tables
 
 
+def _vector_power_mismatch(mats, elems, powers, codomain, n):
+    """The power filter's (C, N) mask as it compared d-vectors: the images of the elements and of their n-th
+    powers by two matrix products; h(a)^n read from a power table of the whole codomain at each image's
+    index when the codomain has at most 10^4 elements, else formed by power_batch on the images; and
+    (lhs != rhs).any(axis=2)."""
+    m, d = codomain.modulus, codomain.dim
+    transposed = (mats % m).transpose(0, 2, 1)
+    images = elems @ transposed % m
+    if codomain.size <= 10 ** 4:
+        table = functools.reduce(codomain.mul_batch, [models._digits(np.arange(codomain.size), m, d)] * n)
+        rhs = table[images @ m ** np.arange(d - 1, -1, -1)]
+    else:
+        rhs = codomain.power_batch(images.reshape(-1, d), n).reshape(images.shape)
+    lhs = powers @ transposed % m
+    return (lhs != rhs).any(axis=2)
+
+
+# TABLE_PAIRS' rings, a domain larger than one default block, alone and with a same-spec codomain, and a
+# codomain past ELEMENT_CAP
+INDEX_PAIRS = [(spec, cod_spec) for spec, cod_spec, _ in TABLE_PAIRS] + [
+    ("zm:3^8", None), ("zm:3^8", "zm:3^8"), ("zm:3", "zm:3^15")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(INDEX_PAIRS), n=st.integers(2, 6), block=st.sampled_from([7, None]), data=st.data())
+def test_index_filter_matches_the_vector_oracle(pair, n, block, data):
+    """_power_mismatch, which compares codomain element indices when it can tabulate the codomain, gives
+    the mask of the vector oracle on unreduced random matrices, with BLOCK_ROWS 7 or its default: it
+    compares indices whenever the domain is its codomain, and vectors into a codomain past ELEMENT_CAP.
+    The mask stops at the end of the first block at which every map has failed, or runs to the end."""
+    spec, cod_spec = pair
+    domain = ring_from_spec(spec)
+    codomain = domain if cod_spec is None else ring_from_spec(cod_spec)
+    shape, m = (codomain.dim, domain.dim), domain.modulus
+    raw = data.draw(st.lists(st.lists(st.integers(-2 * m, 2 * m), min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1]), min_size=1, max_size=6))
+    mats = np.array([np.array(r).reshape(shape) for r in raw], dtype=np.int64)
+    if cod_spec is None:
+        mats = np.concatenate([mats, np.eye(domain.dim, dtype=np.int64)[None]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "BLOCK_ROWS", block or models.BLOCK_ROWS)
+        mask = models._power_mismatch(mats, domain, codomain, n)
+    assert n in codomain._tables or cod_spec is not None
+    assert not codomain._tables or cod_spec != "zm:3^15"
+    elems = models._digits(np.arange(domain.size), m, domain.dim)
+    expected = _vector_power_mismatch(mats, elems, functools.reduce(domain.mul_batch, [elems] * n), codomain, n)
+    cut, step = mask.shape[1], max(1, (block or models.BLOCK_ROWS) // len(mats))
+    assert mask.tolist() == expected[:, :cut].tolist()
+    assert cut == domain.size or cut % step == 0 and expected[:, :cut].any(axis=1).all()
+    assert not expected[:, :(cut - 1) // step * step].any(axis=1).all()
+
+
+def test_the_filter_stops_at_the_block_where_every_map_has_failed():
+    """Negation on zm:3^8 fails the square condition at element 1, so is_n_jordan's filter checks
+    one block of BLOCK_ROWS of its 6,561 elements; the identity passes on all of them."""
+    ring = ring_from_spec("zm:3^8")
+    neg, eye = models.negation_map(ring).matrix, np.eye(ring.dim, dtype=np.int64)
+    assert models._power_mismatch(neg[None], ring, ring, 2).shape == (1, models.BLOCK_ROWS)
+    assert models._power_mismatch(np.stack([neg, eye]), ring, ring, 2).shape == (2, ring.size)
+    assert is_n_jordan(models.negation_map(ring), 2) == PredicateResult(False, ring.size, ([0] * 7 + [1],))
+
+
+def test_the_index_filter_forms_each_image_once_before_a_block_reads_it(monkeypatch):
+    """With blocks of one element, the index filter forms each element's codomain index I(b) once, in
+    index order, and before the block of a reads the codomain's power map it has formed I(a) and I(a^2)
+    and nothing further: the identity into a second copy of upper:3@2 or of mat:2x2@2 (where element 6,
+    E12 + E21, squares to element 9, E11 + E22) passes on every element, and the functional of upper:3@2
+    reading E13's coefficient into zm:2 first fails at element 2, E13, and stops there."""
+    monkeypatch.setattr(models, "BLOCK_ROWS", 1)
+    for spec, cod_spec, functional in [("upper:3@2", "upper:3@2", False), ("mat:2x2@2", "mat:2x2@2", False),
+                                       ("upper:3@2", "zm:2", True)]:
+        domain, codomain = ring_from_spec(spec), ring_from_spec(cod_spec)
+        mat = np.array([[0, 1, 0]]) if functional else np.eye(domain.dim, dtype=np.int64)
+        events = []
+
+        class Elements(np.ndarray):
+            def __getitem__(self, key):
+                events.append(key.start)
+                return np.asarray(self)[key]
+
+        class PowerMap(np.ndarray):
+            def __getitem__(self, key):
+                events.append("read")
+                return np.asarray(self)[key]
+
+        elems, all_powers = domain.element_vectors(), codomain.all_powers
+        monkeypatch.setattr(domain, "element_vectors", lambda: elems.view(Elements))
+        monkeypatch.setattr(codomain, "all_powers", lambda n: all_powers(n).view(PowerMap))
+        mask = models._power_mismatch(mat[None], domain, codomain, 2)
+        assert mask[0].tolist() == [False] * (2 if functional else domain.size) + [True] * functional
+        squares, expected, formed = domain.all_powers(2), [], 0
+        for a in range(mask.shape[1]):
+            reach = max(formed, a + 1, squares[a] + 1)
+            expected += list(range(formed, reach)) + ["read"]
+            formed = reach
+        assert events == expected
+
+
+def test_the_filter_tabulates_a_codomain_no_larger_than_its_images():
+    """A fresh codomain's power map is formed when it has no more elements than there are images (maps
+    times domain elements), so that forming it costs no more than the powers it replaces; otherwise
+    power_batch powers the images."""
+    for spec, cod_spec, maps, tabulated in [("zm:5^2", "zm:5^2", 1, True), ("zm:2", "zm:2^2", 1, False),
+                                            ("zm:2", "zm:2^2", 2, True), ("zm:5", "zm:5^2", 3, False),
+                                            ("zm:5", "zm:5^2", 5, True)]:
+        domain, codomain = ring_from_spec(spec), ring_from_spec(cod_spec)
+        models._power_mismatch(np.ones((maps, codomain.dim, domain.dim), dtype=np.int64), domain, codomain, 3)
+        assert (3 in codomain._tables) == tabulated
+
+
+def test_power_maps_fit_beside_the_element_table(monkeypatch):
+    """zm:2^17's element table, 17 cells an element, fits in ELEMENT_CAP beside 15 power maps of one cell
+    an element, so is_n_jordan for n = 2..17 forms it once.  The same room on zm:2^5: n = 2..16 fill the
+    cache to the cap, and n = 17 empties it but for the element table."""
+    assert 2 ** 17 * (17 + 15) == models.ELEMENT_CAP
+    ring = ring_from_spec("zm:2^5")
+    monkeypatch.setattr(models, "ELEMENT_CAP", ring.size * (ring.dim + 15))
+    built = []
+    digits = models._digits
+
+    def counting(idx, m, width):
+        built.append(len(idx))
+        return digits(idx, m, width)
+
+    monkeypatch.setattr(models, "_digits", counting)
+    h = AdditiveMap(ring, ring, np.eye(ring.dim, dtype=np.int64))
+    for n in range(2, 18):
+        assert is_n_jordan(h, n) == PredicateResult(True, ring.size)
+        assert sum(t.size for t in ring._tables.values()) <= models.ELEMENT_CAP
+        if n == 16:
+            assert sorted(ring._tables) == list(range(1, 17))
+            assert sum(t.size for t in ring._tables.values()) == models.ELEMENT_CAP
+    assert sorted(ring._tables) == [1, 17]
+    assert built == [ring.size]
+
+
 def test_jordan_check_into_a_codomain_past_the_element_cap_powers_its_images():
     """A codomain too large to tabulate never has its table formed, so is_n_jordan answers as before:
     zm:2 -> zm:2^23 passes (every element of a Boolean ring is idempotent) and a -> (2a, ..., 2a)
@@ -1139,17 +1295,21 @@ def _counted_scan(pair, predicate, n, sample_count, seed, cap):
 
     A ring product costs its nonzero structure terms per row and a map
     application d_A * d_B per row; the power filter applies each of its
-    maps to every element and to its power, as two matrix products.  The
-    rings are built afresh, so no power table is cached from before.
+    maps to every element by one matrix product when it compares element
+    indices (the codomain's power map is cached once it returns), and to
+    every element and to its power, two products, when it compares
+    vectors.  The rings are built afresh, so no power map is cached from
+    before.
     """
     domain, codomain = (ring_from_spec(spec) for spec in pair)
     counted, predicted = [0], []
     mul_batch, apply_batch, check_work = FiniteRing.mul_batch, AdditiveMap.apply_batch, models.check_work
     power_mismatch = models._power_mismatch
 
-    def counting_filter(mats, elems, powers, codomain, n):
-        counted[0] += 2 * mats.size * len(elems)
-        return power_mismatch(mats, elems, powers, codomain, n)
+    def counting_filter(mats, domain, codomain, n):
+        mask = power_mismatch(mats, domain, codomain, n)
+        counted[0] += (1 if n in codomain._tables else 2) * mats.size * domain.size
+        return mask
 
     def counting_mul(ring, u, v):
         counted[0] += len(u) * len(ring._terms)
